@@ -103,6 +103,10 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment: {self.experiment!r}")
+        for name in ("seed", "L", "trials", "M", "max_iters", "noise_seeds"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.L < 1 or self.trials < 1 or self.M < 1:
             raise ConfigError("counts must be positive")
         if self.experiment in ("snr_sweep", "prior_mismatch", "grid_sweep", "recover2d"):
@@ -213,109 +217,75 @@ def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
     )
 
 
-def run_snr_sweep(cfg: ExperimentConfig, threads: int | None = None):
-    """Mean geodesic error of MAP and MMSE across a noise sweep (shared grid)."""
-    vbar = _phantom_from_spec(cfg.phantom)
-    truth_prior = _prior_from_spec(cfg.truth_prior)
-    est_prior = _prior_from_spec((cfg.estimation_priors or [None])[0])
-    cands = estimators.CandidateSet.build(
-        vbar, est_prior, cfg.L, seed=cfg.seed, projected=cfg.projected, method=cfg.method
+def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int):
+    return estimators.CandidateSet.build(
+        vbar, prior, L, seed=seed, projected=cfg.projected, method=cfg.method
     )
-    rotations = _true_rotations(cfg, truth_prior, cfg.trials)
-    clean = _clean_stack(vbar, rotations, cfg.projected, cfg.method, threads)
+
+
+def _map(cands):
+    return lambda ys, noise: cands.rotations[estimators.map_indices_batch(ys, cands.templates)]
+
+
+def _mmse(cands):
+    return lambda ys, noise: estimators.mmse_rotations_batch(ys, cands, noise)
+
+
+def _sweep_inputs(cfg: ExperimentConfig, threads: int | None):
+    """The sweep phantom, the true rotations, and their clean observations."""
+    vbar = _phantom_from_spec(cfg.phantom)
+    rotations = _true_rotations(cfg, _prior_from_spec(cfg.truth_prior), cfg.trials)
+    return vbar, rotations, _clean_stack(vbar, rotations, cfg.projected, cfg.method, threads)
+
+
+def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> list[ResultRecord]:
+    """Geodesic-error records of every (label, estimate) pair at every sigma;
+    estimate(ys, noise) returns one rotation per observation."""
     records = []
     for si, sigma in enumerate(_sigma_list(cfg, vbar)):
         ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(vbar, noise, projected=cfg.projected) if sigma > 0 else float("inf")
-        map_rots = cands.rotations[estimators.map_indices_batch(ys, cands)]
-        mmse_rots = estimators.mmse_rotations_batch(ys, cands, noise)
-        records.append(
-            _error_records(cfg, sigma, snr, cfg.L, "map", so3.geodesic_distances(rotations, map_rots))
-        )
-        records.append(
-            _error_records(cfg, sigma, snr, cfg.L, "mmse", so3.geodesic_distances(rotations, mmse_rots))
-        )
+        for label, estimate in estimates:
+            errors = so3.geodesic_distances(rotations, estimate(ys, noise))
+            records.append(_error_records(cfg, sigma, snr, L, label, errors))
     return records
+
+
+def run_snr_sweep(cfg: ExperimentConfig, threads: int | None = None):
+    """Mean geodesic error of MAP and MMSE across a noise sweep (shared grid)."""
+    vbar, rotations, clean = _sweep_inputs(cfg, threads)
+    est_prior = _prior_from_spec((cfg.estimation_priors or [None])[0])
+    cands = _candidates(cfg, vbar, est_prior, cfg.L, cfg.seed)
+    return _sweep(cfg, vbar, rotations, clean, cfg.L, [("map", _map(cands)), ("mmse", _mmse(cands))])
 
 
 def run_prior_mismatch(cfg: ExperimentConfig, threads: int | None = None):
     """MAP on a uniform grid vs MMSE variants sampled from estimation priors."""
-    vbar = _phantom_from_spec(cfg.phantom)
-    truth_prior = _prior_from_spec(cfg.truth_prior)
-    map_cands = estimators.CandidateSet.build(
-        vbar, so3.RotationPrior.uniform(), cfg.L, seed=cfg.seed, projected=cfg.projected, method=cfg.method
-    )
-    mmse_cands = [
-        estimators.CandidateSet.build(
-            vbar,
-            _prior_from_spec(spec),
-            cfg.L,
-            seed=cfg.seed + 1 + k,
-            projected=cfg.projected,
-            method=cfg.method,
-        )
-        for k, spec in enumerate(cfg.estimation_priors)
-    ]
-    rotations = _true_rotations(cfg, truth_prior, cfg.trials)
-    clean = _clean_stack(vbar, rotations, cfg.projected, cfg.method, threads)
-    records = []
-    for si, sigma in enumerate(_sigma_list(cfg, vbar)):
-        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
-        noise = forward.NoiseModel(sigma=sigma)
-        snr = forward.snr_of(vbar, noise, projected=cfg.projected) if sigma > 0 else float("inf")
-        map_rots = map_cands.rotations[estimators.map_indices_batch(ys, map_cands)]
-        records.append(
-            _error_records(cfg, sigma, snr, cfg.L, "map", so3.geodesic_distances(rotations, map_rots))
-        )
-        for cset in mmse_cands:
-            mmse_rots = estimators.mmse_rotations_batch(ys, cset, noise)
-            records.append(
-                _error_records(
-                    cfg,
-                    sigma,
-                    snr,
-                    cfg.L,
-                    f"mmse:{cset.prior.label()}",
-                    so3.geodesic_distances(rotations, mmse_rots),
-                )
-            )
-    return records
+    vbar, rotations, clean = _sweep_inputs(cfg, threads)
+    estimates = [("map", _map(_candidates(cfg, vbar, so3.RotationPrior.uniform(), cfg.L, cfg.seed)))]
+    for k, spec in enumerate(cfg.estimation_priors):
+        cset = _candidates(cfg, vbar, _prior_from_spec(spec), cfg.L, cfg.seed + 1 + k)
+        estimates.append((f"mmse:{cset.prior.label()}", _mmse(cset)))
+    return _sweep(cfg, vbar, rotations, clean, cfg.L, estimates)
 
 
 def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
     """Estimator error vs grid size; returns records plus fitted log-log slopes."""
-    vbar = _phantom_from_spec(cfg.phantom)
-    truth_prior = _prior_from_spec(cfg.truth_prior)
-    rotations = _true_rotations(cfg, truth_prior, cfg.trials)
-    clean = _clean_stack(vbar, rotations, cfg.projected, cfg.method, threads)
-    sigmas = _sigma_list(cfg, vbar)
-    records = []
-    means = {}
-    for L in [int(v) for v in cfg.L_values]:
-        cands = estimators.CandidateSet.build(
-            vbar, so3.RotationPrior.uniform(), L, seed=cfg.seed, projected=cfg.projected, method=cfg.method
-        )
-        for si, sigma in enumerate(sigmas):
-            ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
-            noise = forward.NoiseModel(sigma=sigma)
-            snr = forward.snr_of(vbar, noise, projected=cfg.projected) if sigma > 0 else float("inf")
-            map_err = so3.geodesic_distances(
-                rotations, cands.rotations[estimators.map_indices_batch(ys, cands)]
-            )
-            mmse_err = so3.geodesic_distances(
-                rotations, estimators.mmse_rotations_batch(ys, cands, noise)
-            )
-            records.append(_error_records(cfg, sigma, snr, L, "map", map_err))
-            records.append(_error_records(cfg, sigma, snr, L, "mmse", mmse_err))
-            means[(L, si, "map")] = float(map_err.mean())
-            means[(L, si, "mmse")] = float(mmse_err.mean())
-    # slope of log(mean error) vs log(L) at the lowest sigma (highest SNR)
-    slopes = {}
-    ls = np.array([int(v) for v in cfg.L_values], dtype=float)
-    for label in ("map", "mmse"):
-        errs = np.array([means[(int(L), 0, label)] for L in ls])
-        slopes[label] = float(np.polyfit(np.log(ls), np.log(errs), 1)[0])
+    vbar, rotations, clean = _sweep_inputs(cfg, threads)
+    ls = [int(v) for v in cfg.L_values]
+    records, first = [], {}
+    for L in ls:
+        cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed)
+        records_L = _sweep(cfg, vbar, rotations, clean, L, [("map", _map(cands)), ("mmse", _mmse(cands))])
+        first[L] = {r.estimator: r.metric_mean for r in records_L[:2]}
+        records += records_L
+    # slope of log(mean error) vs log(L) at the first sigma (highest SNR)
+    log_l = np.log(np.array(ls, dtype=float))
+    slopes = {
+        label: float(np.polyfit(log_l, np.log(np.array([first[L][label] for L in ls])), 1)[0])
+        for label in ("map", "mmse")
+    }
     return records, slopes
 
 
@@ -332,51 +302,38 @@ def _polar_observations(cfg: ExperimentConfig, truth: np.ndarray, sigma: float, 
     return ys, shifts
 
 
-def _registered_pcc_polar(final: np.ndarray, truth: np.ndarray) -> float:
-    """PCC vs truth after the best global cyclic shift.
-
-    The reconstruction frame is set by the initial template, so the estimate
-    recovers the truth only up to a global group element; fidelity is
-    measured after registration.
-    """
-    return max(
-        reconstruct.pcc(forward.rotate_polar(final, s), truth)
-        for s in range(truth.shape[1])
+def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) -> np.ndarray:
+    polar = cfg.polar or {}
+    return forward.make_polar_phantom(
+        int(polar.get("d_radial", 300)),
+        int(polar.get("l_angular", 30)),
+        seed=(spec or {}).get("seed", default_seed),
     )
 
 
-def _registered_pcc_volume(
-    final: np.ndarray, truth: np.ndarray, rotations: np.ndarray, method: str
-) -> float:
-    """PCC vs truth after the best global rotation from the candidate grid."""
-    best = reconstruct.pcc(final, truth)
-    for g in rotations:
-        best = max(best, reconstruct.pcc(forward.rotate_volume(final, g, method=method), truth))
-    return best
+def _reconstruct(cfg: ExperimentConfig, mode: str, ys, template, cands, noise, truth=None):
+    rcfg = reconstruct.ReconstructionConfig(
+        assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, method=cfg.method
+    )
+    return reconstruct.run_reconstruction(ys, template, cands, noise, rcfg, truth=truth)
 
 
 def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
     """Iterative polar-image recovery from shifted noisy copies."""
-    polar = cfg.polar or {}
-    d_rad = int(polar.get("d_radial", 300))
-    l_ang = int(polar.get("l_angular", 30))
-    truth = forward.make_polar_phantom(d_rad, l_ang, seed=(cfg.phantom or {}).get("seed", 1))
-    template = forward.make_polar_phantom(d_rad, l_ang, seed=(cfg.template_phantom or {}).get("seed", 2))
+    truth = _polar_phantom(cfg, cfg.phantom, 1)
+    template = _polar_phantom(cfg, cfg.template_phantom, 2)
+    l_ang = truth.shape[1]
     modes = cfg.assignment_modes or ["mmse_align", "hard_map"]
     records, traces = [], {}
-    for si, sigma in enumerate([float(s) for s in cfg.sigmas]):
+    for si, sigma in enumerate(_sigma_list(cfg, truth)):
         ys, _ = _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si])
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(truth, noise) if sigma > 0 else float("inf")
         for mode in modes:
-            rcfg = reconstruct.ReconstructionConfig(
-                assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, method=cfg.method
-            )
-            final, trace = reconstruct.run_reconstruction(ys, template, None, noise, rcfg, truth=truth)
+            final, trace = _reconstruct(cfg, mode, ys, template, None, noise, truth=truth)
             traces[f"recover2d_s{si}_{mode}"] = trace
-            records.append(
-                _error_records(cfg, sigma, snr, l_ang, mode, [_registered_pcc_polar(final, truth)])
-            )
+            registered = reconstruct.registered_pcc(final, truth)
+            records.append(_error_records(cfg, sigma, snr, l_ang, mode, [registered]))
             records.append(
                 _error_records(cfg, sigma, snr, l_ang, f"{mode}/template", [reconstruct.pcc(final, template)])
             )
@@ -400,24 +357,13 @@ def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(truth, noise) if sigma > 0 else float("inf")
         for mode in modes:
-            rcfg = reconstruct.ReconstructionConfig(
-                assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, method=cfg.method
-            )
-            final, trace = reconstruct.run_reconstruction(ys, template, cands, noise, rcfg, truth=truth)
+            final, trace = _reconstruct(cfg, mode, ys, template, cands, noise, truth=truth)
             key = f"recover3d_s{si}_{mode}"
             traces[key] = trace
             final = final.reshape(truth.shape)
             volumes[key] = final
-            records.append(
-                _error_records(
-                    cfg,
-                    sigma,
-                    snr,
-                    cfg.L,
-                    mode,
-                    [_registered_pcc_volume(final, truth, cands.rotations, cfg.method)],
-                )
-            )
+            registered = reconstruct.registered_pcc(final, truth, cands, cfg.method)
+            records.append(_error_records(cfg, sigma, snr, cfg.L, mode, [registered]))
             records.append(
                 _error_records(cfg, sigma, snr, cfg.L, f"{mode}/template", [reconstruct.pcc(final, template)])
             )
@@ -430,20 +376,16 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
     sigma = float((cfg.sigmas or [1.0])[0])
     noise = forward.NoiseModel(sigma=sigma)
     if cfg.geometry == "polar":
-        polar = cfg.polar or {}
-        d_rad = int(polar.get("d_radial", 300))
-        l_ang = int(polar.get("l_angular", 30))
-        template = forward.make_polar_phantom(d_rad, l_ang, seed=(cfg.template_phantom or {}).get("seed", 2))
+        template = _polar_phantom(cfg, cfg.template_phantom, 2)
         cands = None
-        L = l_ang
-        dim = template.size
+        L = template.shape[1]
     else:
         template = _phantom_from_spec(cfg.template_phantom, default_kind="asymmetric_L")
         cands = estimators.CandidateSet.build(
             template, so3.RotationPrior.uniform(), cfg.L, seed=cfg.seed + _K_CANDS, method=cfg.method
         )
         L = cfg.L
-        dim = template.size
+    dim = template.size
     records, traces = [], {}
 
     def one_seed(k):
@@ -453,10 +395,7 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
             rng = np.random.default_rng([cfg.seed, _K_NOISE, k, t])
             ys[t] = rng.normal(size=dim) * sigma
         for mode in modes:
-            rcfg = reconstruct.ReconstructionConfig(
-                assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, method=cfg.method
-            )
-            final, trace = reconstruct.run_reconstruction(ys, template, cands, noise, rcfg)
+            final, trace = _reconstruct(cfg, mode, ys, template, cands, noise)
             out[mode] = (reconstruct.pcc(final, template), trace)
         return out
 

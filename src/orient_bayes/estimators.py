@@ -122,23 +122,23 @@ def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
     return log_w
 
 
-def log_weights_batch(ys: np.ndarray, cands: CandidateSet, noise: forward.NoiseModel) -> np.ndarray:
-    """Posterior log-weights of a batch of observations against a candidate set."""
-    return normalized_log_weights(ys, cands.templates, noise.effective_variance(cands.dim))
+def log_weights_batch(ys: np.ndarray, x: np.ndarray, noise: forward.NoiseModel) -> np.ndarray:
+    """Posterior log-weights of a batch of observations against templates x, (M, L)."""
+    return normalized_log_weights(ys, x, noise.effective_variance(x.shape[1]))
 
 
 def posterior_weights(y, cands: CandidateSet, noise: forward.NoiseModel) -> PosteriorWeights:
     y = _check_dim(y, cands)
-    log_w = log_weights_batch(y[None, :], cands, noise)[0]
+    log_w = log_weights_batch(y[None, :], cands.templates, noise)[0]
     return PosteriorWeights(log_w=log_w, w=np.exp(log_w))
 
 
-def map_indices_batch(ys: np.ndarray, cands: CandidateSet) -> np.ndarray:
-    """Argmin_l ||y - x_l||^2 per observation; ties resolve to the lowest index."""
+def map_indices_batch(ys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Argmin_l ||y - x_l||^2 per observation against templates x; ties
+    resolve to the lowest index."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[1] != cands.dim:
-        raise DimensionMismatchError(f"observation dim {ys.shape[1]} != template dim {cands.dim}")
-    x = cands.templates
+    if ys.shape[1] != x.shape[1]:
+        raise DimensionMismatchError(f"observation dim {ys.shape[1]} != template dim {x.shape[1]}")
     x_sq = np.einsum("ld,ld->l", x, x)
     resid = x_sq[None, :] - 2.0 * (ys @ x.T)  # ||y||^2 omitted: constant per row
     return np.argmin(resid, axis=1)
@@ -146,7 +146,7 @@ def map_indices_batch(ys: np.ndarray, cands: CandidateSet) -> np.ndarray:
 
 def map_estimate(y, cands: CandidateSet) -> EstimateReport:
     y = _check_dim(y, cands)
-    idx = int(map_indices_batch(y[None, :], cands)[0])
+    idx = int(map_indices_batch(y[None, :], cands.templates)[0])
     return EstimateReport(rotation=cands.rotations[idx].copy(), map_index=idx)
 
 
@@ -177,7 +177,7 @@ def mmse_rotations_batch(
     ys: np.ndarray, cands: CandidateSet, noise: forward.NoiseModel
 ) -> np.ndarray:
     """Batched MMSE: posterior-average each observation, then Procrustes-round."""
-    log_w = log_weights_batch(ys, cands, noise)
+    log_w = log_weights_batch(ys, cands.templates, noise)
     avg = np.exp(log_w) @ cands.rotations.reshape(cands.size, 9)
     return so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
 

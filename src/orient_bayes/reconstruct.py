@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators, forward, so3
+from .estimators import ZeroVarianceError
 
 ASSIGNMENTS = ("soft_em", "mmse_align", "hard_map")
-
-
-class ZeroVarianceError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -52,75 +49,68 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def _obs_matrix(obs, d: int) -> np.ndarray:
-    if isinstance(obs, np.ndarray):
-        mat = np.atleast_2d(np.asarray(obs, dtype=float))
-    else:
-        mat = np.stack([np.asarray(o.data, dtype=float).ravel() for o in obs])
-    if mat.shape[1] != d:
+class _GroupAction:
+    """The L group elements the steps average over, acting on a structure.
+
+    A 2-D structure lives on the polar grid: element s is the exact cyclic
+    shift by s samples and L is the angular length.  A 3-D structure is
+    rotated by interpolation over ``cands.rotations``.
+    """
+
+    def __init__(self, v_t: np.ndarray, cands, method: str):
+        self.shape = v_t.shape
+        self.polar = v_t.ndim == 2
+        self.rotations = None if self.polar else cands.rotations
+        self.size = v_t.shape[1] if self.polar else self.rotations.shape[0]
+        self.method = method
+
+    def act(self, ell: int, v: np.ndarray) -> np.ndarray:
+        """g_l^-1 . v, the candidate template of v for element l."""
+        if self.polar:
+            return forward.rotate_polar(v, -ell)
+        return forward.rotate_volume(v, self.rotations[ell], method=self.method)
+
+    def back(self, ell: int, u: np.ndarray) -> np.ndarray:
+        """g_l . u, the adjoint of :meth:`act`."""
+        u = u.reshape(self.shape)
+        if self.polar:
+            return forward.rotate_polar(u, ell)
+        return forward.rotate_volume(u, self.rotations[ell].T, method=self.method)
+
+    def templates(self, v: np.ndarray) -> np.ndarray:
+        return np.stack([self.act(ell, v).ravel() for ell in range(self.size)])
+
+    def assigned_average(self, ys: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """(1/M) sum_i g_{idx_i} . y_i, back-acting once per element used:
+        the action is linear, so each group of observations is summed first."""
+        out = np.zeros(self.shape)
+        for ell in np.unique(idx):
+            out += self.back(ell, ys[idx == ell].sum(axis=0))
+        return out / ys.shape[0]
+
+
+def _setup(obs, v_t, cands, method):
+    """The group action on v_t, the (M, d) observation matrix, and the templates."""
+    v_t = np.asarray(v_t, dtype=float)
+    ys = np.atleast_2d(np.asarray(obs, dtype=float))
+    if ys.shape[1] != v_t.size:
         raise estimators.DimensionMismatchError(
-            f"observation dim {mat.shape[1]} != structure dim {d}"
+            f"observation dim {ys.shape[1]} != structure dim {v_t.size}"
         )
-    return mat
-
-
-def _polar_templates(v_t: np.ndarray) -> np.ndarray:
-    """Template matrix of all angular shifts, row s = (s^-1 . v_t) flattened."""
-    l_ang = v_t.shape[1]
-    return np.stack([forward.rotate_polar(v_t, -s).ravel() for s in range(l_ang)])
-
-
-def _volume_templates(v_t: np.ndarray, rotations: np.ndarray, method: str) -> np.ndarray:
-    return np.stack(
-        [forward.rotate_volume(v_t, g, method=method).ravel() for g in rotations]
-    )
-
-
-def _shift_average(ys: np.ndarray, shifts: np.ndarray, shape) -> np.ndarray:
-    """Mean of per-observation shifted copies, grouped by shift for speed."""
-    out = np.zeros(shape)
-    for s in np.unique(shifts):
-        group = ys[shifts == s].sum(axis=0).reshape(shape)
-        out += forward.rotate_polar(group, int(s))
-    return out / ys.shape[0]
-
-
-def _rotation_average(
-    ys: np.ndarray, rotations: np.ndarray, shape, method: str
-) -> np.ndarray:
-    """Mean of per-observation back-rotated copies: (1/M) sum_i g_i . y_i."""
-    out = np.zeros(shape)
-    for y, g in zip(ys, rotations):
-        out += forward.rotate_volume(y.reshape(shape), g.T, method=method)
-    return out / ys.shape[0]
-
-
-def _weights(ys, templates, noise):
-    log_w = estimators.normalized_log_weights(
-        ys, templates, noise.effective_variance(templates.shape[1])
-    )
-    return np.exp(log_w)
+    action = _GroupAction(v_t, cands, method)
+    return action, ys, action.templates(v_t)
 
 
 def em_step_soft(obs, v_t, cands, noise, method: str = "trilinear") -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
-    v_t = np.asarray(v_t, dtype=float)
-    ys = _obs_matrix(obs, v_t.size)
-    if v_t.ndim == 2:
-        w = _weights(ys, _polar_templates(v_t), noise)
-        colsum = w.T @ ys  # (L, d): weighted observation sum per candidate shift
-        out = np.zeros_like(v_t)
-        for s in range(v_t.shape[1]):
-            out += forward.rotate_polar(colsum[s].reshape(v_t.shape), s)
-        return out / ys.shape[0]
-    rotations = cands.rotations
-    w = _weights(ys, _volume_templates(v_t, rotations, method), noise)
-    colsum = w.T @ ys
-    out = np.zeros_like(v_t)
-    for ell in range(rotations.shape[0]):
-        # the group action is linear in the volume, so the weighted sum can
-        # be rotated once per candidate instead of once per observation
-        out += forward.rotate_volume(colsum[ell].reshape(v_t.shape), rotations[ell].T, method=method)
+    action, ys, x = _setup(obs, v_t, cands, method)
+    w = np.exp(estimators.log_weights_batch(ys, x, noise))
+    colsum = w.T @ ys  # (L, d): weighted observation sum per candidate
+    out = np.zeros(action.shape)
+    for ell in range(action.size):
+        # the action is linear, so the weighted sum is back-acted once per
+        # candidate instead of once per observation
+        out += action.back(ell, colsum[ell])
     return out / ys.shape[0]
 
 
@@ -131,41 +121,28 @@ def em_step_mmse(obs, v_t, cands, noise, method: str = "trilinear") -> np.ndarra
     On the polar grid the circular-mean angle is rounded to the nearest
     grid shift so the action stays exact.
     """
-    v_t = np.asarray(v_t, dtype=float)
-    ys = _obs_matrix(obs, v_t.size)
-    if v_t.ndim == 2:
-        l_ang = v_t.shape[1]
-        w = _weights(ys, _polar_templates(v_t), noise)
+    action, ys, x = _setup(obs, v_t, cands, method)
+    w = np.exp(estimators.log_weights_batch(ys, x, noise))
+    if action.polar:
+        l_ang = action.size
         angles = 2.0 * np.pi * np.arange(l_ang) / l_ang
         mean_angle = np.arctan2(w @ np.sin(angles), w @ np.cos(angles))
         shifts = np.round(mean_angle * l_ang / (2.0 * np.pi)).astype(int) % l_ang
-        return _shift_average(ys, shifts, v_t.shape)
-    rotations = cands.rotations
-    w = _weights(ys, _volume_templates(v_t, rotations, method), noise)
-    avg = w @ rotations.reshape(rotations.shape[0], 9)
+        return action.assigned_average(ys, shifts)
+    avg = w @ action.rotations.reshape(action.size, 9)
     aligned = so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
-    return _rotation_average(ys, aligned, v_t.shape, method)
+    out = np.zeros(action.shape)
+    for y, g in zip(ys, aligned):
+        out += forward.rotate_volume(y.reshape(action.shape), g.T, method=method)
+    return out / ys.shape[0]
 
 
 def hard_step(obs, v_t, cands, noise, method: str = "trilinear") -> np.ndarray:
     """One hard-assignment update: back-rotate each observation by its MAP
-    candidate against v_t, then average."""
-    v_t = np.asarray(v_t, dtype=float)
-    ys = _obs_matrix(obs, v_t.size)
-    if v_t.ndim == 2:
-        x = _polar_templates(v_t)
-        x_sq = np.einsum("ld,ld->l", x, x)
-        shifts = np.argmin(x_sq[None, :] - 2.0 * (ys @ x.T), axis=1)
-        return _shift_average(ys, shifts, v_t.shape)
-    rotations = cands.rotations
-    x = _volume_templates(v_t, rotations, method)
-    x_sq = np.einsum("ld,ld->l", x, x)
-    idx = np.argmin(x_sq[None, :] - 2.0 * (ys @ x.T), axis=1)
-    out = np.zeros_like(v_t)
-    for ell in np.unique(idx):
-        group = ys[idx == ell].sum(axis=0).reshape(v_t.shape)
-        out += forward.rotate_volume(group, rotations[ell].T, method=method)
-    return out / ys.shape[0]
+    candidate against v_t, then average.  This is the soft update with
+    one-hot weights, so only the assigned candidates are back-acted."""
+    action, ys, x = _setup(obs, v_t, cands, method)
+    return action.assigned_average(ys, estimators.map_indices_batch(ys, x))
 
 
 _STEPS = {"soft_em": em_step_soft, "mmse_align": em_step_mmse, "hard_map": hard_step}
@@ -213,6 +190,20 @@ def _safe_pcc(a, b):
         return pcc(a, b)
     except ZeroVarianceError:
         return None
+
+
+def registered_pcc(final: np.ndarray, truth: np.ndarray, cands=None, method: str = "trilinear") -> float:
+    """PCC vs truth after the best global group element.
+
+    The reconstruction frame is set by the initial template, so the estimate
+    recovers the truth only up to a global group element; fidelity is
+    measured after registration.  The polar shifts include the identity;
+    the rotation grid need not, so it is scored as well.
+    """
+    action = _GroupAction(final, cands, method)
+    scores = [] if action.polar else [pcc(final, truth)]
+    scores += [pcc(action.act(ell, final), truth) for ell in range(action.size)]
+    return max(scores)
 
 
 def write_trace(path, trace) -> None:

@@ -27,10 +27,6 @@ class DegenerateAverageError(ValueError):
     """Raised when an averaged rotation has no meaningful direction."""
 
 
-def identity() -> np.ndarray:
-    return np.eye(3)
-
-
 def is_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
@@ -39,21 +35,9 @@ def is_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     return ortho <= tol and abs(np.linalg.det(m) - 1.0) <= tol
 
 
-def check_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if not is_rotation(m, tol):
-        raise ValueError("matrix is not a rotation (orthonormal, det +1)")
-    return m
-
-
 def rot_z(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_x(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def chordal_distance(g1: np.ndarray, g2: np.ndarray) -> float:

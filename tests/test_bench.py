@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orient_bayes import bench, cli, forward
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def small_snr_config(**overrides):
@@ -57,6 +60,19 @@ class TestConfig:
     def test_nonpositive_counts(self):
         with pytest.raises(bench.ConfigError):
             small_snr_config(trials=0)
+
+    @pytest.mark.parametrize(
+        "field", ["seed", "L", "trials", "M", "max_iters", "noise_seeds"]
+    )
+    @pytest.mark.parametrize("value", ["300", 3.0, True, None])
+    def test_non_integer_counts(self, field, value):
+        with pytest.raises(bench.ConfigError):
+            small_snr_config(**{field: value})
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_validate(self, path):
+        cfg = bench.ExperimentConfig.from_file(path)
+        assert cfg.experiment in bench.EXPERIMENTS
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -251,6 +267,29 @@ class TestCli:
         assert cli.main(["recover2d", "--config", str(cfg_path), "--out", str(out)]) == 0
         traces = sorted(p.name for p in (out / "traces").iterdir())
         assert traces == ["recover2d_s0_hard_map.jsonl", "recover2d_s0_mmse_align.jsonl"]
+
+    def test_recover2d_snr_list(self, tmp_path):
+        raw = {
+            "experiment": "recover2d",
+            "seed": 1,
+            "M": 12,
+            "snrs": [1.0, 0.1],
+            "polar": {"d_radial": 20, "l_angular": 6},
+            "max_iters": 2,
+        }
+        cfg_path = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main(["recover2d", "--config", str(cfg_path), "--out", str(out)]) == 0
+        records = bench.parse_csv(out / "results.csv")
+        for mode in ("mmse_align", "hard_map"):
+            for target in raw["snrs"]:
+                rows = [r for r in records if r.estimator.startswith(mode) and r.snr == pytest.approx(target)]
+                assert len(rows) == 2
+
+    def test_non_integer_count_exit_code(self, tmp_path):
+        raw = dict(self.small_raw(), L="300")
+        cfg_path = self.write_config(tmp_path, raw)
+        assert cli.main(["snr_sweep", "--config", str(cfg_path)]) == 2
 
     def test_recover3d_outputs_volumes(self, tmp_path):
         cfg_path = self.write_config(

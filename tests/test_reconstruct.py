@@ -11,6 +11,16 @@ def polar_truth():
     return forward.make_polar_phantom(40, 8, seed=0)
 
 
+def polar_templates(img):
+    # row s is the template of shift s: s^-1 . img, flattened
+    return np.stack([forward.rotate_polar(img, -s).ravel() for s in range(img.shape[1])])
+
+
+def polar_assigned_average(ys, shifts, shape):
+    # (1/M) sum_i s_i . y_i, one observation at a time
+    return sum(forward.rotate_polar(y.reshape(shape), s) for y, s in zip(ys, shifts)) / len(ys)
+
+
 def noiseless_polar_obs(img, shifts):
     rng = np.random.default_rng(0)
     return np.stack(
@@ -32,6 +42,7 @@ class TestPcc:
         assert reconstruct.pcc(polar_truth, polar_truth + 3.7) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_input_rejected(self, polar_truth):
+        assert reconstruct.ZeroVarianceError is estimators.ZeroVarianceError
         with pytest.raises(reconstruct.ZeroVarianceError):
             reconstruct.pcc(polar_truth, np.ones_like(polar_truth))
 
@@ -53,7 +64,7 @@ class TestPolarSteps:
         img = forward.make_polar_phantom(12, 4, seed=3)
         y = forward.rotate_polar(img, -1).ravel() + 0.05
         noise = forward.NoiseModel(sigma=0.5)
-        x = reconstruct._polar_templates(img)
+        x = polar_templates(img)
         w = np.exp(
             estimators.normalized_log_weights(y[None], x, noise.effective_variance())
         )[0]
@@ -74,12 +85,12 @@ class TestPolarSteps:
         ys = noiseless_polar_obs(polar_truth, [1, 3, 6]) + 0.4 * rng.normal(
             size=(3, polar_truth.size)
         )
-        x = reconstruct._polar_templates(polar_truth)
+        x = polar_templates(polar_truth)
         oracle = np.array(
             [np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys]
         )
         out = reconstruct.hard_step(ys, polar_truth, None, noise)
-        expected = reconstruct._shift_average(ys, oracle, polar_truth.shape)
+        expected = polar_assigned_average(ys, oracle, polar_truth.shape)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_one_hot_collapse_all_steps_agree(self, polar_truth):
@@ -106,12 +117,15 @@ class TestPolarSteps:
             assert np.allclose(a, b, atol=1e-10)
 
     def test_fixed_alignment_linearity(self, polar_truth):
-        # with the shift decisions frozen, the averaging is linear in the data
+        # with the shift decisions frozen, the averaging is linear in the data;
+        # scaling the data keeps every MAP shift, so ys and 3 ys share them
         ys = noiseless_polar_obs(polar_truth, [1, 4])
-        shifts = np.array([1, 4])
-        a = reconstruct._shift_average(3.0 * ys, shifts, polar_truth.shape)
-        b = 3.0 * reconstruct._shift_average(ys, shifts, polar_truth.shape)
+        noise = forward.NoiseModel(sigma=0.1)
+        a = reconstruct.hard_step(3.0 * ys, polar_truth, None, noise)
+        b = 3.0 * reconstruct.hard_step(ys, polar_truth, None, noise)
         assert np.allclose(a, b, atol=1e-12)
+        expected = polar_assigned_average(3.0 * ys, [1, 4], polar_truth.shape)
+        assert np.allclose(a, expected, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -143,12 +157,13 @@ class TestVolumeSteps:
     def test_hard_step_brute_force_indices(self, volume_setup):
         vbar, cands, ys = volume_setup
         noise = forward.NoiseModel(sigma=0.1)
-        x = reconstruct._volume_templates(vbar, cands.rotations, "trilinear")
+        x = [forward.rotate_volume(vbar, g).ravel() for g in cands.rotations]
         oracle = np.array([np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys])
         out = reconstruct.hard_step(ys, vbar, cands, noise)
-        expected = reconstruct._rotation_average(
-            ys, cands.rotations[oracle], vbar.shape, "trilinear"
-        )
+        expected = sum(
+            forward.rotate_volume(y.reshape(vbar.shape), cands.rotations[i].T)
+            for y, i in zip(ys, oracle)
+        ) / len(ys)
         assert np.allclose(out, expected, atol=1e-10)
 
     def test_hard_step_improves_template_correlation(self, volume_setup):
@@ -203,6 +218,28 @@ class TestRunReconstruction:
             reconstruct.ReconstructionConfig(max_iters=0)
         with pytest.raises(ValueError):
             reconstruct.ReconstructionConfig(rel_tol=0.0)
+
+
+class TestRegisteredPcc:
+    def test_polar_is_max_over_every_shift(self, polar_truth):
+        rng = np.random.default_rng(8)
+        final = forward.rotate_polar(polar_truth, 3) + 0.3 * rng.normal(size=polar_truth.shape)
+        oracle = max(
+            reconstruct.pcc(forward.rotate_polar(final, s), polar_truth)
+            for s in range(polar_truth.shape[1])
+        )
+        assert reconstruct.registered_pcc(final, polar_truth) == oracle
+        assert oracle > reconstruct.pcc(final, polar_truth)
+
+    def test_volume_is_max_over_identity_and_candidates(self, volume_setup):
+        vbar, cands, _ = volume_setup
+        final = forward.rotate_volume(vbar, cands.rotations[2].T)
+        oracle = max(
+            [reconstruct.pcc(final, vbar)]
+            + [reconstruct.pcc(forward.rotate_volume(final, g), vbar) for g in cands.rotations]
+        )
+        assert reconstruct.registered_pcc(final, vbar, cands, "trilinear") == oracle
+        assert oracle > reconstruct.pcc(final, vbar)
 
 
 def test_write_trace_round_trip(tmp_path, polar_truth):
