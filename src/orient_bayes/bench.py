@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,8 @@ EXPERIMENTS = (
     "recover3d",
     "einstein_noise",
 )
+# The experiments that estimate rotations from (optionally projected) images.
+SWEEPS = ("snr_sweep", "prior_mismatch", "grid_sweep")
 
 # Key-space tags so different random streams derived from one master seed
 # never collide.
@@ -107,13 +111,18 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.L < 1 or self.trials < 1 or self.M < 1:
-            raise ConfigError("counts must be positive")
-        if self.experiment in ("snr_sweep", "prior_mismatch", "grid_sweep", "recover2d"):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("L", "trials", "M", "max_iters", "noise_seeds"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.experiment in (*SWEEPS, "recover2d", "recover3d"):
             if not self.sigmas and not self.snrs:
                 raise ConfigError(f"{self.experiment} requires a sigma or snr list")
-        if self.experiment == "recover3d" and not self.snrs and not self.sigmas:
-            raise ConfigError("recover3d requires an snr or sigma list")
+        _check_levels("sigmas", self.sigmas, lambda v: v >= 0, "finite and >= 0")
+        _check_levels("snrs", self.snrs, lambda v: v > 0, "finite and positive")
+        if self.projected and self.experiment not in SWEEPS:
+            raise ConfigError(f"projected applies only to {', '.join(SWEEPS)}, not {self.experiment}")
         if self.experiment == "prior_mismatch" and not self.estimation_priors:
             raise ConfigError("prior_mismatch requires estimation_priors")
         if self.experiment == "grid_sweep":
@@ -127,6 +136,16 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_levels(name: str, values, ok, requirement: str) -> None:
+    if values is None:
+        return
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    for v in values:
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or not ok(v):
+            raise ConfigError(f"every entry of {name} must be {requirement}, got {v!r}")
 
 
 def _prior_from_spec(spec: dict | None) -> so3.RotationPrior:
@@ -151,10 +170,13 @@ def _phantom_from_spec(spec: dict | None, default_kind="asymmetric_L") -> np.nda
 
 
 def worker_count(requested: int | None = None) -> int:
+    """Worker threads: ``requested`` (default the CPU count), capped by OB_THREADS."""
     cap = os.environ.get("OB_THREADS")
     n = requested or (os.cpu_count() or 1)
     if cap:
-        n = min(n, max(1, int(cap)))
+        if not cap.strip().isdigit() or int(cap) < 1:
+            raise ConfigError(f"OB_THREADS must be a positive integer, got {cap!r}")
+        n = min(n, int(cap))
     return max(1, n)
 
 
@@ -217,9 +239,10 @@ def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
     )
 
 
-def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int):
+def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int, threads: int | None):
     return estimators.CandidateSet.build(
-        vbar, prior, L, seed=seed, projected=cfg.projected, method=cfg.method
+        vbar, prior, L, seed=seed, projected=cfg.projected, method=cfg.method,
+        map=partial(parallel_map, threads=threads),
     )
 
 
@@ -256,16 +279,17 @@ def run_snr_sweep(cfg: ExperimentConfig, threads: int | None = None):
     """Mean geodesic error of MAP and MMSE across a noise sweep (shared grid)."""
     vbar, rotations, clean = _sweep_inputs(cfg, threads)
     est_prior = _prior_from_spec((cfg.estimation_priors or [None])[0])
-    cands = _candidates(cfg, vbar, est_prior, cfg.L, cfg.seed)
+    cands = _candidates(cfg, vbar, est_prior, cfg.L, cfg.seed, threads)
     return _sweep(cfg, vbar, rotations, clean, cfg.L, [("map", _map(cands)), ("mmse", _mmse(cands))])
 
 
 def run_prior_mismatch(cfg: ExperimentConfig, threads: int | None = None):
     """MAP on a uniform grid vs MMSE variants sampled from estimation priors."""
     vbar, rotations, clean = _sweep_inputs(cfg, threads)
-    estimates = [("map", _map(_candidates(cfg, vbar, so3.RotationPrior.uniform(), cfg.L, cfg.seed)))]
+    uniform = _candidates(cfg, vbar, so3.RotationPrior.uniform(), cfg.L, cfg.seed, threads)
+    estimates = [("map", _map(uniform))]
     for k, spec in enumerate(cfg.estimation_priors):
-        cset = _candidates(cfg, vbar, _prior_from_spec(spec), cfg.L, cfg.seed + 1 + k)
+        cset = _candidates(cfg, vbar, _prior_from_spec(spec), cfg.L, cfg.seed + 1 + k, threads)
         estimates.append((f"mmse:{cset.prior.label()}", _mmse(cset)))
     return _sweep(cfg, vbar, rotations, clean, cfg.L, estimates)
 
@@ -276,7 +300,7 @@ def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
     ls = [int(v) for v in cfg.L_values]
     records, first = [], {}
     for L in ls:
-        cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed)
+        cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed, threads)
         records_L = _sweep(cfg, vbar, rotations, clean, L, [("map", _map(cands)), ("mmse", _mmse(cands))])
         first[L] = {r.estimator: r.metric_mean for r in records_L[:2]}
         records += records_L
@@ -311,11 +335,11 @@ def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) 
     )
 
 
-def _reconstruct(cfg: ExperimentConfig, mode: str, ys, template, cands, noise, truth=None):
+def _reconstruct(cfg: ExperimentConfig, mode: str, ys, template, cands, noise, truth=None, map=map):
     rcfg = reconstruct.ReconstructionConfig(
         assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, method=cfg.method
     )
-    return reconstruct.run_reconstruction(ys, template, cands, noise, rcfg, truth=truth)
+    return reconstruct.run_reconstruction(ys, template, cands, noise, rcfg, truth=truth, map=map)
 
 
 def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
@@ -344,9 +368,9 @@ def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
     """Iterative 3D recovery from rotated noisy copies (no projection)."""
     truth = _phantom_from_spec(cfg.phantom, default_kind="gaussian_blobs")
     template = _phantom_from_spec(cfg.template_phantom, default_kind="asymmetric_L")
-    cands = estimators.CandidateSet.build(
-        truth, so3.RotationPrior.uniform(), cfg.L, seed=cfg.seed + _K_CANDS, method=cfg.method
-    )
+    # reconstruction and registration read only the candidate rotations
+    cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
+    pool = partial(parallel_map, threads=threads)
     modes = cfg.assignment_modes or ["mmse_align", "hard_map"]
     sigmas = _sigma_list(cfg, truth)
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
@@ -357,12 +381,12 @@ def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(truth, noise) if sigma > 0 else float("inf")
         for mode in modes:
-            final, trace = _reconstruct(cfg, mode, ys, template, cands, noise, truth=truth)
+            final, trace = _reconstruct(cfg, mode, ys, template, cands, noise, truth=truth, map=pool)
             key = f"recover3d_s{si}_{mode}"
             traces[key] = trace
             final = final.reshape(truth.shape)
             volumes[key] = final
-            registered = reconstruct.registered_pcc(final, truth, cands, cfg.method)
+            registered = reconstruct.registered_pcc(final, truth, cands, cfg.method, map=pool)
             records.append(_error_records(cfg, sigma, snr, cfg.L, mode, [registered]))
             records.append(
                 _error_records(cfg, sigma, snr, cfg.L, f"{mode}/template", [reconstruct.pcc(final, template)])
@@ -381,9 +405,7 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
         L = template.shape[1]
     else:
         template = _phantom_from_spec(cfg.template_phantom, default_kind="asymmetric_L")
-        cands = estimators.CandidateSet.build(
-            template, so3.RotationPrior.uniform(), cfg.L, seed=cfg.seed + _K_CANDS, method=cfg.method
-        )
+        cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
         L = cfg.L
     dim = template.size
     records, traces = [], {}

@@ -34,6 +34,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
+        if args.threads is not None and args.threads < 1:
+            raise bench.ConfigError(f"--threads must be >= 1, got {args.threads}")
+        bench.worker_count(args.threads)  # rejects a malformed OB_THREADS before any work
     except (OSError, bench.ConfigError, ValueError) as exc:
         print(f"orient-bayes: config error: {exc}", file=sys.stderr)
         return 2

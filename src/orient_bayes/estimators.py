@@ -55,16 +55,28 @@ class CandidateSet:
         seed: int,
         projected: bool = False,
         method: str = "trilinear",
+        map=map,
     ) -> "CandidateSet":
-        rng = np.random.default_rng([seed, 0xCA4D])
-        rotations = prior.sample(rng, count)
+        """``map`` is an order-preserving map over candidate indices; each
+        call fills its own template row, so any map gives the same bytes."""
+        rotations = candidate_rotations(prior, count, seed)
         templates = np.empty((count, vbar.size if not projected else vbar.shape[0] ** 2))
-        for i, g in enumerate(rotations):
-            clean = forward.rotate_volume(vbar, g, method=method)
+
+        def fill(i):
+            clean = forward.rotate_volume(vbar, rotations[i], method=method)
             if projected:
                 clean = forward.project_z(clean)
             templates[i] = clean.ravel()
+
+        for _ in map(fill, range(count)):
+            pass
         return cls(rotations=rotations, templates=templates, prior=prior, seed=seed)
+
+
+def candidate_rotations(prior: so3.RotationPrior, count: int, seed: int) -> np.ndarray:
+    """The rotations of ``CandidateSet.build(..., prior, count, seed)``, (count, 3, 3),
+    without building templates."""
+    return prior.sample(np.random.default_rng([seed, 0xCA4D]), count)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -62,11 +63,16 @@ class Observation:
     true_shift: int | None = None
 
 
+@lru_cache(maxsize=8)
 def _centered_grid(n: int) -> np.ndarray:
-    """Coordinates of all voxels relative to the grid midpoint, shape (3, n^3)."""
+    """Coordinates of all voxels relative to the grid midpoint, shape (3, n^3).
+
+    Built once per n and shared by every rotation, so it is read-only.
+    """
     c = (n - 1) / 2.0
-    idx = np.indices((n, n, n), dtype=float).reshape(3, -1)
-    return idx - c
+    grid = np.indices((n, n, n), dtype=float).reshape(3, -1) - c
+    grid.flags.writeable = False
+    return grid
 
 
 def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> np.ndarray:

@@ -4,6 +4,11 @@ The reconstruction model has no projection: each observation is a rotated
 (or, on the polar grid, cyclically shifted) copy of the structure plus
 noise.  The polar group action is an exact shift, so the polar paths are
 interpolation-free; the 3D paths back-rotate by grid interpolation.
+
+The 3D steps and registration take an order-preserving ``map`` (the builtin
+by default) that runs their rotations, for example on a worker pool.  Every
+sum is still accumulated on the calling thread in the original order, so
+the result does not depend on the map.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ from . import estimators, forward, so3
 from .estimators import ZeroVarianceError
 
 ASSIGNMENTS = ("soft_em", "mmse_align", "hard_map")
+
+# Rotations handed to the map at once: bounds the volumes held in memory.
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -54,15 +62,17 @@ class _GroupAction:
 
     A 2-D structure lives on the polar grid: element s is the exact cyclic
     shift by s samples and L is the angular length.  A 3-D structure is
-    rotated by interpolation over ``cands.rotations``.
+    rotated by interpolation over the candidate rotations: ``cands`` is a
+    ``CandidateSet`` or an (L, 3, 3) array.
     """
 
-    def __init__(self, v_t: np.ndarray, cands, method: str):
+    def __init__(self, v_t: np.ndarray, cands, method: str, map):
         self.shape = v_t.shape
         self.polar = v_t.ndim == 2
-        self.rotations = None if self.polar else cands.rotations
+        self.rotations = None if self.polar else np.asarray(getattr(cands, "rotations", cands))
         self.size = v_t.shape[1] if self.polar else self.rotations.shape[0]
         self.method = method
+        self.map = map
 
     def act(self, ell: int, v: np.ndarray) -> np.ndarray:
         """g_l^-1 . v, the candidate template of v for element l."""
@@ -78,18 +88,36 @@ class _GroupAction:
         return forward.rotate_volume(u, self.rotations[ell].T, method=self.method)
 
     def templates(self, v: np.ndarray) -> np.ndarray:
-        return np.stack([self.act(ell, v).ravel() for ell in range(self.size)])
+        out = np.empty((self.size, v.size))
+
+        def fill(ell):
+            out[ell] = self.act(ell, v).ravel()
+
+        for _ in self.map(fill, range(self.size)):
+            pass
+        return out
+
+    def mapped(self, fn, items):
+        """fn over items through the map, CHUNK items at a time, in order."""
+        items = list(items)
+        for start in range(0, len(items), CHUNK):
+            yield from self.map(fn, items[start : start + CHUNK])
+
+    def summed(self, fn, items) -> np.ndarray:
+        """sum of fn over items, added in item order on the calling thread."""
+        out = np.zeros(self.shape)
+        for u in self.mapped(fn, items):
+            out += u
+        return out
 
     def assigned_average(self, ys: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """(1/M) sum_i g_{idx_i} . y_i, back-acting once per element used:
         the action is linear, so each group of observations is summed first."""
-        out = np.zeros(self.shape)
-        for ell in np.unique(idx):
-            out += self.back(ell, ys[idx == ell].sum(axis=0))
+        out = self.summed(lambda ell: self.back(ell, ys[idx == ell].sum(axis=0)), np.unique(idx))
         return out / ys.shape[0]
 
 
-def _setup(obs, v_t, cands, method):
+def _setup(obs, v_t, cands, method, map):
     """The group action on v_t, the (M, d) observation matrix, and the templates."""
     v_t = np.asarray(v_t, dtype=float)
     ys = np.atleast_2d(np.asarray(obs, dtype=float))
@@ -97,31 +125,29 @@ def _setup(obs, v_t, cands, method):
         raise estimators.DimensionMismatchError(
             f"observation dim {ys.shape[1]} != structure dim {v_t.size}"
         )
-    action = _GroupAction(v_t, cands, method)
+    action = _GroupAction(v_t, cands, method, map)
     return action, ys, action.templates(v_t)
 
 
-def em_step_soft(obs, v_t, cands, noise, method: str = "trilinear") -> np.ndarray:
+def em_step_soft(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
-    action, ys, x = _setup(obs, v_t, cands, method)
+    action, ys, x = _setup(obs, v_t, cands, method, map)
     w = np.exp(estimators.log_weights_batch(ys, x, noise))
     colsum = w.T @ ys  # (L, d): weighted observation sum per candidate
-    out = np.zeros(action.shape)
-    for ell in range(action.size):
-        # the action is linear, so the weighted sum is back-acted once per
-        # candidate instead of once per observation
-        out += action.back(ell, colsum[ell])
+    # the action is linear, so the weighted sum is back-acted once per
+    # candidate instead of once per observation
+    out = action.summed(lambda ell: action.back(ell, colsum[ell]), range(action.size))
     return out / ys.shape[0]
 
 
-def em_step_mmse(obs, v_t, cands, noise, method: str = "trilinear") -> np.ndarray:
+def em_step_mmse(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.ndarray:
     """One MMSE-alignment update: back-rotate each observation by its
     Procrustes-rounded posterior-mean rotation against v_t, then average.
 
     On the polar grid the circular-mean angle is rounded to the nearest
     grid shift so the action stays exact.
     """
-    action, ys, x = _setup(obs, v_t, cands, method)
+    action, ys, x = _setup(obs, v_t, cands, method, map)
     w = np.exp(estimators.log_weights_batch(ys, x, noise))
     if action.polar:
         l_ang = action.size
@@ -131,17 +157,18 @@ def em_step_mmse(obs, v_t, cands, noise, method: str = "trilinear") -> np.ndarra
         return action.assigned_average(ys, shifts)
     avg = w @ action.rotations.reshape(action.size, 9)
     aligned = so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
-    out = np.zeros(action.shape)
-    for y, g in zip(ys, aligned):
-        out += forward.rotate_volume(y.reshape(action.shape), g.T, method=method)
+    out = action.summed(
+        lambda i: forward.rotate_volume(ys[i].reshape(action.shape), aligned[i].T, method=method),
+        range(ys.shape[0]),
+    )
     return out / ys.shape[0]
 
 
-def hard_step(obs, v_t, cands, noise, method: str = "trilinear") -> np.ndarray:
+def hard_step(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.ndarray:
     """One hard-assignment update: back-rotate each observation by its MAP
     candidate against v_t, then average.  This is the soft update with
     one-hot weights, so only the assigned candidates are back-acted."""
-    action, ys, x = _setup(obs, v_t, cands, method)
+    action, ys, x = _setup(obs, v_t, cands, method, map)
     return action.assigned_average(ys, estimators.map_indices_batch(ys, x))
 
 
@@ -155,9 +182,10 @@ def run_reconstruction(
     noise,
     cfg: ReconstructionConfig,
     truth: np.ndarray | None = None,
+    map=map,
 ):
     """Iterate the configured step until the relative change drops below
-    cfg.rel_tol or cfg.max_iters is reached.
+    cfg.rel_tol or cfg.max_iters is reached; ``map`` goes to every step.
 
     Returns the final estimate and a per-iteration trace (iter, rel_change,
     pcc_truth, pcc_template).
@@ -167,7 +195,7 @@ def run_reconstruction(
     template = v.copy()
     trace = []
     for it in range(cfg.max_iters):
-        v_next = step(obs, v, cands, noise, method=cfg.method)
+        v_next = step(obs, v, cands, noise, method=cfg.method, map=map)
         prev_norm = np.linalg.norm(v)
         rel = float(np.linalg.norm(v_next - v) / prev_norm) if prev_norm > 0 else float("inf")
         record = {
@@ -192,17 +220,20 @@ def _safe_pcc(a, b):
         return None
 
 
-def registered_pcc(final: np.ndarray, truth: np.ndarray, cands=None, method: str = "trilinear") -> float:
+def registered_pcc(
+    final: np.ndarray, truth: np.ndarray, cands=None, method: str = "trilinear", map=map
+) -> float:
     """PCC vs truth after the best global group element.
 
     The reconstruction frame is set by the initial template, so the estimate
     recovers the truth only up to a global group element; fidelity is
     measured after registration.  The polar shifts include the identity;
-    the rotation grid need not, so it is scored as well.
+    the rotation grid need not, so it is scored as well.  Only the group
+    action runs through ``map``; the scores are computed on the calling thread.
     """
-    action = _GroupAction(final, cands, method)
+    action = _GroupAction(final, cands, method, map)
     scores = [] if action.polar else [pcc(final, truth)]
-    scores += [pcc(action.act(ell, final), truth) for ell in range(action.size)]
+    scores += [pcc(u, truth) for u in action.mapped(lambda ell: action.act(ell, final), range(action.size))]
     return max(scores)
 
 

@@ -291,6 +291,63 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, raw)
         assert cli.main(["snr_sweep", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"experiment": "recover2d", "max_iters": 0},
+            {"experiment": "einstein_noise", "noise_seeds": 0},
+            {"seed": -1},
+            {"sigmas": [0.1, -0.01]},
+            {"sigmas": 0.1},
+            {"sigmas": None, "snrs": [1.0, 0.0]},
+            {"sigmas": None, "snrs": [-2.0]},
+            {"experiment": "recover2d", "projected": True},
+            {"experiment": "recover3d", "projected": True},
+            {"experiment": "einstein_noise", "projected": True},
+        ],
+    )
+    def test_invalid_config_exit_code(self, tmp_path, overrides, capsys):
+        raw = dict(self.small_raw(), **overrides)
+        cfg_path = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main([raw["experiment"], "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_cap_exit_code(self, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setenv("OB_THREADS", cap)
+        cfg_path = self.write_config(tmp_path, self.small_raw())
+        assert cli.main(["snr_sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "OB_THREADS" in capsys.readouterr().err
+
+    def test_nonpositive_threads_flag_exit_code(self, tmp_path):
+        cfg_path = self.write_config(tmp_path, self.small_raw())
+        assert cli.main(["snr_sweep", "--config", str(cfg_path), "--threads", "0"]) == 2
+
+    def test_recover3d_thread_count_invariance(self, tmp_path):
+        raw = {
+            "experiment": "recover3d",
+            "seed": 3,
+            "L": 40,
+            "M": 40,
+            "snrs": [0.5],
+            "phantom": {"kind": "gaussian_blobs", "n": 10, "seed": 1},
+            "template_phantom": {"kind": "asymmetric_L", "n": 10, "seed": 2},
+            "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
+            "max_iters": 2,
+        }
+        cfg_path = self.write_config(tmp_path, raw)
+        outs = []
+        for extra in (["--threads", "1"], []):
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert cli.main(["recover3d", "--config", str(cfg_path), "--out", str(outs[-1])] + extra) == 0
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert len(files) == 2 + 2 * 3
+        assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
     def test_recover3d_outputs_volumes(self, tmp_path):
         cfg_path = self.write_config(
             tmp_path,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orient_bayes import estimators, forward, so3
+from orient_bayes import bench, estimators, forward, so3
 
 
 def make_cands(rotations, templates):
@@ -258,6 +258,23 @@ class TestCandidateSetBuild:
         b = estimators.CandidateSet.build(vbar, so3.RotationPrior.uniform(), 10, seed=3)
         assert np.array_equal(a.rotations, b.rotations)
         assert np.array_equal(a.templates, b.templates)
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_worker_map_same_bytes(self, projected):
+        vbar = forward.make_phantom("gaussian_blobs", 12, seed=1)
+        args = (vbar, so3.RotationPrior.uniform(), 40, 3)
+        serial = estimators.CandidateSet.build(*args, projected=projected)
+        pooled = estimators.CandidateSet.build(
+            *args, projected=projected, map=lambda fn, xs: bench.parallel_map(fn, xs, 2)
+        )
+        assert np.array_equal(pooled.rotations, serial.rotations)
+        assert np.array_equal(pooled.templates, serial.templates)
+
+    @pytest.mark.parametrize("prior", [so3.RotationPrior.uniform(), so3.RotationPrior.isotropic_gaussian(0.3)])
+    def test_candidate_rotations_match_build(self, prior):
+        vbar = forward.make_phantom("gaussian_blobs", 10, seed=1)
+        cands = estimators.CandidateSet.build(vbar, prior, 12, seed=13)
+        assert np.array_equal(estimators.candidate_rotations(prior, 12, seed=13), cands.rotations)
 
     def test_projected_dimension(self):
         vbar = forward.make_phantom("gaussian_blobs", 16, seed=1)

@@ -49,6 +49,13 @@ class TestRotateVolume:
         out = forward.rotate_volume(blob_phantom, g)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(blob_phantom), rel=0.05)
 
+    def test_cached_grid_is_read_only(self):
+        grid = forward._centered_grid(9)
+        assert forward._centered_grid(9) is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        assert grid[0, 0] == -4.0
+
     def test_unknown_method(self, blob_phantom):
         with pytest.raises(ValueError):
             forward.rotate_volume(blob_phantom, np.eye(3), method="nearest")

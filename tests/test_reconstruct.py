@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from orient_bayes import estimators, forward, reconstruct, so3
+from orient_bayes import bench, estimators, forward, reconstruct, so3
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +241,69 @@ class TestRegisteredPcc:
         )
         assert reconstruct.registered_pcc(final, vbar, cands, "trilinear") == oracle
         assert oracle > reconstruct.pcc(final, vbar)
+
+
+def two_threads(fn, items):
+    return bench.parallel_map(fn, items, 2)
+
+
+@pytest.fixture(scope="module")
+def pooled_setup():
+    # more candidates and observations than one CHUNK, so every sum spans chunks
+    count = reconstruct.CHUNK + 8
+    vbar = forward.make_phantom("gaussian_blobs", 10, seed=3)
+    rotations = estimators.candidate_rotations(so3.RotationPrior.uniform(), count, seed=5)
+    true = so3.RotationPrior.uniform().sample(np.random.default_rng(9), count)
+    rng = np.random.default_rng(6)
+    noise = forward.NoiseModel(sigma=0.5 * forward.signal_scale(vbar))
+    ys = np.stack([forward.synthesize_observation(vbar, g, noise, False, rng).data for g in true])
+    return vbar, rotations, ys, noise
+
+
+class TestWorkerMap:
+    """Any order-preserving map gives the bytes of the builtin map."""
+
+    @pytest.mark.parametrize("step", [reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step])
+    def test_steps(self, pooled_setup, step):
+        vbar, rotations, ys, noise = pooled_setup
+        serial = step(ys, vbar, rotations, noise)
+        assert np.array_equal(step(ys, vbar, rotations, noise, map=two_threads), serial)
+
+    def test_registered_pcc(self, pooled_setup):
+        vbar, rotations, ys, _ = pooled_setup
+        final = ys[0].reshape(vbar.shape)
+        serial = reconstruct.registered_pcc(final, vbar, rotations)
+        assert reconstruct.registered_pcc(final, vbar, rotations, map=two_threads) == serial
+
+    def test_run_reconstruction(self, pooled_setup):
+        vbar, rotations, ys, noise = pooled_setup
+        cfg = reconstruct.ReconstructionConfig(assignment="soft_em", max_iters=2, rel_tol=1e-30)
+        v_a, trace_a = reconstruct.run_reconstruction(ys, vbar, rotations, noise, cfg, truth=vbar)
+        v_b, trace_b = reconstruct.run_reconstruction(ys, vbar, rotations, noise, cfg, truth=vbar, map=two_threads)
+        assert np.array_equal(v_a, v_b)
+        assert trace_a == trace_b
+
+    def test_many_threads_fast_switching(self, pooled_setup):
+        # more workers than cores, switching often: templates are written to
+        # disjoint rows and sums are taken on the calling thread, so no
+        # update can be lost
+        vbar, rotations, ys, noise = pooled_setup
+        serial = reconstruct.em_step_soft(ys, vbar, rotations, noise)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = reconstruct.em_step_soft(
+                ys, vbar, rotations, noise, map=lambda fn, xs: bench.parallel_map(fn, xs, 8)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, serial)
+
+    def test_rotations_array_equals_candidate_set(self, volume_setup):
+        vbar, cands, ys = volume_setup
+        noise = forward.NoiseModel(sigma=0.1)
+        for step in (reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step):
+            assert np.array_equal(step(ys, vbar, cands.rotations, noise), step(ys, vbar, cands, noise))
 
 
 def test_write_trace_round_trip(tmp_path, polar_truth):
