@@ -109,7 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment: {self.experiment!r}")
         for name in ("seed", "L", "trials", "M", "max_iters", "noise_seeds"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -121,6 +121,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.experiment} requires a sigma or snr list")
         _check_levels("sigmas", self.sigmas, lambda v: v >= 0, "finite and >= 0")
         _check_levels("snrs", self.snrs, lambda v: v > 0, "finite and positive")
+        if self.method not in forward.INTERPOLATION_ORDERS:
+            methods = list(forward.INTERPOLATION_ORDERS)
+            raise ConfigError(f"method must be one of {methods}, got {self.method!r}")
+        if not _is_number(self.rel_tol) or not math.isfinite(self.rel_tol) or self.rel_tol <= 0:
+            raise ConfigError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        for name in ("phantom", "template_phantom"):
+            _check_phantom(name, getattr(self, name))
         if self.projected and self.experiment not in SWEEPS:
             raise ConfigError(f"projected applies only to {', '.join(SWEEPS)}, not {self.experiment}")
         if self.experiment == "prior_mismatch" and not self.estimation_priors:
@@ -138,14 +145,35 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _check_levels(name: str, values, ok, requirement: str) -> None:
     if values is None:
         return
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list, got {values!r}")
     for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or not ok(v):
+        if not _is_number(v) or not math.isfinite(v) or not ok(v):
             raise ConfigError(f"every entry of {name} must be {requirement}, got {v!r}")
+
+
+def _check_phantom(name: str, spec) -> None:
+    if spec is None:
+        return
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object, got {spec!r}")
+    if "kind" in spec and spec["kind"] not in forward.PHANTOM_KINDS:
+        raise ConfigError(f"{name} kind must be one of {forward.PHANTOM_KINDS}, got {spec['kind']!r}")
+    if spec.get("kind") == "loaded" and not spec.get("path"):
+        raise ConfigError(f"{name} of kind 'loaded' requires a path")
+    if "n" in spec and not (_is_int(spec["n"]) and spec["n"] >= forward.MIN_PHANTOM_N):
+        raise ConfigError(f"{name} n must be an integer >= {forward.MIN_PHANTOM_N}, got {spec['n']!r}")
 
 
 def _prior_from_spec(spec: dict | None) -> so3.RotationPrior:
@@ -213,13 +241,17 @@ def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int)
     )
 
 
-def _noisy(clean: np.ndarray, sigma: float, seed_key: list[int]) -> np.ndarray:
+def _noisy(clean: np.ndarray, sigma: float, seed_key: list[int], threads: int | None = None) -> np.ndarray:
     if sigma == 0:
         return clean.copy()
     out = np.empty_like(clean)
-    for t in range(clean.shape[0]):
+
+    def row(t):
+        # one generator per row, so the rows can be drawn in any order
         rng = np.random.default_rng(seed_key + [t])
         out[t] = clean[t] + rng.normal(size=clean.shape[1]) * sigma
+
+    parallel_map(row, range(clean.shape[0]), threads)
     return out
 
 
@@ -246,14 +278,6 @@ def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int, threads: 
     )
 
 
-def _map(cands):
-    return lambda ys, noise: cands.rotations[estimators.map_indices_batch(ys, cands.templates)]
-
-
-def _mmse(cands):
-    return lambda ys, noise: estimators.mmse_rotations_batch(ys, cands, noise)
-
-
 def _sweep_inputs(cfg: ExperimentConfig, threads: int | None):
     """The sweep phantom, the true rotations, and their clean observations."""
     vbar = _phantom_from_spec(cfg.phantom)
@@ -261,17 +285,25 @@ def _sweep_inputs(cfg: ExperimentConfig, threads: int | None):
     return vbar, rotations, _clean_stack(vbar, rotations, cfg.projected, cfg.method, threads)
 
 
-def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> list[ResultRecord]:
-    """Geodesic-error records of every (label, estimate) pair at every sigma;
-    estimate(ys, noise) returns one rotation per observation."""
+def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates, threads) -> list[ResultRecord]:
+    """Geodesic-error records at every sigma of each (cands, labels) entry; a
+    label is "map" or "mmse", optionally followed by ":<detail>".  Each sigma
+    scores its noisy batch once per candidate set, and MAP and MMSE both read
+    those scores."""
     records = []
     for si, sigma in enumerate(_sigma_list(cfg, vbar)):
-        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
+        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads)
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(vbar, noise, projected=cfg.projected) if sigma > 0 else float("inf")
-        for label, estimate in estimates:
-            errors = so3.geodesic_distances(rotations, estimate(ys, noise))
-            records.append(_error_records(cfg, sigma, snr, L, label, errors))
+        for cands, labels in estimates:
+            scores = estimators.score_batch(ys, cands)
+            for label in labels:
+                if label.startswith("mmse"):
+                    estimate = estimators.mmse_rotations(scores, cands, noise.effective_variance())
+                else:
+                    estimate = cands.rotations[scores.map_indices()]
+                errors = so3.geodesic_distances(rotations, estimate)
+                records.append(_error_records(cfg, sigma, snr, L, label, errors))
     return records
 
 
@@ -280,18 +312,18 @@ def run_snr_sweep(cfg: ExperimentConfig, threads: int | None = None):
     vbar, rotations, clean = _sweep_inputs(cfg, threads)
     est_prior = _prior_from_spec((cfg.estimation_priors or [None])[0])
     cands = _candidates(cfg, vbar, est_prior, cfg.L, cfg.seed, threads)
-    return _sweep(cfg, vbar, rotations, clean, cfg.L, [("map", _map(cands)), ("mmse", _mmse(cands))])
+    return _sweep(cfg, vbar, rotations, clean, cfg.L, [(cands, ["map", "mmse"])], threads)
 
 
 def run_prior_mismatch(cfg: ExperimentConfig, threads: int | None = None):
     """MAP on a uniform grid vs MMSE variants sampled from estimation priors."""
     vbar, rotations, clean = _sweep_inputs(cfg, threads)
     uniform = _candidates(cfg, vbar, so3.RotationPrior.uniform(), cfg.L, cfg.seed, threads)
-    estimates = [("map", _map(uniform))]
+    estimates = [(uniform, ["map"])]
     for k, spec in enumerate(cfg.estimation_priors):
         cset = _candidates(cfg, vbar, _prior_from_spec(spec), cfg.L, cfg.seed + 1 + k, threads)
-        estimates.append((f"mmse:{cset.prior.label()}", _mmse(cset)))
-    return _sweep(cfg, vbar, rotations, clean, cfg.L, estimates)
+        estimates.append((cset, [f"mmse:{cset.prior.label()}"]))
+    return _sweep(cfg, vbar, rotations, clean, cfg.L, estimates, threads)
 
 
 def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
@@ -301,7 +333,7 @@ def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
     records, first = [], {}
     for L in ls:
         cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed, threads)
-        records_L = _sweep(cfg, vbar, rotations, clean, L, [("map", _map(cands)), ("mmse", _mmse(cands))])
+        records_L = _sweep(cfg, vbar, rotations, clean, L, [(cands, ["map", "mmse"])], threads)
         first[L] = {r.estimator: r.metric_mean for r in records_L[:2]}
         records += records_L
     # slope of log(mean error) vs log(L) at the first sigma (highest SNR)
@@ -377,7 +409,7 @@ def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
     clean = _clean_stack(truth, rotations, False, cfg.method, threads)
     records, traces, volumes = [], {}, {}
     for si, sigma in enumerate(sigmas):
-        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
+        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads)
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(truth, noise) if sigma > 0 else float("inf")
         for mode in modes:

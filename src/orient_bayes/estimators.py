@@ -105,33 +105,73 @@ def _check_dim(y: np.ndarray, cands: CandidateSet) -> np.ndarray:
     return y
 
 
-def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
-    """Normalized log posterior weights against a template matrix, (M, L).
-
-    log w_l = -1/2 sum_i (y_i - x_li)^2 / var_i, max-subtracted before
-    exponentiation so the weights stay finite for any sigma.
-    """
+def _batch(ys, x: np.ndarray) -> np.ndarray:
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[1] != x.shape[1]:
         raise DimensionMismatchError(f"observation dim {ys.shape[1]} != template dim {x.shape[1]}")
-    var = np.asarray(var, dtype=float)
-    if np.all(var == 0):
-        raise ZeroVarianceError("all effective variances are zero")
-    if var.ndim == 0:
-        # scalar variance: expand the residual through a single matmul
-        y_sq = np.einsum("md,md->m", ys, ys)
-        x_sq = np.einsum("ld,ld->l", x, x)
-        cross = ys @ x.T
-        log_w = -(y_sq[:, None] - 2.0 * cross + x_sq[None, :]) / (2.0 * var)
-    else:
-        inv = 1.0 / var
-        y_sq = (ys**2) @ inv
-        x_sq = (x**2) @ inv
-        cross = (ys * inv) @ x.T
-        log_w = -0.5 * (y_sq[:, None] - 2.0 * cross + x_sq[None, :])
+    return ys
+
+
+def _normalized(log_w: np.ndarray) -> np.ndarray:
+    # max-subtracted before exponentiation so the weights stay finite for any sigma
     log_w -= log_w.max(axis=1, keepdims=True)
     log_w -= np.log(np.sum(np.exp(log_w), axis=1, keepdims=True))
     return log_w
+
+
+@dataclass(frozen=True)
+class Scores:
+    """The terms of ||y_m - x_l||^2 for a batch against one template matrix.
+
+    ``cross`` is the single (M x d)(d x L) product; MAP indices and the
+    posterior log-weights both read it, so one scoring serves both.
+    """
+
+    ys: np.ndarray  # (M, d)
+    x_sq: np.ndarray  # (L,)
+    cross: np.ndarray  # (M, L), ys @ x.T
+
+    @classmethod
+    def of(cls, ys: np.ndarray, x: np.ndarray) -> "Scores":
+        ys = _batch(ys, x)
+        return cls(ys=ys, x_sq=np.einsum("ld,ld->l", x, x), cross=ys @ x.T)
+
+    def map_indices(self) -> np.ndarray:
+        """Argmin_l ||y - x_l||^2 per observation; ties resolve to the lowest index."""
+        resid = self.x_sq[None, :] - 2.0 * self.cross  # ||y||^2 omitted: constant per row
+        return np.argmin(resid, axis=1)
+
+    def log_weights(self, var) -> np.ndarray:
+        """Normalized log posterior weights under one scalar variance, (M, L)."""
+        if var == 0:
+            raise ZeroVarianceError("all effective variances are zero")
+        y_sq = np.einsum("md,md->m", self.ys, self.ys)
+        return _normalized(-(y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var))
+
+
+def score_batch(ys: np.ndarray, cands: CandidateSet) -> Scores:
+    """Scores of a batch against the candidate templates: one matmul that
+    MAP (``Scores.map_indices``) and MMSE (``mmse_rotations``) share."""
+    return Scores.of(ys, cands.templates)
+
+
+def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
+    """Normalized log posterior weights against a template matrix, (M, L).
+
+    log w_l = -1/2 sum_i (y_i - x_li)^2 / var_i, normalized per row.
+    """
+    var = np.asarray(var, dtype=float)
+    if var.ndim == 0:
+        # scalar variance: expand the residual through a single matmul
+        return Scores.of(ys, x).log_weights(var)
+    ys = _batch(ys, x)
+    if np.all(var == 0):
+        raise ZeroVarianceError("all effective variances are zero")
+    inv = 1.0 / var
+    y_sq = (ys**2) @ inv
+    x_sq = (x**2) @ inv
+    cross = (ys * inv) @ x.T
+    return _normalized(-0.5 * (y_sq[:, None] - 2.0 * cross + x_sq[None, :]))
 
 
 def log_weights_batch(ys: np.ndarray, x: np.ndarray, noise: forward.NoiseModel) -> np.ndarray:
@@ -148,12 +188,7 @@ def posterior_weights(y, cands: CandidateSet, noise: forward.NoiseModel) -> Post
 def map_indices_batch(ys: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Argmin_l ||y - x_l||^2 per observation against templates x; ties
     resolve to the lowest index."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[1] != x.shape[1]:
-        raise DimensionMismatchError(f"observation dim {ys.shape[1]} != template dim {x.shape[1]}")
-    x_sq = np.einsum("ld,ld->l", x, x)
-    resid = x_sq[None, :] - 2.0 * (ys @ x.T)  # ||y||^2 omitted: constant per row
-    return np.argmin(resid, axis=1)
+    return Scores.of(ys, x).map_indices()
 
 
 def map_estimate(y, cands: CandidateSet) -> EstimateReport:
@@ -185,12 +220,10 @@ def mmse_estimate(y, cands: CandidateSet, noise: forward.NoiseModel) -> Estimate
     )
 
 
-def mmse_rotations_batch(
-    ys: np.ndarray, cands: CandidateSet, noise: forward.NoiseModel
-) -> np.ndarray:
-    """Batched MMSE: posterior-average each observation, then Procrustes-round."""
-    log_w = log_weights_batch(ys, cands.templates, noise)
-    avg = np.exp(log_w) @ cands.rotations.reshape(cands.size, 9)
+def mmse_rotations(scores: Scores, cands: CandidateSet, var) -> np.ndarray:
+    """Batched MMSE under one scalar noise variance: posterior-average each
+    observation's candidate rotations, then Procrustes-round."""
+    avg = np.exp(scores.log_weights(var)) @ cands.rotations.reshape(cands.size, 9)
     return so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
 
 

@@ -75,6 +75,12 @@ def _centered_grid(n: int) -> np.ndarray:
     return grid
 
 
+# Interpolation method -> spline order of ndimage.map_coordinates.
+INTERPOLATION_ORDERS = {"trilinear": 1, "tricubic": 3}
+PHANTOM_KINDS = ("gaussian_blobs", "asymmetric_L", "loaded")
+MIN_PHANTOM_N = 8
+
+
 def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> np.ndarray:
     """Apply the inverse-rotation action: output(x) = vol(g x).
 
@@ -87,7 +93,7 @@ def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> 
     if vol.shape != (n, n, n):
         raise ValueError("volume must be cubic")
     g = np.asarray(g, dtype=float)
-    order = {"trilinear": 1, "tricubic": 3}.get(method)
+    order = INTERPOLATION_ORDERS.get(method)
     if order is None:
         raise ValueError(f"unknown interpolation method: {method!r}")
     if np.array_equal(g, np.eye(3)):
@@ -183,8 +189,8 @@ def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> n
     three-arm solid, so the true rotation is identifiable; ``loaded`` reads
     a volume file (see :func:`read_obv`).
     """
-    if n < 8:
-        raise ValueError("n must be >= 8")
+    if n < MIN_PHANTOM_N:
+        raise ValueError(f"n must be >= {MIN_PHANTOM_N}")
     if kind == "loaded":
         if path is None:
             raise ValueError("loaded phantom requires a path")

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,37 @@ def small_snr_config(**overrides):
     }
     raw.update(overrides)
     return bench.ExperimentConfig.from_dict(raw)
+
+
+def small_prior_mismatch_config():
+    return bench.ExperimentConfig.from_dict(
+        {
+            "experiment": "prior_mismatch",
+            "seed": 2,
+            "L": 15,
+            "trials": 4,
+            "sigmas": [0.05],
+            "truth_prior": {"kind": "isotropic_gaussian", "eta": 0.1},
+            "estimation_priors": [
+                {"kind": "isotropic_gaussian", "eta": 0.5},
+                {"kind": "isotropic_gaussian", "eta": 0.1},
+            ],
+            "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
+        }
+    )
+
+
+def small_grid_config():
+    return bench.ExperimentConfig.from_dict(
+        {
+            "experiment": "grid_sweep",
+            "seed": 2,
+            "trials": 4,
+            "sigmas": [0.02],
+            "L_values": [10, 30],
+            "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
+        }
+    )
 
 
 class TestConfig:
@@ -141,44 +173,42 @@ class TestSweeps:
             assert r.snr == pytest.approx(target, abs=1e-9)
 
     def test_thread_count_invariance(self, monkeypatch):
-        cfg = small_snr_config()
-        monkeypatch.setenv("OB_THREADS", "1")
-        a = bench.run_snr_sweep(cfg)
-        monkeypatch.setenv("OB_THREADS", "4")
-        b = bench.run_snr_sweep(cfg)
-        assert a == b
+        sweeps = [
+            (bench.run_snr_sweep, small_snr_config()),
+            (bench.run_prior_mismatch, small_prior_mismatch_config()),
+            (bench.run_grid_sweep, small_grid_config()),
+        ]
+        for run, cfg in sweeps:
+            monkeypatch.setenv("OB_THREADS", "1")
+            a = run(cfg)
+            monkeypatch.setenv("OB_THREADS", "4")
+            b = run(cfg)
+            assert a == b, cfg.experiment
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_noisy_rows_on_pool_match_serial(self, monkeypatch, threads):
+        monkeypatch.delenv("OB_THREADS", raising=False)
+        rng = np.random.default_rng(3)
+        clean = rng.normal(size=(29, 300))  # more rows than threads
+        key = [7, bench._K_NOISE, 2]
+        serial = np.empty_like(clean)
+        for t in range(clean.shape[0]):
+            serial[t] = clean[t] + np.random.default_rng(key + [t]).normal(size=clean.shape[1]) * 0.4
+        interval = sys.getswitchinterval()
+        if threads == 8:
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            pooled = bench._noisy(clean, 0.4, key, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, serial)
 
     def test_prior_mismatch_labels(self):
-        cfg = bench.ExperimentConfig.from_dict(
-            {
-                "experiment": "prior_mismatch",
-                "seed": 2,
-                "L": 15,
-                "trials": 4,
-                "sigmas": [0.05],
-                "truth_prior": {"kind": "isotropic_gaussian", "eta": 0.1},
-                "estimation_priors": [
-                    {"kind": "isotropic_gaussian", "eta": 0.5},
-                    {"kind": "isotropic_gaussian", "eta": 0.1},
-                ],
-                "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
-            }
-        )
-        labels = {r.estimator for r in bench.run_prior_mismatch(cfg)}
+        labels = {r.estimator for r in bench.run_prior_mismatch(small_prior_mismatch_config())}
         assert labels == {"map", "mmse:ig(eta=0.5)", "mmse:ig(eta=0.1)"}
 
     def test_grid_sweep_slopes_present(self):
-        cfg = bench.ExperimentConfig.from_dict(
-            {
-                "experiment": "grid_sweep",
-                "seed": 2,
-                "trials": 4,
-                "sigmas": [0.02],
-                "L_values": [10, 30],
-                "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
-            }
-        )
-        records, slopes = bench.run_grid_sweep(cfg)
+        records, slopes = bench.run_grid_sweep(small_grid_config())
         assert set(slopes) == {"map", "mmse"}
         assert {r.L for r in records} == {10, 30}
 
@@ -304,6 +334,13 @@ class TestCli:
             {"experiment": "recover2d", "projected": True},
             {"experiment": "recover3d", "projected": True},
             {"experiment": "einstein_noise", "projected": True},
+            {"method": "bicubic"},
+            {"experiment": "recover2d", "rel_tol": 0},
+            {"phantom": {"kind": "cube"}},
+            {"phantom": {"n": 4}},
+            {"experiment": "recover2d", "rel_tol": "1e-3"},
+            {"experiment": "recover3d", "template_phantom": {"kind": "loaded"}},
+            {"phantom": {"kind": "asymmetric_L", "n": 12.0}},
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, overrides, capsys):

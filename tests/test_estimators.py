@@ -173,9 +173,47 @@ class TestMmseEstimate:
         rng = np.random.default_rng(31)
         ys = cands.templates[:4] + 0.1 * rng.normal(size=(4, cands.dim))
         noise = forward.NoiseModel(sigma=0.5)
-        batch = estimators.mmse_rotations_batch(ys, cands, noise)
+        scores = estimators.score_batch(ys, cands)
+        batch = estimators.mmse_rotations(scores, cands, noise.effective_variance())
         for y, g in zip(ys, batch):
             assert np.allclose(estimators.mmse_estimate(y, cands, noise).rotation, g, atol=1e-9)
+
+
+class TestSharedScores:
+    """The sweep scores a batch once and reads MAP and MMSE from those scores."""
+
+    @pytest.fixture
+    def batch(self, volume_setup):
+        _, cands = volume_setup
+        rng = np.random.default_rng(5)
+        picked = cands.templates[rng.integers(cands.size, size=25)]
+        ys = picked + 0.3 * rng.normal(size=(25, cands.dim))
+        return ys, cands, forward.NoiseModel(sigma=0.3)
+
+    def test_map_indices_match_per_call_path(self, batch):
+        ys, cands, _ = batch
+        shared = estimators.score_batch(ys, cands).map_indices()
+        assert np.array_equal(shared, estimators.map_indices_batch(ys, cands.templates))
+
+    def test_mmse_rotations_match_per_call_path(self, batch):
+        ys, cands, noise = batch
+        scores = estimators.score_batch(ys, cands)
+        shared = estimators.mmse_rotations(scores, cands, noise.effective_variance())
+        # the per-call path: its own log-weights, posterior average, Procrustes rounding
+        w = np.exp(estimators.log_weights_batch(ys, cands.templates, noise))
+        avg = w @ cands.rotations.reshape(cands.size, 9)
+        per_call = so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
+        assert np.array_equal(shared, per_call)
+
+    def test_zero_variance_rejected(self, batch):
+        ys, cands, _ = batch
+        with pytest.raises(estimators.ZeroVarianceError):
+            estimators.score_batch(ys, cands).log_weights(0.0)
+
+    def test_dimension_mismatch(self, batch):
+        ys, cands, _ = batch
+        with pytest.raises(estimators.DimensionMismatchError):
+            estimators.score_batch(ys[:, :-1], cands)
 
 
 class TestRawAverage:
