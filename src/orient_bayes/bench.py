@@ -119,8 +119,8 @@ class ExperimentConfig:
         if self.experiment in (*SWEEPS, "recover2d", "recover3d"):
             if not self.sigmas and not self.snrs:
                 raise ConfigError(f"{self.experiment} requires a sigma or snr list")
-        _check_levels("sigmas", self.sigmas, lambda v: v >= 0, "finite and >= 0")
-        _check_levels("snrs", self.snrs, lambda v: v > 0, "finite and positive")
+        for name in ("sigmas", "snrs"):
+            _check_levels(name, getattr(self, name))
         if self.method not in forward.INTERPOLATION_ORDERS:
             methods = list(forward.INTERPOLATION_ORDERS)
             raise ConfigError(f"method must be one of {methods}, got {self.method!r}")
@@ -153,14 +153,14 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _check_levels(name: str, values, ok, requirement: str) -> None:
+def _check_levels(name: str, values) -> None:
     if values is None:
         return
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list, got {values!r}")
     for v in values:
-        if not _is_number(v) or not math.isfinite(v) or not ok(v):
-            raise ConfigError(f"every entry of {name} must be {requirement}, got {v!r}")
+        if not _is_number(v) or not math.isfinite(v) or v <= 0:
+            raise ConfigError(f"every entry of {name} must be finite and positive, got {v!r}")
 
 
 def _check_phantom(name: str, spec) -> None:
@@ -242,8 +242,6 @@ def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int)
 
 
 def _noisy(clean: np.ndarray, sigma: float, seed_key: list[int], threads: int | None = None) -> np.ndarray:
-    if sigma == 0:
-        return clean.copy()
     out = np.empty_like(clean)
 
     def row(t):
@@ -294,12 +292,13 @@ def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates, thr
     for si, sigma in enumerate(_sigma_list(cfg, vbar)):
         ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads)
         noise = forward.NoiseModel(sigma=sigma)
-        snr = forward.snr_of(vbar, noise, projected=cfg.projected) if sigma > 0 else float("inf")
+        snr = forward.snr_of(vbar, noise, projected=cfg.projected)
         for cands, labels in estimates:
-            scores = estimators.score_batch(ys, cands)
+            scores = estimators.Scores.of(ys, cands.templates)
             for label in labels:
                 if label.startswith("mmse"):
-                    estimate = estimators.mmse_rotations(scores, cands, noise.effective_variance())
+                    w = np.exp(scores.log_weights(noise.effective_variance()))
+                    estimate, _, _ = estimators.mmse_rotations(w, cands.rotations)
                 else:
                     estimate = cands.rotations[scores.map_indices()]
                 errors = so3.geodesic_distances(rotations, estimate)
@@ -384,7 +383,7 @@ def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
     for si, sigma in enumerate(_sigma_list(cfg, truth)):
         ys, _ = _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si])
         noise = forward.NoiseModel(sigma=sigma)
-        snr = forward.snr_of(truth, noise) if sigma > 0 else float("inf")
+        snr = forward.snr_of(truth, noise)
         for mode in modes:
             final, trace = _reconstruct(cfg, mode, ys, template, None, noise, truth=truth)
             traces[f"recover2d_s{si}_{mode}"] = trace
@@ -411,7 +410,7 @@ def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
     for si, sigma in enumerate(sigmas):
         ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads)
         noise = forward.NoiseModel(sigma=sigma)
-        snr = forward.snr_of(truth, noise) if sigma > 0 else float("inf")
+        snr = forward.snr_of(truth, noise)
         for mode in modes:
             final, trace = _reconstruct(cfg, mode, ys, template, cands, noise, truth=truth, map=pool)
             key = f"recover3d_s{si}_{mode}"

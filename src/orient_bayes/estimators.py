@@ -8,8 +8,8 @@ import numpy as np
 
 from . import forward, so3
 
-# Below this Frobenius norm the posterior-averaged matrix has no usable
-# direction and the Procrustes rounding is essentially arbitrary.
+# Below this norm a posterior-averaged matrix (or SO(2) resultant) has no
+# usable direction and its rounding is essentially arbitrary.
 DEGENERATE_NORM = 1e-9
 
 
@@ -98,13 +98,6 @@ class EstimateReport:
     degenerate_average: bool = False
 
 
-def _check_dim(y: np.ndarray, cands: CandidateSet) -> np.ndarray:
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != cands.dim:
-        raise DimensionMismatchError(f"observation dim {y.size} != template dim {cands.dim}")
-    return y
-
-
 def _batch(ys, x: np.ndarray) -> np.ndarray:
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[1] != x.shape[1]:
@@ -149,12 +142,6 @@ class Scores:
         return _normalized(-(y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var))
 
 
-def score_batch(ys: np.ndarray, cands: CandidateSet) -> Scores:
-    """Scores of a batch against the candidate templates: one matmul that
-    MAP (``Scores.map_indices``) and MMSE (``mmse_rotations``) share."""
-    return Scores.of(ys, cands.templates)
-
-
 def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
     """Normalized log posterior weights against a template matrix, (M, L).
 
@@ -165,8 +152,8 @@ def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
         # scalar variance: expand the residual through a single matmul
         return Scores.of(ys, x).log_weights(var)
     ys = _batch(ys, x)
-    if np.all(var == 0):
-        raise ZeroVarianceError("all effective variances are zero")
+    if np.any(var == 0):
+        raise ZeroVarianceError("an effective variance is zero")
     inv = 1.0 / var
     y_sq = (ys**2) @ inv
     x_sq = (x**2) @ inv
@@ -174,67 +161,46 @@ def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
     return _normalized(-0.5 * (y_sq[:, None] - 2.0 * cross + x_sq[None, :]))
 
 
-def log_weights_batch(ys: np.ndarray, x: np.ndarray, noise: forward.NoiseModel) -> np.ndarray:
-    """Posterior log-weights of a batch of observations against templates x, (M, L)."""
-    return normalized_log_weights(ys, x, noise.effective_variance(x.shape[1]))
+def mmse_rotations(w: np.ndarray, rotations: np.ndarray):
+    """Procrustes-rounded posterior mean of rotations (L, 3, 3) under each row of
+    weights w (M, L): the (M, 3, 3) rotations, their ``nonunique`` flags, and
+    flags for averages too close to zero to have a direction."""
+    w = np.atleast_2d(w)
+    if w.shape[1] != rotations.shape[0]:
+        raise DimensionMismatchError("weight length does not match candidate count")
+    avg = (w @ rotations.reshape(-1, 9)).reshape(-1, 3, 3)
+    proj = so3.procrustes_project(avg)
+    return proj.rotation, proj.nonunique, np.linalg.norm(avg, axis=(1, 2)) < DEGENERATE_NORM
+
+
+def mmse_angles(w: np.ndarray, angles: np.ndarray):
+    """Circular mean of angles (L,) under each row of weights w (M, L), the exact
+    SO(2) Procrustes rounding, with flags for near-zero resultants."""
+    w = np.atleast_2d(w)
+    if w.shape[1] != angles.shape[0]:
+        raise DimensionMismatchError("weights and angles must have equal length")
+    s, c = w @ np.sin(angles), w @ np.cos(angles)
+    return np.arctan2(s, c), np.hypot(s, c) < DEGENERATE_NORM
 
 
 def posterior_weights(y, cands: CandidateSet, noise: forward.NoiseModel) -> PosteriorWeights:
-    y = _check_dim(y, cands)
-    log_w = log_weights_batch(y[None, :], cands.templates, noise)[0]
+    ys = np.ravel(y)[None, :]
+    log_w = normalized_log_weights(ys, cands.templates, noise.effective_variance(cands.dim))[0]
     return PosteriorWeights(log_w=log_w, w=np.exp(log_w))
 
 
-def map_indices_batch(ys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Argmin_l ||y - x_l||^2 per observation against templates x; ties
-    resolve to the lowest index."""
-    return Scores.of(ys, x).map_indices()
-
-
 def map_estimate(y, cands: CandidateSet) -> EstimateReport:
-    y = _check_dim(y, cands)
-    idx = int(map_indices_batch(y[None, :], cands.templates)[0])
+    idx = int(Scores.of(np.ravel(y)[None, :], cands.templates).map_indices()[0])
     return EstimateReport(rotation=cands.rotations[idx].copy(), map_index=idx)
-
-
-def mmse_raw_average(weights: PosteriorWeights | np.ndarray, cands: CandidateSet) -> np.ndarray:
-    """Posterior-weighted average sum_l w_l g_l, a 3x3 matrix (not a rotation)."""
-    w = weights.w if isinstance(weights, PosteriorWeights) else np.asarray(weights, dtype=float)
-    if w.shape[0] != cands.size:
-        raise DimensionMismatchError("weight length does not match candidate count")
-    return np.tensordot(w, cands.rotations, axes=1)
 
 
 def mmse_estimate(y, cands: CandidateSet, noise: forward.NoiseModel) -> EstimateReport:
     """Procrustes-rounded posterior mean rotation, with degeneracy diagnostics."""
-    y = _check_dim(y, cands)
     weights = posterior_weights(y, cands, noise)
-    avg = mmse_raw_average(weights, cands)
-    degenerate = bool(np.linalg.norm(avg) < DEGENERATE_NORM)
-    proj = so3.procrustes_project(avg)
+    rotations, nonunique, degenerate = mmse_rotations(weights.w, cands.rotations)
     return EstimateReport(
-        rotation=proj.rotation,
+        rotation=rotations[0],
         effective_sample_size=weights.effective_sample_size,
-        procrustes_nonunique=proj.nonunique,
-        degenerate_average=degenerate,
+        procrustes_nonunique=bool(nonunique[0]),
+        degenerate_average=bool(degenerate[0]),
     )
-
-
-def mmse_rotations(scores: Scores, cands: CandidateSet, var) -> np.ndarray:
-    """Batched MMSE under one scalar noise variance: posterior-average each
-    observation's candidate rotations, then Procrustes-round."""
-    avg = np.exp(scores.log_weights(var)) @ cands.rotations.reshape(cands.size, 9)
-    return so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
-
-
-def mmse_so2_angle(weights: PosteriorWeights | np.ndarray, angles: np.ndarray) -> float:
-    """Circular mean of candidate angles, the exact 2x2 Procrustes rounding."""
-    w = weights.w if isinstance(weights, PosteriorWeights) else np.asarray(weights, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    if w.shape != angles.shape:
-        raise DimensionMismatchError("weights and angles must have equal length")
-    s = float(np.sum(w * np.sin(angles)))
-    c = float(np.sum(w * np.cos(angles)))
-    if np.hypot(s, c) < DEGENERATE_NORM:
-        raise so3.DegenerateAverageError("averaged direction has near-zero resultant")
-    return float(np.arctan2(s, c))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, forward, so3
+from . import estimators, forward
 from .estimators import ZeroVarianceError
 
 ASSIGNMENTS = ("soft_em", "mmse_align", "hard_map")
@@ -132,7 +132,7 @@ def _setup(obs, v_t, cands, method, map):
 def em_step_soft(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
     action, ys, x = _setup(obs, v_t, cands, method, map)
-    w = np.exp(estimators.log_weights_batch(ys, x, noise))
+    w = np.exp(estimators.normalized_log_weights(ys, x, noise.effective_variance(ys.shape[1])))
     colsum = w.T @ ys  # (L, d): weighted observation sum per candidate
     # the action is linear, so the weighted sum is back-acted once per
     # candidate instead of once per observation
@@ -148,15 +148,13 @@ def em_step_mmse(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> 
     grid shift so the action stays exact.
     """
     action, ys, x = _setup(obs, v_t, cands, method, map)
-    w = np.exp(estimators.log_weights_batch(ys, x, noise))
+    w = np.exp(estimators.normalized_log_weights(ys, x, noise.effective_variance(ys.shape[1])))
     if action.polar:
         l_ang = action.size
-        angles = 2.0 * np.pi * np.arange(l_ang) / l_ang
-        mean_angle = np.arctan2(w @ np.sin(angles), w @ np.cos(angles))
+        mean_angle, _ = estimators.mmse_angles(w, 2.0 * np.pi * np.arange(l_ang) / l_ang)
         shifts = np.round(mean_angle * l_ang / (2.0 * np.pi)).astype(int) % l_ang
         return action.assigned_average(ys, shifts)
-    avg = w @ action.rotations.reshape(action.size, 9)
-    aligned = so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
+    aligned, _, _ = estimators.mmse_rotations(w, action.rotations)
     out = action.summed(
         lambda i: forward.rotate_volume(ys[i].reshape(action.shape), aligned[i].T, method=method),
         range(ys.shape[0]),
@@ -169,7 +167,7 @@ def hard_step(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.
     candidate against v_t, then average.  This is the soft update with
     one-hot weights, so only the assigned candidates are back-acted."""
     action, ys, x = _setup(obs, v_t, cands, method, map)
-    return action.assigned_average(ys, estimators.map_indices_batch(ys, x))
+    return action.assigned_average(ys, estimators.Scores.of(ys, x).map_indices())
 
 
 _STEPS = {"soft_em": em_step_soft, "mmse_align": em_step_mmse, "hard_map": hard_step}

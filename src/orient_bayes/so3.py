@@ -23,10 +23,6 @@ _TIE_TOL = 1e-9
 _RANK_TOL = 1e-12
 
 
-class DegenerateAverageError(ValueError):
-    """Raised when an averaged rotation has no meaningful direction."""
-
-
 def is_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
@@ -63,38 +59,29 @@ def geodesic_distances(gs1: np.ndarray, gs2: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcrustesResult:
-    rotation: np.ndarray
-    nonunique: bool = False
+    rotation: np.ndarray  # (3, 3), or (N, 3, 3) for a stack
+    nonunique: np.ndarray  # one flag per matrix
 
 
 def procrustes_project(a: np.ndarray) -> ProcrustesResult:
-    """Nearest rotation to an arbitrary 3x3 matrix in Frobenius norm.
+    """Nearest rotation in Frobenius norm to a 3x3 matrix, or to each matrix
+    of an (N, 3, 3) stack.
 
     With SVD a = U S V^T (singular values descending), the minimizer is
     U diag(1, 1, det(UV^T)) V^T.  When the two smallest singular values tie
     and the determinant correction is negative, or the matrix is (near) rank
     deficient, the minimizer is not unique; a valid one is still returned
-    with ``nonunique`` set.
+    with that matrix's ``nonunique`` flag set.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
-        raise ValueError("expected a finite 3x3 matrix")
+    if a.ndim not in (2, 3) or a.shape[-2:] != (3, 3) or not np.all(np.isfinite(a)):
+        raise ValueError("expected a finite 3x3 matrix or (N, 3, 3) stack")
     u, s, vt = np.linalg.svd(a)
     d = np.linalg.det(u @ vt)
-    rot = u @ np.diag([1.0, 1.0, np.sign(d) if d != 0 else 1.0]) @ vt
-    nonunique = bool((s[1] - s[2] <= _TIE_TOL and d < 0) or np.sum(s < _RANK_TOL) >= 2)
-    return ProcrustesResult(rotation=rot, nonunique=nonunique)
-
-
-def procrustes_project_batch(a: np.ndarray) -> np.ndarray:
-    """Vectorized Procrustes over a stack of (N, 3, 3) matrices."""
-    a = np.asarray(a, dtype=float)
-    u, _, vt = np.linalg.svd(a)
-    d = np.linalg.det(u @ vt)
-    flip = np.where(d < 0, -1.0, 1.0)
-    u = u.copy()
-    u[:, :, 2] *= flip[:, None]
-    return u @ vt
+    u[..., 2] *= np.where(d < 0, -1.0, 1.0)[..., None]
+    tie = (s[..., 1] - s[..., 2] <= _TIE_TOL) & (d < 0)
+    nonunique = tie | (np.sum(s < _RANK_TOL, axis=-1) >= 2)
+    return ProcrustesResult(rotation=u @ vt, nonunique=nonunique)
 
 
 def axis_angle_to_rotation(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -341,6 +341,9 @@ class TestCli:
             {"experiment": "recover2d", "rel_tol": "1e-3"},
             {"experiment": "recover3d", "template_phantom": {"kind": "loaded"}},
             {"phantom": {"kind": "asymmetric_L", "n": 12.0}},
+            {"sigmas": [0.0, 0.1]},
+            {"experiment": "recover2d", "sigmas": [0.0]},
+            {"experiment": "einstein_noise", "sigmas": [0.0]},
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, overrides, capsys):

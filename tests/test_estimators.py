@@ -79,6 +79,16 @@ class TestPosteriorWeights:
         with pytest.raises(estimators.ZeroVarianceError):
             estimators.posterior_weights([0.0, 0.0], cands, forward.NoiseModel(sigma=0.0))
 
+    def test_partly_zero_variance_rejected(self):
+        # one zero coordinate variance makes that coordinate's residual
+        # infinitely informative: the weights would be nan, not a posterior
+        cands = make_cands([np.eye(3), so3.rot_z(1.0)], [[0.0, 1.0], [1.0, 0.0]])
+        noise = forward.NoiseModel(sigma=0.0, tau=np.array([0.0, 1.0]))
+        with pytest.raises(estimators.ZeroVarianceError):
+            estimators.posterior_weights([0.0, 0.0], cands, noise)
+        with pytest.raises(estimators.ZeroVarianceError):
+            estimators.mmse_estimate([0.0, 0.0], cands, noise)
+
 
 class TestMapEstimate:
     def test_exact_template_match(self, volume_setup):
@@ -168,13 +178,22 @@ class TestMmseEstimate:
         assert rep.degenerate_average
         assert so3.is_rotation(rep.rotation)
 
+    def test_reports_ess_and_clean_flags(self, volume_setup):
+        vbar, cands = volume_setup
+        y = vbar.ravel() + 0.2 * np.random.default_rng(32).normal(size=cands.dim)
+        noise = forward.NoiseModel(sigma=0.5)
+        rep = estimators.mmse_estimate(y, cands, noise)
+        weights = estimators.posterior_weights(y, cands, noise)
+        assert rep.effective_sample_size == weights.effective_sample_size
+        assert not rep.procrustes_nonunique and not rep.degenerate_average
+
     def test_batch_matches_scalar(self, volume_setup):
         vbar, cands = volume_setup
         rng = np.random.default_rng(31)
         ys = cands.templates[:4] + 0.1 * rng.normal(size=(4, cands.dim))
         noise = forward.NoiseModel(sigma=0.5)
-        scores = estimators.score_batch(ys, cands)
-        batch = estimators.mmse_rotations(scores, cands, noise.effective_variance())
+        w = np.exp(estimators.Scores.of(ys, cands.templates).log_weights(noise.effective_variance()))
+        batch, _, _ = estimators.mmse_rotations(w, cands.rotations)
         for y, g in zip(ys, batch):
             assert np.allclose(estimators.mmse_estimate(y, cands, noise).rotation, g, atol=1e-9)
 
@@ -192,55 +211,63 @@ class TestSharedScores:
 
     def test_map_indices_match_per_call_path(self, batch):
         ys, cands, _ = batch
-        shared = estimators.score_batch(ys, cands).map_indices()
-        assert np.array_equal(shared, estimators.map_indices_batch(ys, cands.templates))
+        shared = estimators.Scores.of(ys, cands.templates).map_indices()
+        assert np.array_equal(shared, [estimators.map_estimate(y, cands).map_index for y in ys])
 
     def test_mmse_rotations_match_per_call_path(self, batch):
         ys, cands, noise = batch
-        scores = estimators.score_batch(ys, cands)
-        shared = estimators.mmse_rotations(scores, cands, noise.effective_variance())
+        w = np.exp(estimators.Scores.of(ys, cands.templates).log_weights(noise.effective_variance()))
+        shared, _, _ = estimators.mmse_rotations(w, cands.rotations)
         # the per-call path: its own log-weights, posterior average, Procrustes rounding
-        w = np.exp(estimators.log_weights_batch(ys, cands.templates, noise))
+        w = np.exp(estimators.normalized_log_weights(ys, cands.templates, noise.effective_variance()))
         avg = w @ cands.rotations.reshape(cands.size, 9)
-        per_call = so3.procrustes_project_batch(avg.reshape(-1, 3, 3))
+        per_call = so3.procrustes_project(avg.reshape(-1, 3, 3)).rotation
         assert np.array_equal(shared, per_call)
 
     def test_zero_variance_rejected(self, batch):
         ys, cands, _ = batch
         with pytest.raises(estimators.ZeroVarianceError):
-            estimators.score_batch(ys, cands).log_weights(0.0)
+            estimators.Scores.of(ys, cands.templates).log_weights(0.0)
 
     def test_dimension_mismatch(self, batch):
         ys, cands, _ = batch
         with pytest.raises(estimators.DimensionMismatchError):
-            estimators.score_batch(ys[:, :-1], cands)
+            estimators.Scores.of(ys[:, :-1], cands.templates)
 
 
 class TestRawAverage:
+    """The posterior average inside ``mmse_rotations``, seen through its rounding."""
+
     def test_one_hot(self, volume_setup):
+        # a one-hot average is the candidate itself, bit for bit
         _, cands = volume_setup
         w = np.zeros(cands.size)
         w[3] = 1.0
-        avg = estimators.mmse_raw_average(w, cands)
-        assert np.array_equal(avg, cands.rotations[3])
+        rotations, nonunique, degenerate = estimators.mmse_rotations(w, cands.rotations)
+        assert np.array_equal(rotations, so3.procrustes_project(cands.rotations[3:4]).rotation)
+        assert not nonunique[0] and not degenerate[0]
 
     def test_hand_average_of_z_pair(self):
+        # the average is diag(cos t, cos t, 1), whose nearest rotation is I
         theta = 0.7
-        cands = make_cands([so3.rot_z(theta), so3.rot_z(-theta)], [[0.0], [0.0]])
-        avg = estimators.mmse_raw_average(np.array([0.5, 0.5]), cands)
-        expected = np.diag([np.cos(theta), np.cos(theta), 1.0])
-        assert np.allclose(avg, expected, atol=1e-12)
+        rotations, nonunique, degenerate = estimators.mmse_rotations(
+            np.array([0.5, 0.5]), np.stack([so3.rot_z(theta), so3.rot_z(-theta)])
+        )
+        assert np.allclose(rotations[0], np.eye(3), atol=1e-12)
+        assert not nonunique[0] and not degenerate[0]
 
     def test_haar_mean_near_zero(self):
+        # half the weight on I, half spread over a Haar sample: the sample's
+        # mean is near zero, so the rounded mean stays near I
         gs = so3.sample_uniform(np.random.default_rng(9), 10_000)
-        cands = make_cands(gs, np.zeros((10_000, 1)))
-        avg = estimators.mmse_raw_average(np.full(10_000, 1e-4), cands)
-        assert np.max(np.abs(avg)) <= 0.05
+        w = np.concatenate([[0.5], np.full(10_000, 0.5e-4)])
+        rotations, _, _ = estimators.mmse_rotations(w, np.concatenate([np.eye(3)[None], gs]))
+        assert so3.geodesic_distance(rotations[0], np.eye(3)) <= 0.05
 
     def test_length_mismatch(self, volume_setup):
         _, cands = volume_setup
         with pytest.raises(estimators.DimensionMismatchError):
-            estimators.mmse_raw_average(np.ones(3), cands)
+            estimators.mmse_rotations(np.ones(3), cands.rotations)
 
 
 class TestSo2Angle:
@@ -248,20 +275,30 @@ class TestSo2Angle:
         w = np.zeros(5)
         w[2] = 1.0
         angles = np.linspace(0.0, 2.0, 5)
-        assert estimators.mmse_so2_angle(w, angles) == pytest.approx(angles[2], abs=1e-12)
+        mean, degenerate = estimators.mmse_angles(w, angles)
+        assert mean[0] == pytest.approx(angles[2], abs=1e-12)
+        assert not degenerate[0]
 
     def test_symmetric_pair(self):
-        assert estimators.mmse_so2_angle(
-            np.array([0.5, 0.5]), np.array([0.2, -0.2])
-        ) == pytest.approx(0.0, abs=1e-12)
+        mean, _ = estimators.mmse_angles(np.array([0.5, 0.5]), np.array([0.2, -0.2]))
+        assert mean[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_example(self):
-        angle = estimators.mmse_so2_angle(np.array([0.75, 0.25]), np.array([0.0, np.pi / 2]))
-        assert angle == pytest.approx(0.32175, abs=1e-5)
+        mean, _ = estimators.mmse_angles(
+            np.array([[0.75, 0.25], [0.25, 0.75]]), np.array([0.0, np.pi / 2])
+        )
+        assert mean == pytest.approx([0.32175, np.pi / 2 - 0.32175], abs=1e-5)
 
     def test_degenerate_resultant(self):
-        with pytest.raises(so3.DegenerateAverageError):
-            estimators.mmse_so2_angle(np.array([0.5, 0.5]), np.array([0.0, np.pi]))
+        mean, degenerate = estimators.mmse_angles(
+            np.array([[0.5, 0.5], [0.75, 0.25]]), np.array([0.0, np.pi])
+        )
+        assert degenerate.tolist() == [True, False]
+        assert mean[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_length_mismatch(self):
+        with pytest.raises(estimators.DimensionMismatchError):
+            estimators.mmse_angles(np.ones(3), np.zeros(2))
 
 
 class TestPermutationEquivariance:

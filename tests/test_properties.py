@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from orient_bayes import estimators, so3
+from orient_bayes import estimators, forward, so3
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -42,7 +42,7 @@ def test_log_weights_normalized(m, l, d, seed, log_sigma, per_coordinate):
     )
 )
 def test_procrustes_batch_returns_rotations(a):
-    r = so3.procrustes_project_batch(a)
+    r = so3.procrustes_project(a).rotation
     assert r.shape == a.shape
     eye = np.broadcast_to(np.eye(3), r.shape)
     assert np.allclose(np.swapaxes(r, 1, 2) @ r, eye, rtol=0.0, atol=1e-12)
@@ -60,13 +60,25 @@ def map_inputs(draw):
 
 
 @SETTINGS
-@given(map_inputs(), st.integers(min_value=0, max_value=2**32 - 1))
-def test_batch_map_equals_scalar_and_brute_force(inputs, seed):
+@given(
+    map_inputs(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.3, max_value=10.0),
+)
+def test_batch_map_equals_scalar_and_brute_force(inputs, seed, sigma):
     ys, x = inputs
     rotations = so3.sample_uniform(np.random.default_rng(seed), x.shape[0])
     cands = estimators.CandidateSet(rotations=rotations, templates=x, prior=so3.RotationPrior.uniform())
-    batch = estimators.map_indices_batch(ys, x)
-    for y, idx in zip(ys, batch):
+    noise = forward.NoiseModel(sigma=sigma)
+    scores = estimators.Scores.of(ys, x)
+    batch = scores.map_indices()
+    mmse, nonunique, degenerate = estimators.mmse_rotations(
+        np.exp(scores.log_weights(noise.effective_variance())), rotations
+    )
+    for m, (y, idx) in enumerate(zip(ys, batch)):
         rep = estimators.map_estimate(y, cands)
         assert rep.map_index == idx == np.argmin(np.sum((y - x) ** 2, axis=1))  # exact residuals
         assert np.array_equal(rep.rotation, rotations[idx])
+        rep = estimators.mmse_estimate(y, cands, noise)
+        assert np.allclose(rep.rotation, mmse[m], rtol=0.0, atol=1e-12)
+        assert (rep.procrustes_nonunique, rep.degenerate_average) == (nonunique[m], degenerate[m])

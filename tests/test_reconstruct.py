@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from orient_bayes import bench, estimators, forward, reconstruct, so3
 
@@ -127,6 +128,33 @@ class TestPolarSteps:
         assert np.allclose(a, b, atol=1e-12)
         expected = polar_assigned_average(3.0 * ys, [1, 4], polar_truth.shape)
         assert np.allclose(a, expected, atol=1e-12)
+
+
+def polar_log_likelihood(ys, v, sigma):
+    # sum_m log sum_l exp(-||y_m - shift_l(v)||^2 / 2 sigma^2), up to constants,
+    # one residual at a time
+    shifted = np.stack([forward.rotate_polar(v, s).ravel() for s in range(v.shape[1])])
+    resid = np.sum((ys[:, None, :] - shifted[None, :, :]) ** 2, axis=2)
+    return float(np.sum(logsumexp(-resid / (2.0 * sigma**2), axis=1)))
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0, 10.0])
+def test_polar_soft_em_never_lowers_likelihood(sigma):
+    # on the exact shift group the soft step is the EM update for the marginal
+    # likelihood (Dempster, Laird & Rubin 1977), so no iteration may lower it
+    noise = forward.NoiseModel(sigma=sigma)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        truth = forward.make_polar_phantom(20, 12, seed=seed)
+        clean = np.stack([forward.rotate_polar(truth, s).ravel() for s in rng.integers(12, size=40)])
+        ys = clean + sigma * rng.normal(size=clean.shape)
+        v = forward.make_polar_phantom(20, 12, seed=seed + 100)
+        ll = [polar_log_likelihood(ys, v, sigma)]
+        for _ in range(15):
+            v = reconstruct.em_step_soft(ys, v, None, noise)
+            ll.append(polar_log_likelihood(ys, v, sigma))
+        for before, after in zip(ll, ll[1:]):
+            assert after >= before - 1e-12 * abs(before)
 
 
 @pytest.fixture(scope="module")

@@ -109,11 +109,25 @@ class TestProcrustes:
         assert so3.is_rotation(res.rotation)
 
     def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(8)
-        mats = rng.normal(size=(40, 3, 3))
-        batch = so3.procrustes_project_batch(mats)
-        for a, b in zip(mats, batch):
-            assert np.allclose(so3.procrustes_project(a).rotation, b, atol=1e-10)
+        # a stack gives each matrix's own rotation bit for bit, and its own flag
+        rank_one = np.zeros((3, 3))
+        rank_one[0, 0] = 1.0
+        special = [so3.rot_z(np.pi), np.diag([1.0, -1.0, -1.0]), np.diag([2.0, 1.0, -1.0]),
+                   np.diag([1.0, 1.0, -1.0]), rank_one, np.zeros((3, 3))]
+        mats = np.concatenate([special, np.random.default_rng(8).normal(size=(40, 3, 3))])
+        batch = so3.procrustes_project(mats)
+        assert batch.rotation.shape == mats.shape and batch.nonunique.shape == (len(mats),)
+        assert batch.nonunique[: len(special)].tolist() == [False, False, True, True, True, True]
+        for a, rot, flag in zip(mats, batch.rotation, batch.nonunique):
+            single = so3.procrustes_project(a)
+            assert np.array_equal(single.rotation, rot)
+            assert single.nonunique == flag
+            assert so3.is_rotation(rot)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((2, 2, 3, 3)), np.full((3, 3), np.nan)])
+    def test_rejects_non_3x3_or_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            so3.procrustes_project(bad)
 
 
 class TestAxisAngle:
