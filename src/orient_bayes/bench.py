@@ -119,6 +119,8 @@ class ExperimentConfig:
         if self.experiment in (*SWEEPS, "recover2d", "recover3d"):
             if not self.sigmas and not self.snrs:
                 raise ConfigError(f"{self.experiment} requires a sigma or snr list")
+        elif self.experiment == "einstein_noise" and (self.snrs is not None or len(self.sigmas or []) > 1):
+            raise ConfigError("einstein_noise takes at most one sigma and no snrs")
         for name in ("sigmas", "snrs"):
             _check_levels(name, getattr(self, name))
         if self.method not in forward.INTERPOLATION_ORDERS:
@@ -128,6 +130,12 @@ class ExperimentConfig:
             raise ConfigError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
         for name in ("phantom", "template_phantom"):
             _check_phantom(name, getattr(self, name))
+        if self.polar is not None:
+            if not isinstance(self.polar, dict):
+                raise ConfigError(f"polar must be an object, got {self.polar!r}")
+            for name in ("d_radial", "l_angular"):
+                if name in self.polar and not (_is_int(self.polar[name]) and self.polar[name] >= 1):
+                    raise ConfigError(f"polar {name} must be an integer >= 1, got {self.polar[name]!r}")
         if self.projected and self.experiment not in SWEEPS:
             raise ConfigError(f"projected applies only to {', '.join(SWEEPS)}, not {self.experiment}")
         if self.experiment == "prior_mismatch" and not self.estimation_priors:
@@ -174,6 +182,8 @@ def _check_phantom(name: str, spec) -> None:
         raise ConfigError(f"{name} of kind 'loaded' requires a path")
     if "n" in spec and not (_is_int(spec["n"]) and spec["n"] >= forward.MIN_PHANTOM_N):
         raise ConfigError(f"{name} n must be an integer >= {forward.MIN_PHANTOM_N}, got {spec['n']!r}")
+    if "seed" in spec and not (_is_int(spec["seed"]) and spec["seed"] >= 0):
+        raise ConfigError(f"{name} seed must be an integer >= 0, got {spec['seed']!r}")
 
 
 def _prior_from_spec(spec: dict | None) -> so3.RotationPrior:
@@ -224,16 +234,6 @@ def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
     return [forward.sigma_for_snr(vbar, float(s), projected=cfg.projected) for s in cfg.snrs]
 
 
-def _clean_stack(vbar, rotations, projected, method, threads=None) -> np.ndarray:
-    def one(g):
-        clean = forward.rotate_volume(vbar, g, method=method)
-        if projected:
-            clean = forward.project_z(clean)
-        return clean.ravel()
-
-    return np.stack(parallel_map(one, rotations, threads))
-
-
 def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int) -> np.ndarray:
     # one generator per trial keeps results independent of batching
     return np.stack(
@@ -280,7 +280,8 @@ def _sweep_inputs(cfg: ExperimentConfig, threads: int | None):
     """The sweep phantom, the true rotations, and their clean observations."""
     vbar = _phantom_from_spec(cfg.phantom)
     rotations = _true_rotations(cfg, _prior_from_spec(cfg.truth_prior), cfg.trials)
-    return vbar, rotations, _clean_stack(vbar, rotations, cfg.projected, cfg.method, threads)
+    pool = partial(parallel_map, threads=threads)
+    return vbar, rotations, forward.rotated_stack(vbar, rotations, cfg.method, cfg.projected, pool)
 
 
 def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates, threads) -> list[ResultRecord]:
@@ -344,85 +345,73 @@ def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
     return records, slopes
 
 
-def _polar_observations(cfg: ExperimentConfig, truth: np.ndarray, sigma: float, seed_key):
-    l_ang = truth.shape[1]
+def _polar_observations(cfg: ExperimentConfig, truth: np.ndarray, sigma: float, seed_key) -> np.ndarray:
     ys = np.empty((cfg.M, truth.size))
-    shifts = np.empty(cfg.M, dtype=int)
     for t in range(cfg.M):
         rng = np.random.default_rng(seed_key + [t])
-        s = int(rng.integers(l_ang))
-        obs = forward.synthesize_polar_observation(truth, s, forward.NoiseModel(sigma=sigma), rng)
-        ys[t] = obs.data
-        shifts[t] = s
-    return ys, shifts
+        s = int(rng.integers(truth.shape[1]))
+        ys[t] = forward.synthesize_polar_observation(truth, s, forward.NoiseModel(sigma=sigma), rng).data
+    return ys
 
 
 def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) -> np.ndarray:
     polar = cfg.polar or {}
     return forward.make_polar_phantom(
-        int(polar.get("d_radial", 300)),
-        int(polar.get("l_angular", 30)),
-        seed=(spec or {}).get("seed", default_seed),
+        polar.get("d_radial", 300), polar.get("l_angular", 30), seed=(spec or {}).get("seed", default_seed)
     )
 
 
-def _reconstruct(cfg: ExperimentConfig, mode: str, ys, template, cands, noise, truth=None, map=map):
-    rcfg = reconstruct.ReconstructionConfig(
-        assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, method=cfg.method
-    )
-    return reconstruct.run_reconstruction(ys, template, cands, noise, rcfg, truth=truth, map=map)
+def _reconstruct(cfg: ExperimentConfig, mode: str, ys, template, group, noise, truth=None):
+    rcfg = reconstruct.ReconstructionConfig(assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+    return reconstruct.run_reconstruction(ys, template, group, noise, rcfg, truth=truth)
+
+
+def _recover(cfg: ExperimentConfig, truth, template, group, observe):
+    """EM recovery of truth from template over ``group`` at every noise level;
+    observe(si, sigma) gives the observations of level si.  Volumes are kept
+    for 3-D finals only."""
+    modes = cfg.assignment_modes or ["mmse_align", "hard_map"]
+    records, traces, volumes = [], {}, {}
+    for si, sigma in enumerate(_sigma_list(cfg, truth)):
+        ys = observe(si, sigma)
+        noise = forward.NoiseModel(sigma=sigma)
+        snr = forward.snr_of(truth, noise)
+        for mode in modes:
+            final, trace = _reconstruct(cfg, mode, ys, template, group, noise, truth=truth)
+            key = f"{cfg.experiment}_s{si}_{mode}"
+            traces[key] = trace
+            if final.ndim == 3:
+                volumes[key] = final
+            registered = reconstruct.registered_pcc(final, truth, group)
+            records.append(_error_records(cfg, sigma, snr, group.size, mode, [registered]))
+            template_pcc = reconstruct.pcc(final, template)
+            records.append(_error_records(cfg, sigma, snr, group.size, f"{mode}/template", [template_pcc]))
+    return records, traces, volumes
 
 
 def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
     """Iterative polar-image recovery from shifted noisy copies."""
     truth = _polar_phantom(cfg, cfg.phantom, 1)
     template = _polar_phantom(cfg, cfg.template_phantom, 2)
-    l_ang = truth.shape[1]
-    modes = cfg.assignment_modes or ["mmse_align", "hard_map"]
-    records, traces = [], {}
-    for si, sigma in enumerate(_sigma_list(cfg, truth)):
-        ys, _ = _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si])
-        noise = forward.NoiseModel(sigma=sigma)
-        snr = forward.snr_of(truth, noise)
-        for mode in modes:
-            final, trace = _reconstruct(cfg, mode, ys, template, None, noise, truth=truth)
-            traces[f"recover2d_s{si}_{mode}"] = trace
-            registered = reconstruct.registered_pcc(final, truth)
-            records.append(_error_records(cfg, sigma, snr, l_ang, mode, [registered]))
-            records.append(
-                _error_records(cfg, sigma, snr, l_ang, f"{mode}/template", [reconstruct.pcc(final, template)])
-            )
-    return records, traces, {}
+    return _recover(
+        cfg, truth, template, reconstruct.Shifts(truth.shape[1]),
+        lambda si, sigma: _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si]),
+    )
 
 
 def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
     """Iterative 3D recovery from rotated noisy copies (no projection)."""
     truth = _phantom_from_spec(cfg.phantom, default_kind="gaussian_blobs")
     template = _phantom_from_spec(cfg.template_phantom, default_kind="asymmetric_L")
+    pool = partial(parallel_map, threads=threads)
     # reconstruction and registration read only the candidate rotations
     cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
-    pool = partial(parallel_map, threads=threads)
-    modes = cfg.assignment_modes or ["mmse_align", "hard_map"]
-    sigmas = _sigma_list(cfg, truth)
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
-    clean = _clean_stack(truth, rotations, False, cfg.method, threads)
-    records, traces, volumes = [], {}, {}
-    for si, sigma in enumerate(sigmas):
-        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads)
-        noise = forward.NoiseModel(sigma=sigma)
-        snr = forward.snr_of(truth, noise)
-        for mode in modes:
-            final, trace = _reconstruct(cfg, mode, ys, template, cands, noise, truth=truth, map=pool)
-            key = f"recover3d_s{si}_{mode}"
-            traces[key] = trace
-            final = final.reshape(truth.shape)
-            volumes[key] = final
-            registered = reconstruct.registered_pcc(final, truth, cands, cfg.method, map=pool)
-            records.append(_error_records(cfg, sigma, snr, cfg.L, mode, [registered]))
-            records.append(
-                _error_records(cfg, sigma, snr, cfg.L, f"{mode}/template", [reconstruct.pcc(final, template)])
-            )
-    return records, traces, volumes
+    clean = forward.rotated_stack(truth, rotations, cfg.method, map=pool)
+    return _recover(
+        cfg, truth, template, reconstruct.Rotations(cands, cfg.method, map=pool),
+        lambda si, sigma: _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads),
+    )
 
 
 def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
@@ -432,12 +421,11 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
     noise = forward.NoiseModel(sigma=sigma)
     if cfg.geometry == "polar":
         template = _polar_phantom(cfg, cfg.template_phantom, 2)
-        cands = None
-        L = template.shape[1]
+        group = reconstruct.Shifts(template.shape[1])
     else:
         template = _phantom_from_spec(cfg.template_phantom, default_kind="asymmetric_L")
         cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
-        L = cfg.L
+        group = reconstruct.Rotations(cands, cfg.method)  # builtin map: the seeds run on the pool
     dim = template.size
     records, traces = [], {}
 
@@ -448,7 +436,7 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
             rng = np.random.default_rng([cfg.seed, _K_NOISE, k, t])
             ys[t] = rng.normal(size=dim) * sigma
         for mode in modes:
-            final, trace = _reconstruct(cfg, mode, ys, template, cands, noise)
+            final, trace = _reconstruct(cfg, mode, ys, template, group, noise)
             out[mode] = (reconstruct.pcc(final, template), trace)
         return out
 
@@ -457,7 +445,7 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
         pccs = [res[mode][0] for res in per_seed]
         for k, res in enumerate(per_seed):
             traces[f"einstein_s{k}_{mode}"] = res[mode][1]
-        records.append(_error_records(cfg, sigma, 0.0, L, f"{mode}/template", pccs))
+        records.append(_error_records(cfg, sigma, 0.0, group.size, f"{mode}/template", pccs))
     return records, traces, {}
 
 

@@ -57,19 +57,10 @@ class CandidateSet:
         method: str = "trilinear",
         map=map,
     ) -> "CandidateSet":
-        """``map`` is an order-preserving map over candidate indices; each
-        call fills its own template row, so any map gives the same bytes."""
+        """``map`` is an order-preserving map over candidate indices (see
+        :func:`forward.rotated_stack`); any map gives the same bytes."""
         rotations = candidate_rotations(prior, count, seed)
-        templates = np.empty((count, vbar.size if not projected else vbar.shape[0] ** 2))
-
-        def fill(i):
-            clean = forward.rotate_volume(vbar, rotations[i], method=method)
-            if projected:
-                clean = forward.project_z(clean)
-            templates[i] = clean.ravel()
-
-        for _ in map(fill, range(count)):
-            pass
+        templates = forward.rotated_stack(vbar, rotations, method, projected, map)
         return cls(rotations=rotations, templates=templates, prior=prior, seed=seed)
 
 

@@ -104,6 +104,22 @@ def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> 
     return out.reshape(n, n, n)
 
 
+def rotated_stack(vol, rotations, method: str = "trilinear", projected: bool = False, map=map) -> np.ndarray:
+    """Row i is g_i^-1 . vol, projected by :func:`project_z` if ``projected``,
+    flattened.  ``map`` is an order-preserving map over row indices; each call
+    fills its own preallocated row, so any map gives the same bytes."""
+    vol = np.asarray(vol, dtype=float)
+    out = np.empty((len(rotations), vol.shape[0] ** 2 if projected else vol.size))
+
+    def fill(i):
+        clean = rotate_volume(vol, rotations[i], method=method)
+        out[i] = (project_z(clean) if projected else clean).ravel()
+
+    for _ in map(fill, range(len(rotations))):
+        pass
+    return out
+
+
 def project_z(vol: np.ndarray, voxel_length: float = 1.0) -> np.ndarray:
     """Line-integral approximation along the third axis, shape (n, n)."""
     return np.asarray(vol, dtype=float).sum(axis=2) * voxel_length
@@ -123,10 +139,7 @@ def synthesize_observation(
     method: str = "trilinear",
 ) -> Observation:
     """One noisy measurement y = Pi(g^-1 . vbar) + noise, flattened."""
-    clean = rotate_volume(vbar, g, method=method)
-    if projected:
-        clean = project_z(clean)
-    flat = clean.ravel()
+    flat = rotated_stack(vbar, [g], method, projected)[0]
     std = noise.effective_std(flat.size)
     data = flat if np.all(std == 0) else flat + rng.normal(size=flat.size) * std
     return Observation(data=data, true_rotation=np.asarray(g, dtype=float))
@@ -145,34 +158,29 @@ def synthesize_polar_observation(
     return Observation(data=data, true_shift=int(shift) % img.shape[1])
 
 
+def _power(signal: np.ndarray, projected: bool) -> float:
+    """Mean clean-signal power per coordinate."""
+    arr = np.asarray(signal, dtype=float)
+    return float(np.mean((project_z(arr) if projected else arr).ravel() ** 2))
+
+
 def snr_of(signal: np.ndarray, noise: NoiseModel, projected: bool = False) -> float:
     """Mean clean-signal power per coordinate divided by sigma^2."""
     if noise.sigma == 0:
         raise ZeroNoiseError("SNR is undefined when sigma = 0")
-    arr = np.asarray(signal, dtype=float)
-    if projected:
-        arr = project_z(arr)
-    power = float(np.mean(arr.ravel() ** 2))
-    return power / noise.sigma**2
+    return _power(signal, projected) / noise.sigma**2
 
 
 def sigma_for_snr(signal: np.ndarray, snr: float, projected: bool = False) -> float:
     """Invert :func:`snr_of` for a target SNR."""
     if snr <= 0:
         raise ValueError("target SNR must be positive")
-    arr = np.asarray(signal, dtype=float)
-    if projected:
-        arr = project_z(arr)
-    power = float(np.mean(arr.ravel() ** 2))
-    return float(np.sqrt(power / snr))
+    return float(np.sqrt(_power(signal, projected) / snr))
 
 
 def signal_scale(signal: np.ndarray, projected: bool = False) -> float:
     """Root-mean-square of the clean signal; the natural unit for sigma."""
-    arr = np.asarray(signal, dtype=float)
-    if projected:
-        arr = project_z(arr)
-    return float(np.sqrt(np.mean(arr.ravel() ** 2)))
+    return float(np.sqrt(_power(signal, projected)))
 
 
 def _inscribed_sphere_mask(n: int) -> np.ndarray:

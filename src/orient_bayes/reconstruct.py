@@ -1,14 +1,15 @@
 """Iterative reconstruction with soft, MMSE-aligned, and hard assignment.
 
-The reconstruction model has no projection: each observation is a rotated
-(or, on the polar grid, cyclically shifted) copy of the structure plus
-noise.  The polar group action is an exact shift, so the polar paths are
-interpolation-free; the 3D paths back-rotate by grid interpolation.
+The reconstruction model has no projection: each observation is a copy of
+the structure acted on by one element of a group, plus noise.  The caller
+picks the group: :class:`Shifts`, the exact cyclic shifts of a polar image
+(interpolation-free), or :class:`Rotations`, volume rotation by grid
+interpolation over a rotation grid.
 
-The 3D steps and registration take an order-preserving ``map`` (the builtin
-by default) that runs their rotations, for example on a worker pool.  Every
-sum is still accumulated on the calling thread in the original order, so
-the result does not depend on the map.
+A :class:`Rotations` group may run its rotations through an order-preserving
+``map``, for example on a worker pool.  Every sum is still accumulated on
+the calling thread in the original order, so the result does not depend on
+the map.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class ReconstructionConfig:
     assignment: str = "soft_em"
     max_iters: int = 100
     rel_tol: float = 1e-4
-    method: str = "trilinear"
 
     def __post_init__(self):
         if self.assignment not in ASSIGNMENTS:
@@ -57,35 +57,14 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-class _GroupAction:
-    """The L group elements the steps average over, acting on a structure.
+class _Group:
+    """L group elements acting on a structure.  Subclasses give ``act``
+    (g_l^-1 . v, the candidate template of v for element l), its adjoint
+    ``back`` (g_l . u) and ``mmse_average``, their MMSE-rounded update."""
 
-    A 2-D structure lives on the polar grid: element s is the exact cyclic
-    shift by s samples and L is the angular length.  A 3-D structure is
-    rotated by interpolation over the candidate rotations: ``cands`` is a
-    ``CandidateSet`` or an (L, 3, 3) array.
-    """
-
-    def __init__(self, v_t: np.ndarray, cands, method: str, map):
-        self.shape = v_t.shape
-        self.polar = v_t.ndim == 2
-        self.rotations = None if self.polar else np.asarray(getattr(cands, "rotations", cands))
-        self.size = v_t.shape[1] if self.polar else self.rotations.shape[0]
-        self.method = method
+    def __init__(self, size: int, map):
+        self.size = size
         self.map = map
-
-    def act(self, ell: int, v: np.ndarray) -> np.ndarray:
-        """g_l^-1 . v, the candidate template of v for element l."""
-        if self.polar:
-            return forward.rotate_polar(v, -ell)
-        return forward.rotate_volume(v, self.rotations[ell], method=self.method)
-
-    def back(self, ell: int, u: np.ndarray) -> np.ndarray:
-        """g_l . u, the adjoint of :meth:`act`."""
-        u = u.reshape(self.shape)
-        if self.polar:
-            return forward.rotate_polar(u, ell)
-        return forward.rotate_volume(u, self.rotations[ell].T, method=self.method)
 
     def templates(self, v: np.ndarray) -> np.ndarray:
         out = np.empty((self.size, v.size))
@@ -104,86 +83,116 @@ class _GroupAction:
             yield from self.map(fn, items[start : start + CHUNK])
 
     def summed(self, fn, items) -> np.ndarray:
-        """sum of fn over items, added in item order on the calling thread."""
-        out = np.zeros(self.shape)
+        """sum of fn over items, added in item order on the calling thread;
+        it starts from 0.0, so it takes the shape of the terms."""
+        out = 0.0
         for u in self.mapped(fn, items):
             out += u
         return out
 
     def assigned_average(self, ys: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """(1/M) sum_i g_{idx_i} . y_i, back-acting once per element used:
-        the action is linear, so each group of observations is summed first."""
-        out = self.summed(lambda ell: self.back(ell, ys[idx == ell].sum(axis=0)), np.unique(idx))
-        return out / ys.shape[0]
+        """(1/M) sum_i g_{idx_i} . y_i over a stack of M structures, back-acting
+        once per element used: the action is linear, so each group of
+        observations is summed first."""
+        return self.summed(lambda ell: self.back(ell, ys[idx == ell].sum(axis=0)), np.unique(idx)) / len(ys)
 
 
-def _setup(obs, v_t, cands, method, map):
-    """The group action on v_t, the (M, d) observation matrix, and the templates."""
+class Shifts(_Group):
+    """The exact cyclic shifts of a polar image with ``size`` angular samples:
+    element s shifts the angular axis by s samples, and element 0 is the identity."""
+
+    def __init__(self, size: int):
+        super().__init__(int(size), map)
+
+    def act(self, ell: int, v: np.ndarray) -> np.ndarray:
+        if v.shape[1:] != (self.size,):
+            raise estimators.DimensionMismatchError(f"polar image {v.shape} lacks {self.size} angular samples")
+        return forward.rotate_polar(v, -ell)
+
+    def back(self, ell: int, u: np.ndarray) -> np.ndarray:
+        return forward.rotate_polar(u, ell)
+
+    def mmse_average(self, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Back-shift each observation by its circular-mean angle, rounded to
+        the nearest grid shift so the action stays exact, then average."""
+        mean_angle, _ = estimators.mmse_angles(w, 2.0 * np.pi * np.arange(self.size) / self.size)
+        shifts = np.round(mean_angle * self.size / (2.0 * np.pi)).astype(int) % self.size
+        return self.assigned_average(ys, shifts)
+
+
+class Rotations(_Group):
+    """Volume rotation by grid interpolation over an (L, 3, 3) array of
+    rotations.  ``map`` is an order-preserving map (the builtin by default)
+    that runs the rotations, for example on a worker pool."""
+
+    def __init__(self, rotations: np.ndarray, method: str = "trilinear", map=map):
+        rotations = np.asarray(rotations, dtype=float)
+        if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
+            raise ValueError(f"rotations must be an (L, 3, 3) array, got shape {rotations.shape}")
+        super().__init__(rotations.shape[0], map)
+        self.rotations = rotations
+        self.method = method
+
+    def act(self, ell: int, v: np.ndarray) -> np.ndarray:
+        return forward.rotate_volume(v, self.rotations[ell], method=self.method)
+
+    def back(self, ell: int, u: np.ndarray) -> np.ndarray:
+        return forward.rotate_volume(u, self.rotations[ell].T, method=self.method)
+
+    def mmse_average(self, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Back-rotate each observation by its Procrustes-rounded posterior-mean
+        rotation, then average."""
+        aligned, _, _ = estimators.mmse_rotations(w, self.rotations)
+        out = self.summed(lambda i: forward.rotate_volume(ys[i], aligned[i].T, self.method), range(len(ys)))
+        return out / len(ys)
+
+
+def _setup(obs, v_t, group):
+    """The observations as an (M, d) matrix and as a stack shaped like v_t,
+    and the templates of v_t."""
     v_t = np.asarray(v_t, dtype=float)
     ys = np.atleast_2d(np.asarray(obs, dtype=float))
     if ys.shape[1] != v_t.size:
-        raise estimators.DimensionMismatchError(
-            f"observation dim {ys.shape[1]} != structure dim {v_t.size}"
-        )
-    action = _GroupAction(v_t, cands, method, map)
-    return action, ys, action.templates(v_t)
+        raise estimators.DimensionMismatchError(f"observation dim {ys.shape[1]} != structure dim {v_t.size}")
+    return ys, ys.reshape(-1, *v_t.shape), group.templates(v_t)
 
 
-def em_step_soft(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.ndarray:
+def _weights(ys, x, noise) -> np.ndarray:
+    return np.exp(estimators.normalized_log_weights(ys, x, noise.effective_variance(ys.shape[1])))
+
+
+def em_step_soft(obs, v_t, group, noise) -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
-    action, ys, x = _setup(obs, v_t, cands, method, map)
-    w = np.exp(estimators.normalized_log_weights(ys, x, noise.effective_variance(ys.shape[1])))
-    colsum = w.T @ ys  # (L, d): weighted observation sum per candidate
-    # the action is linear, so the weighted sum is back-acted once per
-    # candidate instead of once per observation
-    out = action.summed(lambda ell: action.back(ell, colsum[ell]), range(action.size))
-    return out / ys.shape[0]
+    ys, shaped, x = _setup(obs, v_t, group)
+    # the action is linear, so the weighted observation sum per element is
+    # back-acted once per element instead of once per observation
+    colsum = (_weights(ys, x, noise).T @ ys).reshape(-1, *shaped.shape[1:])
+    return group.summed(lambda ell: group.back(ell, colsum[ell]), range(group.size)) / len(ys)
 
 
-def em_step_mmse(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.ndarray:
-    """One MMSE-alignment update: back-rotate each observation by its
-    Procrustes-rounded posterior-mean rotation against v_t, then average.
-
-    On the polar grid the circular-mean angle is rounded to the nearest
-    grid shift so the action stays exact.
-    """
-    action, ys, x = _setup(obs, v_t, cands, method, map)
-    w = np.exp(estimators.normalized_log_weights(ys, x, noise.effective_variance(ys.shape[1])))
-    if action.polar:
-        l_ang = action.size
-        mean_angle, _ = estimators.mmse_angles(w, 2.0 * np.pi * np.arange(l_ang) / l_ang)
-        shifts = np.round(mean_angle * l_ang / (2.0 * np.pi)).astype(int) % l_ang
-        return action.assigned_average(ys, shifts)
-    aligned, _, _ = estimators.mmse_rotations(w, action.rotations)
-    out = action.summed(
-        lambda i: forward.rotate_volume(ys[i].reshape(action.shape), aligned[i].T, method=method),
-        range(ys.shape[0]),
-    )
-    return out / ys.shape[0]
+def em_step_mmse(obs, v_t, group, noise) -> np.ndarray:
+    """One MMSE-alignment update: back-align each observation by its rounded
+    posterior-mean group element against v_t, then average."""
+    ys, shaped, x = _setup(obs, v_t, group)
+    return group.mmse_average(shaped, _weights(ys, x, noise))
 
 
-def hard_step(obs, v_t, cands, noise, method: str = "trilinear", map=map) -> np.ndarray:
-    """One hard-assignment update: back-rotate each observation by its MAP
-    candidate against v_t, then average.  This is the soft update with
-    one-hot weights, so only the assigned candidates are back-acted."""
-    action, ys, x = _setup(obs, v_t, cands, method, map)
-    return action.assigned_average(ys, estimators.Scores.of(ys, x).map_indices())
+def hard_step(obs, v_t, group, noise) -> np.ndarray:
+    """One hard-assignment update: back-align each observation by its MAP
+    element against v_t, then average.  This is the soft update with
+    one-hot weights, so only the assigned elements are back-acted."""
+    ys, shaped, x = _setup(obs, v_t, group)
+    return group.assigned_average(shaped, estimators.Scores.of(ys, x).map_indices())
 
 
 _STEPS = {"soft_em": em_step_soft, "mmse_align": em_step_mmse, "hard_map": hard_step}
 
 
 def run_reconstruction(
-    obs,
-    v0: np.ndarray,
-    cands,
-    noise,
-    cfg: ReconstructionConfig,
-    truth: np.ndarray | None = None,
-    map=map,
+    obs, v0: np.ndarray, group, noise, cfg: ReconstructionConfig, truth: np.ndarray | None = None
 ):
-    """Iterate the configured step until the relative change drops below
-    cfg.rel_tol or cfg.max_iters is reached; ``map`` goes to every step.
+    """Iterate the configured step over ``group`` until the relative change
+    drops below cfg.rel_tol or cfg.max_iters is reached.
 
     Returns the final estimate and a per-iteration trace (iter, rel_change,
     pcc_truth, pcc_template).
@@ -193,7 +202,7 @@ def run_reconstruction(
     template = v.copy()
     trace = []
     for it in range(cfg.max_iters):
-        v_next = step(obs, v, cands, noise, method=cfg.method, map=map)
+        v_next = step(obs, v, group, noise)
         prev_norm = np.linalg.norm(v)
         rel = float(np.linalg.norm(v_next - v) / prev_norm) if prev_norm > 0 else float("inf")
         record = {
@@ -218,20 +227,17 @@ def _safe_pcc(a, b):
         return None
 
 
-def registered_pcc(
-    final: np.ndarray, truth: np.ndarray, cands=None, method: str = "trilinear", map=map
-) -> float:
+def registered_pcc(final: np.ndarray, truth: np.ndarray, group) -> float:
     """PCC vs truth after the best global group element.
 
     The reconstruction frame is set by the initial template, so the estimate
     recovers the truth only up to a global group element; fidelity is
-    measured after registration.  The polar shifts include the identity;
-    the rotation grid need not, so it is scored as well.  Only the group
-    action runs through ``map``; the scores are computed on the calling thread.
+    measured after registration.  The identity is always scored, since a
+    rotation grid need not contain it.  Only the group action runs through
+    the group's map; the scores are computed on the calling thread.
     """
-    action = _GroupAction(final, cands, method, map)
-    scores = [] if action.polar else [pcc(final, truth)]
-    scores += [pcc(u, truth) for u in action.mapped(lambda ell: action.act(ell, final), range(action.size))]
+    scores = [pcc(final, truth)]
+    scores += [pcc(u, truth) for u in group.mapped(lambda ell: group.act(ell, final), range(group.size))]
     return max(scores)
 
 

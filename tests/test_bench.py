@@ -344,6 +344,14 @@ class TestCli:
             {"sigmas": [0.0, 0.1]},
             {"experiment": "recover2d", "sigmas": [0.0]},
             {"experiment": "einstein_noise", "sigmas": [0.0]},
+            {"experiment": "einstein_noise", "sigmas": [0.5, 2.0]},
+            {"experiment": "einstein_noise", "sigmas": None, "snrs": [0.01]},
+            {"experiment": "recover2d", "polar": {"l_angular": 0}},
+            {"experiment": "recover2d", "polar": [8, 4]},
+            {"experiment": "recover2d", "template_phantom": {"seed": -1}},
+            {"phantom": {"kind": "gaussian_blobs", "n": 12, "seed": "a"}},
+            {"experiment": "recover2d", "polar": {"l_angular": "6"}},
+            {"experiment": "einstein_noise", "sigmas": [1.0], "polar": {"d_radial": 0}},
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, overrides, capsys):
@@ -365,6 +373,19 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, self.small_raw())
         assert cli.main(["snr_sweep", "--config", str(cfg_path), "--threads", "0"]) == 2
 
+    def assert_thread_count_invariant(self, tmp_path, raw, n_files):
+        cfg_path = self.write_config(tmp_path, raw)
+        outs = []
+        for extra in (["--threads", "1"], []):
+            outs.append(tmp_path / f"out{len(outs)}")
+            argv = [raw["experiment"], "--config", str(cfg_path), "--out", str(outs[-1])]
+            assert cli.main(argv + extra) == 0
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+        assert len(files) == n_files
+        assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
     def test_recover3d_thread_count_invariance(self, tmp_path):
         raw = {
             "experiment": "recover3d",
@@ -377,16 +398,23 @@ class TestCli:
             "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
             "max_iters": 2,
         }
-        cfg_path = self.write_config(tmp_path, raw)
-        outs = []
-        for extra in (["--threads", "1"], []):
-            outs.append(tmp_path / f"out{len(outs)}")
-            assert cli.main(["recover3d", "--config", str(cfg_path), "--out", str(outs[-1])] + extra) == 0
-        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
-        assert len(files) == 2 + 2 * 3
-        assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
-        for rel in files:
-            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+        self.assert_thread_count_invariant(tmp_path, raw, 2 + 2 * 3)
+
+    def test_einstein_noise_volume_thread_count_invariance(self, tmp_path):
+        # the noise seeds run on the pool and each volume group on the builtin map
+        raw = {
+            "experiment": "einstein_noise",
+            "seed": 3,
+            "geometry": "volume",
+            "L": 12,
+            "M": 8,
+            "sigmas": [1.0],
+            "template_phantom": {"kind": "asymmetric_L", "n": 10, "seed": 2},
+            "noise_seeds": 2,
+            "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
+            "max_iters": 2,
+        }
+        self.assert_thread_count_invariant(tmp_path, raw, 2 + 2 * 3)
 
     def test_recover3d_outputs_volumes(self, tmp_path):
         cfg_path = self.write_config(

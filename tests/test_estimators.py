@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -339,11 +341,14 @@ class TestCandidateSetBuild:
         vbar = forward.make_phantom("gaussian_blobs", 12, seed=1)
         args = (vbar, so3.RotationPrior.uniform(), 40, 3)
         serial = estimators.CandidateSet.build(*args, projected=projected)
-        pooled = estimators.CandidateSet.build(
-            *args, projected=projected, map=lambda fn, xs: bench.parallel_map(fn, xs, 2)
-        )
+        two_threads = partial(bench.parallel_map, threads=2)
+        pooled = estimators.CandidateSet.build(*args, projected=projected, map=two_threads)
         assert np.array_equal(pooled.rotations, serial.rotations)
         assert np.array_equal(pooled.templates, serial.templates)
+        # the rows come from forward.rotated_stack, here called directly
+        for map_ in (map, two_threads):
+            stack = forward.rotated_stack(vbar, serial.rotations, projected=projected, map=map_)
+            assert np.array_equal(stack, serial.templates)
 
     @pytest.mark.parametrize("prior", [so3.RotationPrior.uniform(), so3.RotationPrior.isotropic_gaussian(0.3)])
     def test_candidate_rotations_match_build(self, prior):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from orient_bayes import estimators, forward, so3
+from orient_bayes import estimators, forward, reconstruct, so3
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -82,3 +82,24 @@ def test_batch_map_equals_scalar_and_brute_force(inputs, seed, sigma):
         rep = estimators.mmse_estimate(y, cands, noise)
         assert np.allclose(rep.rotation, mmse[m], rtol=0.0, atol=1e-12)
         assert (rep.procrustes_nonunique, rep.degenerate_average) == (nonunique[m], degenerate[m])
+
+
+@st.composite
+def shift_inputs(draw):
+    # integer-valued images keep every inner product exact
+    shape = (draw(sizes), draw(sizes))
+    ints = st.integers(min_value=-5, max_value=5)
+    v = draw(hnp.arrays(np.int64, shape, elements=ints)).astype(float)
+    u = draw(hnp.arrays(np.int64, shape, elements=ints)).astype(float)
+    return v, u, draw(st.integers(min_value=0, max_value=shape[1] - 1))
+
+
+@SETTINGS
+@given(shift_inputs())
+def test_shifts_back_is_the_adjoint_and_shift_zero_the_identity(inputs):
+    # the soft step back-acts weighted sums through the adjoint, and
+    # registered_pcc relies on element 0 being the identity
+    v, u, ell = inputs
+    group = reconstruct.Shifts(v.shape[1])
+    assert np.sum(group.act(ell, v) * u) == np.sum(v * group.back(ell, u))
+    assert np.array_equal(group.act(0, v), v)

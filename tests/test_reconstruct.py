@@ -13,6 +13,9 @@ def polar_truth():
     return forward.make_polar_phantom(40, 8, seed=0)
 
 
+SHIFTS = reconstruct.Shifts(8)  # the shift group of polar_truth
+
+
 def polar_templates(img):
     # row s is the template of shift s: s^-1 . img, flattened
     return np.stack([forward.rotate_polar(img, -s).ravel() for s in range(img.shape[1])])
@@ -57,7 +60,7 @@ class TestPolarSteps:
     def test_soft_single_obs_identity(self, polar_truth):
         # M = 1 with zero shift: the update returns the observation bit-exactly
         ys = noiseless_polar_obs(polar_truth, [0])
-        out = reconstruct.em_step_soft(ys, polar_truth, None, forward.NoiseModel(sigma=1e-6))
+        out = reconstruct.em_step_soft(ys, polar_truth, SHIFTS, forward.NoiseModel(sigma=1e-6))
         assert np.allclose(out, polar_truth, atol=1e-12)
 
     def test_hand_computed_four_term_sum(self):
@@ -73,12 +76,12 @@ class TestPolarSteps:
         expected = sum(
             w[s] * forward.rotate_polar(y.reshape(img.shape), s) for s in range(4)
         )
-        out = reconstruct.em_step_soft(y[None], img, None, noise)
+        out = reconstruct.em_step_soft(y[None], img, reconstruct.Shifts(4), noise)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_two_shifted_copies_recover_truth(self, polar_truth):
         ys = noiseless_polar_obs(polar_truth, [2, 5])
-        out = reconstruct.hard_step(ys, polar_truth, None, forward.NoiseModel(sigma=1e-9))
+        out = reconstruct.hard_step(ys, polar_truth, SHIFTS, forward.NoiseModel(sigma=1e-9))
         assert np.array_equal(out, polar_truth)
 
     def test_hard_step_brute_force_indices(self, polar_truth):
@@ -91,7 +94,7 @@ class TestPolarSteps:
         oracle = np.array(
             [np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys]
         )
-        out = reconstruct.hard_step(ys, polar_truth, None, noise)
+        out = reconstruct.hard_step(ys, polar_truth, SHIFTS, noise)
         expected = polar_assigned_average(ys, oracle, polar_truth.shape)
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -100,9 +103,9 @@ class TestPolarSteps:
         # three update rules coincide
         ys = noiseless_polar_obs(polar_truth, [0, 2, 4, 7])
         noise = forward.NoiseModel(sigma=1e-8 * forward.signal_scale(polar_truth))
-        soft = reconstruct.em_step_soft(ys, polar_truth, None, noise)
-        mmse = reconstruct.em_step_mmse(ys, polar_truth, None, noise)
-        hard = reconstruct.hard_step(ys, polar_truth, None, noise)
+        soft = reconstruct.em_step_soft(ys, polar_truth, SHIFTS, noise)
+        mmse = reconstruct.em_step_mmse(ys, polar_truth, SHIFTS, noise)
+        hard = reconstruct.hard_step(ys, polar_truth, SHIFTS, noise)
         assert np.allclose(soft, mmse, atol=1e-10)
         assert np.allclose(mmse, hard, atol=1e-10)
 
@@ -114,8 +117,8 @@ class TestPolarSteps:
         noise = forward.NoiseModel(sigma=0.2)
         perm = rng.permutation(4)
         for step in (reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step):
-            a = step(ys, polar_truth, None, noise)
-            b = step(ys[perm], polar_truth, None, noise)
+            a = step(ys, polar_truth, SHIFTS, noise)
+            b = step(ys[perm], polar_truth, SHIFTS, noise)
             assert np.allclose(a, b, atol=1e-10)
 
     def test_fixed_alignment_linearity(self, polar_truth):
@@ -123,8 +126,8 @@ class TestPolarSteps:
         # scaling the data keeps every MAP shift, so ys and 3 ys share them
         ys = noiseless_polar_obs(polar_truth, [1, 4])
         noise = forward.NoiseModel(sigma=0.1)
-        a = reconstruct.hard_step(3.0 * ys, polar_truth, None, noise)
-        b = 3.0 * reconstruct.hard_step(ys, polar_truth, None, noise)
+        a = reconstruct.hard_step(3.0 * ys, polar_truth, SHIFTS, noise)
+        b = 3.0 * reconstruct.hard_step(ys, polar_truth, SHIFTS, noise)
         assert np.allclose(a, b, atol=1e-12)
         expected = polar_assigned_average(3.0 * ys, [1, 4], polar_truth.shape)
         assert np.allclose(a, expected, atol=1e-12)
@@ -151,7 +154,7 @@ def test_polar_soft_em_never_lowers_likelihood(sigma):
         v = forward.make_polar_phantom(20, 12, seed=seed + 100)
         ll = [polar_log_likelihood(ys, v, sigma)]
         for _ in range(15):
-            v = reconstruct.em_step_soft(ys, v, None, noise)
+            v = reconstruct.em_step_soft(ys, v, reconstruct.Shifts(12), noise)
             ll.append(polar_log_likelihood(ys, v, sigma))
         for before, after in zip(ll, ll[1:]):
             assert after >= before - 1e-12 * abs(before)
@@ -177,9 +180,10 @@ class TestVolumeSteps:
     def test_one_hot_collapse(self, volume_setup):
         vbar, cands, ys = volume_setup
         noise = forward.NoiseModel(sigma=1e-8 * forward.signal_scale(vbar))
-        soft = reconstruct.em_step_soft(ys, vbar, cands, noise)
-        mmse = reconstruct.em_step_mmse(ys, vbar, cands, noise)
-        hard = reconstruct.hard_step(ys, vbar, cands, noise)
+        group = reconstruct.Rotations(cands.rotations)
+        soft = reconstruct.em_step_soft(ys, vbar, group, noise)
+        mmse = reconstruct.em_step_mmse(ys, vbar, group, noise)
+        hard = reconstruct.hard_step(ys, vbar, group, noise)
         assert np.allclose(soft, mmse, atol=1e-10)
         assert np.allclose(mmse, hard, atol=1e-10)
 
@@ -188,7 +192,7 @@ class TestVolumeSteps:
         noise = forward.NoiseModel(sigma=0.1)
         x = [forward.rotate_volume(vbar, g).ravel() for g in cands.rotations]
         oracle = np.array([np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys])
-        out = reconstruct.hard_step(ys, vbar, cands, noise)
+        out = reconstruct.hard_step(ys, vbar, reconstruct.Rotations(cands.rotations), noise)
         expected = sum(
             forward.rotate_volume(y.reshape(vbar.shape), cands.rotations[i].T)
             for y, i in zip(ys, oracle)
@@ -197,8 +201,22 @@ class TestVolumeSteps:
 
     def test_hard_step_improves_template_correlation(self, volume_setup):
         vbar, cands, ys = volume_setup
-        out = reconstruct.hard_step(ys, vbar, cands, forward.NoiseModel(sigma=0.05))
+        group = reconstruct.Rotations(cands.rotations)
+        out = reconstruct.hard_step(ys, vbar, group, forward.NoiseModel(sigma=0.05))
         assert reconstruct.pcc(out, vbar) > 0.9
+
+
+class TestGroups:
+    def test_rotations_take_an_array_only(self, volume_setup):
+        _, cands, _ = volume_setup
+        with pytest.raises(TypeError):
+            reconstruct.Rotations(cands)
+        with pytest.raises(ValueError):
+            reconstruct.Rotations(np.eye(3))
+
+    def test_shifts_reject_another_angular_length(self, polar_truth):
+        with pytest.raises(estimators.DimensionMismatchError):
+            reconstruct.Shifts(7).templates(polar_truth)
 
 
 class TestRunReconstruction:
@@ -207,7 +225,7 @@ class TestRunReconstruction:
         cfg = reconstruct.ReconstructionConfig(assignment="soft_em")
         noise = forward.NoiseModel(sigma=1e-8 * forward.signal_scale(polar_truth))
         v, trace = reconstruct.run_reconstruction(
-            ys, polar_truth, None, noise, cfg, truth=polar_truth
+            ys, polar_truth, SHIFTS, noise, cfg, truth=polar_truth
         )
         assert len(trace) <= 2
         assert trace[-1]["pcc_truth"] == pytest.approx(1.0, abs=1e-9)
@@ -217,7 +235,7 @@ class TestRunReconstruction:
         ys = noiseless_polar_obs(polar_truth, [0, 3])
         cfg = reconstruct.ReconstructionConfig(assignment="hard_map", max_iters=1, rel_tol=1e-30)
         _, trace = reconstruct.run_reconstruction(
-            ys, polar_truth, None, forward.NoiseModel(sigma=0.1), cfg
+            ys, polar_truth, SHIFTS, forward.NoiseModel(sigma=0.1), cfg
         )
         assert len(trace) == 1
         assert trace[0]["iter"] == 0
@@ -226,7 +244,7 @@ class TestRunReconstruction:
         ys = noiseless_polar_obs(polar_truth, [0, 3])
         cfg = reconstruct.ReconstructionConfig(max_iters=2, rel_tol=1e-30)
         _, trace = reconstruct.run_reconstruction(
-            ys, polar_truth, None, forward.NoiseModel(sigma=0.1), cfg
+            ys, polar_truth, SHIFTS, forward.NoiseModel(sigma=0.1), cfg
         )
         assert all(r["pcc_truth"] is None for r in trace)
         assert all(np.isfinite(r["pcc_template"]) for r in trace)
@@ -235,8 +253,8 @@ class TestRunReconstruction:
         rng_ys = noiseless_polar_obs(polar_truth, [1, 2, 4]) + 0.3
         cfg = reconstruct.ReconstructionConfig(assignment="mmse_align", max_iters=5)
         noise = forward.NoiseModel(sigma=0.3)
-        v1, t1 = reconstruct.run_reconstruction(rng_ys, polar_truth, None, noise, cfg)
-        v2, t2 = reconstruct.run_reconstruction(rng_ys, polar_truth, None, noise, cfg)
+        v1, t1 = reconstruct.run_reconstruction(rng_ys, polar_truth, SHIFTS, noise, cfg)
+        v2, t2 = reconstruct.run_reconstruction(rng_ys, polar_truth, SHIFTS, noise, cfg)
         assert np.array_equal(v1, v2)
         assert t1 == t2
 
@@ -257,7 +275,7 @@ class TestRegisteredPcc:
             reconstruct.pcc(forward.rotate_polar(final, s), polar_truth)
             for s in range(polar_truth.shape[1])
         )
-        assert reconstruct.registered_pcc(final, polar_truth) == oracle
+        assert reconstruct.registered_pcc(final, polar_truth, SHIFTS) == oracle
         assert oracle > reconstruct.pcc(final, polar_truth)
 
     def test_volume_is_max_over_identity_and_candidates(self, volume_setup):
@@ -267,7 +285,8 @@ class TestRegisteredPcc:
             [reconstruct.pcc(final, vbar)]
             + [reconstruct.pcc(forward.rotate_volume(final, g), vbar) for g in cands.rotations]
         )
-        assert reconstruct.registered_pcc(final, vbar, cands, "trilinear") == oracle
+        group = reconstruct.Rotations(cands.rotations, "trilinear")
+        assert reconstruct.registered_pcc(final, vbar, group) == oracle
         assert oracle > reconstruct.pcc(final, vbar)
 
 
@@ -294,20 +313,23 @@ class TestWorkerMap:
     @pytest.mark.parametrize("step", [reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step])
     def test_steps(self, pooled_setup, step):
         vbar, rotations, ys, noise = pooled_setup
-        serial = step(ys, vbar, rotations, noise)
-        assert np.array_equal(step(ys, vbar, rotations, noise, map=two_threads), serial)
+        serial = step(ys, vbar, reconstruct.Rotations(rotations), noise)
+        pooled = step(ys, vbar, reconstruct.Rotations(rotations, map=two_threads), noise)
+        assert np.array_equal(pooled, serial)
 
     def test_registered_pcc(self, pooled_setup):
         vbar, rotations, ys, _ = pooled_setup
         final = ys[0].reshape(vbar.shape)
-        serial = reconstruct.registered_pcc(final, vbar, rotations)
-        assert reconstruct.registered_pcc(final, vbar, rotations, map=two_threads) == serial
+        serial = reconstruct.registered_pcc(final, vbar, reconstruct.Rotations(rotations))
+        pooled = reconstruct.Rotations(rotations, map=two_threads)
+        assert reconstruct.registered_pcc(final, vbar, pooled) == serial
 
     def test_run_reconstruction(self, pooled_setup):
         vbar, rotations, ys, noise = pooled_setup
         cfg = reconstruct.ReconstructionConfig(assignment="soft_em", max_iters=2, rel_tol=1e-30)
-        v_a, trace_a = reconstruct.run_reconstruction(ys, vbar, rotations, noise, cfg, truth=vbar)
-        v_b, trace_b = reconstruct.run_reconstruction(ys, vbar, rotations, noise, cfg, truth=vbar, map=two_threads)
+        serial, pooled = reconstruct.Rotations(rotations), reconstruct.Rotations(rotations, map=two_threads)
+        v_a, trace_a = reconstruct.run_reconstruction(ys, vbar, serial, noise, cfg, truth=vbar)
+        v_b, trace_b = reconstruct.run_reconstruction(ys, vbar, pooled, noise, cfg, truth=vbar)
         assert np.array_equal(v_a, v_b)
         assert trace_a == trace_b
 
@@ -316,29 +338,22 @@ class TestWorkerMap:
         # disjoint rows and sums are taken on the calling thread, so no
         # update can be lost
         vbar, rotations, ys, noise = pooled_setup
-        serial = reconstruct.em_step_soft(ys, vbar, rotations, noise)
+        serial = reconstruct.em_step_soft(ys, vbar, reconstruct.Rotations(rotations), noise)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = reconstruct.em_step_soft(
-                ys, vbar, rotations, noise, map=lambda fn, xs: bench.parallel_map(fn, xs, 8)
-            )
+            eight = reconstruct.Rotations(rotations, map=lambda fn, xs: bench.parallel_map(fn, xs, 8))
+            pooled = reconstruct.em_step_soft(ys, vbar, eight, noise)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial)
-
-    def test_rotations_array_equals_candidate_set(self, volume_setup):
-        vbar, cands, ys = volume_setup
-        noise = forward.NoiseModel(sigma=0.1)
-        for step in (reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step):
-            assert np.array_equal(step(ys, vbar, cands.rotations, noise), step(ys, vbar, cands, noise))
 
 
 def test_write_trace_round_trip(tmp_path, polar_truth):
     ys = noiseless_polar_obs(polar_truth, [0, 2])
     cfg = reconstruct.ReconstructionConfig(max_iters=3, rel_tol=1e-30)
     _, trace = reconstruct.run_reconstruction(
-        ys, polar_truth, None, forward.NoiseModel(sigma=0.2), cfg, truth=polar_truth
+        ys, polar_truth, SHIFTS, forward.NoiseModel(sigma=0.2), cfg, truth=polar_truth
     )
     path = tmp_path / "trace.jsonl"
     reconstruct.write_trace(path, trace)
