@@ -12,8 +12,9 @@ import csv
 import json
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -31,6 +32,8 @@ EXPERIMENTS = (
 )
 # The experiments that estimate rotations from (optionally projected) images.
 SWEEPS = ("snr_sweep", "prior_mismatch", "grid_sweep")
+# The reconstruction modes run when a config lists no assignment_modes.
+DEFAULT_MODES = ("mmse_align", "hard_map")
 
 # Key-space tags so different random streams derived from one master seed
 # never collide.
@@ -57,7 +60,9 @@ class ResultRecord:
     trials: int
 
 
-CSV_HEADER = ["experiment", "seed", "sigma", "snr", "L", "estimator", "metric_mean", "metric_se", "trials"]
+# results.csv column -> type, in field order
+_COLUMNS = typing.get_type_hints(ResultRecord)
+CSV_HEADER = list(_COLUMNS)
 
 
 @dataclass
@@ -85,10 +90,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        _check_keys("config", raw, cls.__dataclass_fields__)
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -108,14 +110,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment: {self.experiment!r}")
         for name in ("seed", "L", "trials", "M", "max_iters", "noise_seeds"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("L", "trials", "M", "max_iters", "noise_seeds"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            _check_int(name, getattr(self, name), 0 if name == "seed" else 1)
         if self.experiment in (*SWEEPS, "recover2d", "recover3d"):
             if not self.sigmas and not self.snrs:
                 raise ConfigError(f"{self.experiment} requires a sigma or snr list")
@@ -126,23 +121,33 @@ class ExperimentConfig:
         if self.method not in forward.INTERPOLATION_ORDERS:
             methods = list(forward.INTERPOLATION_ORDERS)
             raise ConfigError(f"method must be one of {methods}, got {self.method!r}")
-        if not _is_number(self.rel_tol) or not math.isfinite(self.rel_tol) or self.rel_tol <= 0:
+        if not _is_positive(self.rel_tol):
             raise ConfigError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
         for name in ("phantom", "template_phantom"):
             _check_phantom(name, getattr(self, name))
         if self.polar is not None:
-            if not isinstance(self.polar, dict):
-                raise ConfigError(f"polar must be an object, got {self.polar!r}")
+            _check_keys("polar", self.polar, ("d_radial", "l_angular"))
             for name in ("d_radial", "l_angular"):
-                if name in self.polar and not (_is_int(self.polar[name]) and self.polar[name] >= 1):
-                    raise ConfigError(f"polar {name} must be an integer >= 1, got {self.polar[name]!r}")
+                if name in self.polar:
+                    _check_int(f"polar {name}", self.polar[name], 1)
         if self.projected and self.experiment not in SWEEPS:
             raise ConfigError(f"projected applies only to {', '.join(SWEEPS)}, not {self.experiment}")
+        if self.truth_prior is not None:
+            _check_prior("truth_prior", self.truth_prior)
+        if self.estimation_priors is not None:
+            if not isinstance(self.estimation_priors, list):
+                raise ConfigError(f"estimation_priors must be a list, got {self.estimation_priors!r}")
+            for spec in self.estimation_priors:
+                _check_prior("estimation_priors entry", spec)
         if self.experiment == "prior_mismatch" and not self.estimation_priors:
             raise ConfigError("prior_mismatch requires estimation_priors")
-        if self.experiment == "grid_sweep":
-            if not self.L_values or len(self.L_values) < 2:
-                raise ConfigError("grid_sweep requires >= 2 L values")
+        if self.experiment == "snr_sweep" and len(self.estimation_priors or []) > 1:
+            raise ConfigError("snr_sweep takes at most one estimation prior")
+        if self.experiment == "grid_sweep" or self.L_values is not None:
+            ls = self.L_values
+            ints = isinstance(ls, list) and all(_is_int(v) and v >= 1 for v in ls)
+            if not (ints and len(set(ls)) == len(ls) > 1):
+                raise ConfigError(f"L_values must be a list of >= 2 distinct integers >= 1, got {ls!r}")
         if self.geometry not in ("polar", "volume"):
             raise ConfigError("geometry must be 'polar' or 'volume'")
         for mode in self.assignment_modes or []:
@@ -157,8 +162,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_positive(v) -> bool:
+    """A finite number > 0."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if not (_is_int(value) and value >= low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_levels(name: str, values) -> None:
@@ -167,34 +178,47 @@ def _check_levels(name: str, values) -> None:
     if not isinstance(values, list):
         raise ConfigError(f"{name} must be a list, got {values!r}")
     for v in values:
-        if not _is_number(v) or not math.isfinite(v) or v <= 0:
+        if not _is_positive(v):
             raise ConfigError(f"every entry of {name} must be finite and positive, got {v!r}")
+
+
+def _check_keys(name: str, spec, allowed) -> None:
+    """``spec`` must be an object whose keys are all in ``allowed``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object, got {spec!r}")
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+
+
+def _check_prior(name: str, spec) -> None:
+    kind = spec.get("kind", "uniform") if isinstance(spec, dict) else None
+    _check_keys(name, spec, ("kind", "eta") if kind == "isotropic_gaussian" else ("kind",))
+    if kind not in so3.PRIOR_KINDS:
+        raise ConfigError(f"{name} kind must be one of {so3.PRIOR_KINDS}, got {kind!r}")
+    eta = spec.get("eta")
+    if kind == "isotropic_gaussian" and not _is_positive(eta):
+        raise ConfigError(f"{name} isotropic_gaussian eta must be finite and positive, got {eta!r}")
 
 
 def _check_phantom(name: str, spec) -> None:
     if spec is None:
         return
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be an object, got {spec!r}")
+    _check_keys(name, spec, ("kind", "n", "seed", "path"))
     if "kind" in spec and spec["kind"] not in forward.PHANTOM_KINDS:
         raise ConfigError(f"{name} kind must be one of {forward.PHANTOM_KINDS}, got {spec['kind']!r}")
     if spec.get("kind") == "loaded" and not spec.get("path"):
         raise ConfigError(f"{name} of kind 'loaded' requires a path")
-    if "n" in spec and not (_is_int(spec["n"]) and spec["n"] >= forward.MIN_PHANTOM_N):
-        raise ConfigError(f"{name} n must be an integer >= {forward.MIN_PHANTOM_N}, got {spec['n']!r}")
-    if "seed" in spec and not (_is_int(spec["seed"]) and spec["seed"] >= 0):
-        raise ConfigError(f"{name} seed must be an integer >= 0, got {spec['seed']!r}")
+    for key, low in (("n", forward.MIN_PHANTOM_N), ("seed", 0)):
+        if key in spec:
+            _check_int(f"{name} {key}", spec[key], low)
 
 
 def _prior_from_spec(spec: dict | None) -> so3.RotationPrior:
-    if spec is None:
-        return so3.RotationPrior.uniform()
-    kind = spec.get("kind", "uniform")
-    if kind == "uniform":
-        return so3.RotationPrior.uniform()
-    if kind == "isotropic_gaussian":
+    # validate() has checked the spec
+    if spec is not None and spec.get("kind") == "isotropic_gaussian":
         return so3.RotationPrior.isotropic_gaussian(float(spec["eta"]))
-    raise ConfigError(f"unknown prior kind: {kind!r}")
+    return so3.RotationPrior.uniform()
 
 
 def _phantom_from_spec(spec: dict | None, default_kind="asymmetric_L") -> np.ndarray:
@@ -234,39 +258,33 @@ def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
     return [forward.sigma_for_snr(vbar, float(s), projected=cfg.projected) for s in cfg.snrs]
 
 
-def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int) -> np.ndarray:
-    # one generator per trial keeps results independent of batching
-    return np.stack(
-        [prior.sample(np.random.default_rng([cfg.seed, _K_TRUTH, t]), 1)[0] for t in range(count)]
-    )
-
-
-def _noisy(clean: np.ndarray, sigma: float, seed_key: list[int], threads: int | None = None) -> np.ndarray:
-    out = np.empty_like(clean)
+def _rows(key: list[int], shape: tuple, draw, threads: int | None) -> np.ndarray:
+    """A new array of ``shape`` whose row t is draw(t, rng) with its own
+    generator, seeded by key + [t], so the rows can be drawn in any order
+    and the result does not depend on batching or the thread count."""
+    out = np.empty(shape)
 
     def row(t):
-        # one generator per row, so the rows can be drawn in any order
-        rng = np.random.default_rng(seed_key + [t])
-        out[t] = clean[t] + rng.normal(size=clean.shape[1]) * sigma
+        out[t] = draw(t, np.random.default_rng(key + [t]))
 
-    parallel_map(row, range(clean.shape[0]), threads)
+    parallel_map(row, range(shape[0]), threads)
     return out
+
+
+def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int) -> np.ndarray:
+    # one thread: the prior builds its sampling table on first use
+    return _rows([cfg.seed, _K_TRUTH], (count, 3, 3), lambda t, rng: prior.sample(rng, 1)[0], 1)
+
+
+def _noisy(clean: np.ndarray, sigma: float, key: list[int], threads: int | None = None) -> np.ndarray:
+    return _rows(key, clean.shape, lambda t, rng: clean[t] + rng.normal(size=clean.shape[1]) * sigma, threads)
 
 
 def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
     errors = np.asarray(errors, dtype=float)
     se = float(errors.std(ddof=1) / np.sqrt(errors.size)) if errors.size > 1 else 0.0
-    return ResultRecord(
-        experiment=cfg.experiment,
-        seed=cfg.seed,
-        sigma=float(sigma),
-        snr=float(snr),
-        L=int(L),
-        estimator=label,
-        metric_mean=float(errors.mean()),
-        metric_se=se,
-        trials=int(errors.size),
-    )
+    mean = float(errors.mean())
+    return ResultRecord(cfg.experiment, cfg.seed, float(sigma), float(snr), int(L), label, mean, se, errors.size)
 
 
 def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int, threads: int | None):
@@ -329,7 +347,7 @@ def run_prior_mismatch(cfg: ExperimentConfig, threads: int | None = None):
 def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
     """Estimator error vs grid size; returns records plus fitted log-log slopes."""
     vbar, rotations, clean = _sweep_inputs(cfg, threads)
-    ls = [int(v) for v in cfg.L_values]
+    ls = cfg.L_values
     records, first = [], {}
     for L in ls:
         cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed, threads)
@@ -345,13 +363,13 @@ def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
     return records, slopes
 
 
-def _polar_observations(cfg: ExperimentConfig, truth: np.ndarray, sigma: float, seed_key) -> np.ndarray:
-    ys = np.empty((cfg.M, truth.size))
-    for t in range(cfg.M):
-        rng = np.random.default_rng(seed_key + [t])
-        s = int(rng.integers(truth.shape[1]))
-        ys[t] = forward.synthesize_polar_observation(truth, s, forward.NoiseModel(sigma=sigma), rng).data
-    return ys
+def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[int], threads) -> np.ndarray:
+    noise = forward.NoiseModel(sigma=sigma)
+
+    def draw(t, rng):
+        return forward.synthesize_polar_observation(truth, int(rng.integers(truth.shape[1])), noise, rng)
+
+    return _rows(key, (cfg.M, truth.size), draw, threads)
 
 
 def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) -> np.ndarray:
@@ -370,7 +388,7 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
     """EM recovery of truth from template over ``group`` at every noise level;
     observe(si, sigma) gives the observations of level si.  Volumes are kept
     for 3-D finals only."""
-    modes = cfg.assignment_modes or ["mmse_align", "hard_map"]
+    modes = cfg.assignment_modes or DEFAULT_MODES
     records, traces, volumes = [], {}, {}
     for si, sigma in enumerate(_sigma_list(cfg, truth)):
         ys = observe(si, sigma)
@@ -395,7 +413,7 @@ def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
     template = _polar_phantom(cfg, cfg.template_phantom, 2)
     return _recover(
         cfg, truth, template, reconstruct.Shifts(truth.shape[1]),
-        lambda si, sigma: _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si]),
+        lambda si, sigma: _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si], threads),
     )
 
 
@@ -416,7 +434,7 @@ def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
 
 def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
     """Template-bias measurement on pure-noise data, averaged over noise seeds."""
-    modes = cfg.assignment_modes or ["mmse_align", "hard_map"]
+    modes = cfg.assignment_modes or DEFAULT_MODES
     sigma = float((cfg.sigmas or [1.0])[0])
     noise = forward.NoiseModel(sigma=sigma)
     if cfg.geometry == "polar":
@@ -431,10 +449,8 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
 
     def one_seed(k):
         out = {}
-        ys = np.empty((cfg.M, dim))
-        for t in range(cfg.M):
-            rng = np.random.default_rng([cfg.seed, _K_NOISE, k, t])
-            ys[t] = rng.normal(size=dim) * sigma
+        # one thread: the seeds already run on the pool
+        ys = _rows([cfg.seed, _K_NOISE, k], (cfg.M, dim), lambda t, rng: rng.normal(size=dim) * sigma, 1)
         for mode in modes:
             final, trace = _reconstruct(cfg, mode, ys, template, group, noise)
             out[mode] = (reconstruct.pcc(final, template), trace)
@@ -455,40 +471,14 @@ def emit_csv(records, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    r.experiment,
-                    r.seed,
-                    f"{r.sigma:.17g}",
-                    f"{r.snr:.17g}",
-                    r.L,
-                    r.estimator,
-                    f"{r.metric_mean:.17g}",
-                    f"{r.metric_se:.17g}",
-                    r.trials,
-                ]
-            )
+            typed = zip(astuple(r), _COLUMNS.values())
+            writer.writerow([f"{v:.17g}" if kind is float else v for v, kind in typed])
 
 
 def parse_csv(path) -> list[ResultRecord]:
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(
-                ResultRecord(
-                    experiment=row["experiment"],
-                    seed=int(row["seed"]),
-                    sigma=float(row["sigma"]),
-                    snr=float(row["snr"]),
-                    L=int(row["L"]),
-                    estimator=row["estimator"],
-                    metric_mean=float(row["metric_mean"]),
-                    metric_se=float(row["metric_se"]),
-                    trials=int(row["trials"]),
-                )
-            )
-    return out
+        rows = list(csv.DictReader(fh))
+    return [ResultRecord(**{name: kind(row[name]) for name, kind in _COLUMNS.items()}) for row in rows]
 
 
 def emit_json(cfg: ExperimentConfig, records, path, extra: dict | None = None) -> None:

@@ -54,15 +54,6 @@ class NoiseModel:
         return np.sqrt(self.effective_variance(d))
 
 
-@dataclass(frozen=True)
-class Observation:
-    """A flat noisy measurement plus the generating ground truth (evaluation only)."""
-
-    data: np.ndarray
-    true_rotation: np.ndarray | None = None
-    true_shift: int | None = None
-
-
 @lru_cache(maxsize=8)
 def _centered_grid(n: int) -> np.ndarray:
     """Coordinates of all voxels relative to the grid midpoint, shape (3, n^3).
@@ -130,6 +121,11 @@ def rotate_polar(img: np.ndarray, k: int) -> np.ndarray:
     return np.roll(np.asarray(img), k, axis=1)
 
 
+def _noisy(clean: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    std = noise.effective_std(clean.size)
+    return clean if np.all(std == 0) else clean + rng.normal(size=clean.size) * std
+
+
 def synthesize_observation(
     vbar: np.ndarray,
     g: np.ndarray,
@@ -137,25 +133,16 @@ def synthesize_observation(
     projected: bool,
     rng: np.random.Generator,
     method: str = "trilinear",
-) -> Observation:
+) -> np.ndarray:
     """One noisy measurement y = Pi(g^-1 . vbar) + noise, flattened."""
-    flat = rotated_stack(vbar, [g], method, projected)[0]
-    std = noise.effective_std(flat.size)
-    data = flat if np.all(std == 0) else flat + rng.normal(size=flat.size) * std
-    return Observation(data=data, true_rotation=np.asarray(g, dtype=float))
+    return _noisy(rotated_stack(vbar, [g], method, projected)[0], noise, rng)
 
 
 def synthesize_polar_observation(
-    img: np.ndarray,
-    shift: int,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> Observation:
+    img: np.ndarray, shift: int, noise: NoiseModel, rng: np.random.Generator
+) -> np.ndarray:
     """Polar analogue: y = (shift^-1 . img) + noise, flattened."""
-    clean = rotate_polar(img, -shift).ravel()
-    std = noise.effective_std(clean.size)
-    data = clean if np.all(std == 0) else clean + rng.normal(size=clean.size) * std
-    return Observation(data=data, true_shift=int(shift) % img.shape[1])
+    return _noisy(rotate_polar(img, -shift).ravel(), noise, rng)
 
 
 def _power(signal: np.ndarray, projected: bool) -> float:

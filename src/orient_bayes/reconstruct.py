@@ -60,21 +60,12 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
 class _Group:
     """L group elements acting on a structure.  Subclasses give ``act``
     (g_l^-1 . v, the candidate template of v for element l), its adjoint
-    ``back`` (g_l . u) and ``mmse_average``, their MMSE-rounded update."""
+    ``back`` (g_l . u), ``templates`` (the (L, d) rows of ``act`` on v) and
+    ``mmse_average``, their MMSE-rounded update."""
 
     def __init__(self, size: int, map):
         self.size = size
         self.map = map
-
-    def templates(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty((self.size, v.size))
-
-        def fill(ell):
-            out[ell] = self.act(ell, v).ravel()
-
-        for _ in self.map(fill, range(self.size)):
-            pass
-        return out
 
     def mapped(self, fn, items):
         """fn over items through the map, CHUNK items at a time, in order."""
@@ -109,6 +100,9 @@ class Shifts(_Group):
             raise estimators.DimensionMismatchError(f"polar image {v.shape} lacks {self.size} angular samples")
         return forward.rotate_polar(v, -ell)
 
+    def templates(self, v: np.ndarray) -> np.ndarray:
+        return np.stack([self.act(ell, v).ravel() for ell in range(self.size)])
+
     def back(self, ell: int, u: np.ndarray) -> np.ndarray:
         return forward.rotate_polar(u, ell)
 
@@ -135,6 +129,9 @@ class Rotations(_Group):
 
     def act(self, ell: int, v: np.ndarray) -> np.ndarray:
         return forward.rotate_volume(v, self.rotations[ell], method=self.method)
+
+    def templates(self, v: np.ndarray) -> np.ndarray:
+        return forward.rotated_stack(v, self.rotations, self.method, map=self.map)
 
     def back(self, ell: int, u: np.ndarray) -> np.ndarray:
         return forward.rotate_volume(u, self.rotations[ell].T, method=self.method)

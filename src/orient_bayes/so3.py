@@ -18,6 +18,9 @@ ROTATION_TOL = 1e-10
 _SERIES_RTOL = 1e-10
 _SERIES_LMAX = 200
 
+# The kinds of RotationPrior.
+PRIOR_KINDS = ("uniform", "isotropic_gaussian")
+
 # Near-degenerate Procrustes detection thresholds.
 _TIE_TOL = 1e-9
 _RANK_TOL = 1e-12
@@ -42,17 +45,16 @@ def chordal_distance(g1: np.ndarray, g2: np.ndarray) -> float:
 
 
 def geodesic_distance(g1: np.ndarray, g2: np.ndarray) -> float:
-    """Rotation angle of g2 g1^-1, in [0, pi].
+    """Rotation angle of g2 g1^-1, in [0, pi]: the one-pair call of :func:`geodesic_distances`."""
+    return float(geodesic_distances(np.asarray(g1)[None], np.asarray(g2)[None])[0])
+
+
+def geodesic_distances(gs1: np.ndarray, gs2: np.ndarray) -> np.ndarray:
+    """Elementwise rotation angle of g2 g1^-1 for two (N, 3, 3) stacks, in [0, pi].
 
     The arccos argument is clamped: floating-point traces can stray past
     +-1 by ~1e-15.
     """
-    tr = np.trace(np.asarray(g2) @ np.asarray(g1).T)
-    return float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
-
-
-def geodesic_distances(gs1: np.ndarray, gs2: np.ndarray) -> np.ndarray:
-    """Elementwise geodesic distance between two (N, 3, 3) stacks."""
     tr = np.einsum("nij,nij->n", np.asarray(gs2), np.asarray(gs1))
     return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
 
@@ -273,7 +275,7 @@ class RotationPrior:
     _table: InverseCdfTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "isotropic_gaussian"):
+        if self.kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind: {self.kind!r}")
         if self.kind == "isotropic_gaussian" and (self.eta is None or self.eta <= 0):
             raise ValueError("isotropic_gaussian prior requires eta > 0")

@@ -1,5 +1,6 @@
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -185,20 +186,34 @@ class TestSweeps:
             b = run(cfg)
             assert a == b, cfg.experiment
 
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_noisy_rows_on_pool_match_serial(self, monkeypatch, threads):
+    @pytest.mark.parametrize(
+        "rows, threads",
+        [("noise", 1), ("noise", 2), ("noise", 8), ("polar", 1), ("polar", 2), ("polar", 8)],
+        ids=["1", "2", "8", "polar-1", "polar-2", "polar-8"],
+    )
+    def test_noisy_rows_on_pool_match_serial(self, monkeypatch, rows, threads):
         monkeypatch.delenv("OB_THREADS", raising=False)
         rng = np.random.default_rng(3)
         clean = rng.normal(size=(29, 300))  # more rows than threads
         key = [7, bench._K_NOISE, 2]
         serial = np.empty_like(clean)
-        for t in range(clean.shape[0]):
-            serial[t] = clean[t] + np.random.default_rng(key + [t]).normal(size=clean.shape[1]) * 0.4
+        if rows == "noise":
+            for t in range(clean.shape[0]):
+                serial[t] = clean[t] + np.random.default_rng(key + [t]).normal(size=clean.shape[1]) * 0.4
+            draw = partial(bench._noisy, clean, 0.4, key, threads)
+        else:
+            # recover2d's rows: each draws its shift, then its noise, from its own generator
+            truth, noise = clean[0].reshape(30, 10), forward.NoiseModel(sigma=0.4)
+            for t in range(clean.shape[0]):
+                rng = np.random.default_rng(key + [t])
+                serial[t] = forward.synthesize_polar_observation(truth, int(rng.integers(10)), noise, rng)
+            cfg = bench.ExperimentConfig.from_dict({"experiment": "recover2d", "sigmas": [0.4], "M": 29})
+            draw = partial(bench._polar_observations, cfg, truth, 0.4, key, threads)
         interval = sys.getswitchinterval()
         if threads == 8:
             sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            pooled = bench._noisy(clean, 0.4, key, threads)
+            pooled = draw()
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial)
@@ -352,6 +367,19 @@ class TestCli:
             {"phantom": {"kind": "gaussian_blobs", "n": 12, "seed": "a"}},
             {"experiment": "recover2d", "polar": {"l_angular": "6"}},
             {"experiment": "einstein_noise", "sigmas": [1.0], "polar": {"d_radial": 0}},
+            {"experiment": "prior_mismatch", "estimation_priors": [{"kind": "foo"}]},
+            {"experiment": "prior_mismatch", "estimation_priors": [{"kind": "isotropic_gaussian"}]},
+            {"experiment": "prior_mismatch", "estimation_priors": [{"kind": "isotropic_gaussian", "eta": -1}]},
+            {"experiment": "prior_mismatch", "estimation_priors": "ab"},
+            {"experiment": "prior_mismatch", "estimation_priors": [{"kind": "uniform"}], "truth_prior": [1]},
+            {"experiment": "prior_mismatch", "estimation_priors": [{"kind": "uniform", "etta": 3}]},
+            {"estimation_priors": [{"kind": "uniform"}, {"kind": "isotropic_gaussian", "eta": 0.5}]},
+            {"experiment": "grid_sweep", "L_values": [0, 5]},
+            {"experiment": "grid_sweep", "L_values": ["a", 3]},
+            {"experiment": "grid_sweep", "L_values": [2.5, 3]},
+            {"experiment": "grid_sweep", "L_values": [3, 3]},
+            {"experiment": "recover2d", "polar": {"d_radial": 10, "l_angualr": 6}},
+            {"phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1, "sed": 5}},
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, overrides, capsys):

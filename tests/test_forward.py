@@ -97,21 +97,21 @@ class TestSynthesizeObservation:
         obs = forward.synthesize_observation(
             blob_phantom, np.eye(3), forward.NoiseModel(sigma=0.0), False, np.random.default_rng(0)
         )
-        assert np.array_equal(obs.data, blob_phantom.ravel())
+        assert np.array_equal(obs, blob_phantom.ravel())
 
     def test_noise_variance(self):
         obs = forward.synthesize_observation(
             np.zeros((32, 32, 32)), np.eye(3), forward.NoiseModel(sigma=1.0), False,
             np.random.default_rng(1),
         )
-        assert 0.97 <= obs.data.var() <= 1.03
+        assert 0.97 <= obs.var() <= 1.03
 
     def test_deterministic(self, blob_phantom):
         g = so3.sample_uniform(np.random.default_rng(2), 1)[0]
         kwargs = dict(noise=forward.NoiseModel(sigma=0.5), projected=True)
         a = forward.synthesize_observation(blob_phantom, g, rng=np.random.default_rng(3), **kwargs)
         b = forward.synthesize_observation(blob_phantom, g, rng=np.random.default_rng(3), **kwargs)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_noiseless_projected_matches_pipeline(self, blob_phantom):
         g = so3.sample_uniform(np.random.default_rng(4), 1)[0]
@@ -119,7 +119,7 @@ class TestSynthesizeObservation:
             blob_phantom, g, forward.NoiseModel(sigma=0.0), True, np.random.default_rng(0)
         )
         expected = forward.project_z(forward.rotate_volume(blob_phantom, g)).ravel()
-        assert np.array_equal(obs.data, expected)
+        assert np.array_equal(obs, expected)
 
     def test_structural_tau(self):
         noise = forward.NoiseModel(sigma=0.6, tau=0.8)

@@ -1,12 +1,16 @@
 """Property tests of invariants the maths guarantees, over generated inputs."""
 
+import string
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from orient_bayes import estimators, forward, reconstruct, so3
+from orient_bayes import bench, estimators, forward, reconstruct, so3
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -103,3 +107,29 @@ def test_shifts_back_is_the_adjoint_and_shift_zero_the_identity(inputs):
     group = reconstruct.Shifts(v.shape[1])
     assert np.sum(group.act(ell, v) * u) == np.sum(v * group.back(ell, u))
     assert np.array_equal(group.act(0, v), v)
+
+
+# any finite double: subnormal, huge and negative values included
+doubles = st.floats(allow_nan=False, allow_infinity=False)
+labels = st.text(alphabet=string.printable)  # commas, both quotes, whitespace and newlines
+records = st.builds(
+    bench.ResultRecord,
+    experiment=labels,
+    seed=st.integers(),
+    sigma=doubles,
+    snr=doubles,
+    L=st.integers(),
+    estimator=labels,
+    metric_mean=doubles,
+    metric_se=doubles,
+    trials=st.integers(),
+)
+
+
+@SETTINGS
+@given(st.lists(records, max_size=5))
+def test_csv_round_trip(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        bench.emit_csv(rows, path)
+        assert bench.parse_csv(path) == rows

@@ -30,7 +30,7 @@ def noiseless_polar_obs(img, shifts):
     rng = np.random.default_rng(0)
     return np.stack(
         [
-            forward.synthesize_polar_observation(img, s, forward.NoiseModel(sigma=0.0), rng).data
+            forward.synthesize_polar_observation(img, s, forward.NoiseModel(sigma=0.0), rng)
             for s in shifts
         ]
     )
@@ -169,7 +169,7 @@ def volume_setup():
         [
             forward.synthesize_observation(
                 vbar, g, forward.NoiseModel(sigma=0.0), False, rng
-            ).data
+            )
             for g in cands.rotations[:4]
         ]
     )
@@ -213,6 +213,11 @@ class TestGroups:
             reconstruct.Rotations(cands)
         with pytest.raises(ValueError):
             reconstruct.Rotations(np.eye(3))
+
+    def test_rotation_templates_are_the_candidate_templates(self, volume_setup):
+        # the EM steps and the sweeps fill their templates through one loop
+        vbar, cands, _ = volume_setup
+        assert np.array_equal(reconstruct.Rotations(cands.rotations).templates(vbar), cands.templates)
 
     def test_shifts_reject_another_angular_length(self, polar_truth):
         with pytest.raises(estimators.DimensionMismatchError):
@@ -303,7 +308,7 @@ def pooled_setup():
     true = so3.RotationPrior.uniform().sample(np.random.default_rng(9), count)
     rng = np.random.default_rng(6)
     noise = forward.NoiseModel(sigma=0.5 * forward.signal_scale(vbar))
-    ys = np.stack([forward.synthesize_observation(vbar, g, noise, False, rng).data for g in true])
+    ys = np.stack([forward.synthesize_observation(vbar, g, noise, False, rng) for g in true])
     return vbar, rotations, ys, noise
 
 
