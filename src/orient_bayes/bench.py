@@ -1,7 +1,9 @@
 """Experiment harness: sweeps, reconstruction runs, and CSV/JSON emission.
 
-Every experiment is a pure function of its configuration (seed included):
-rerunning an identical config reproduces the output files byte for byte.
+``EXPERIMENTS`` declares each experiment once: its runner and the config
+fields it reads.  Every experiment is a pure function of its configuration
+(seed included): rerunning an identical config reproduces the output files
+byte for byte.
 Per-trial randomness is derived from the master seed and the trial index
 through numpy seed sequences, so results do not depend on worker count.
 """
@@ -13,8 +15,9 @@ import json
 import math
 import os
 import typing
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -22,16 +25,6 @@ import numpy as np
 
 from . import estimators, forward, reconstruct, so3
 
-EXPERIMENTS = (
-    "snr_sweep",
-    "prior_mismatch",
-    "grid_sweep",
-    "recover2d",
-    "recover3d",
-    "einstein_noise",
-)
-# The experiments that estimate rotations from (optionally projected) images.
-SWEEPS = ("snr_sweep", "prior_mismatch", "grid_sweep")
 # The reconstruction modes run when a config lists no assignment_modes.
 DEFAULT_MODES = ("mmse_align", "hard_map")
 
@@ -65,6 +58,11 @@ _COLUMNS = typing.get_type_hints(ResultRecord)
 CSV_HEADER = list(_COLUMNS)
 
 
+# What every experiment runner returns: the results.csv records, the EM traces
+# and final volumes by file stem, and extra keys for results.json.
+Outputs = namedtuple("Outputs", "records traces volumes extra", defaults=({}, {}, None))
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -91,6 +89,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_keys("config", raw, cls.__dataclass_fields__)
+        if "experiment" not in raw:
+            raise ConfigError("config requires an experiment")
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -107,31 +107,32 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment: {self.experiment!r}")
+        """Check every field's value, then that each field the experiment
+        does not read is absent or at its default."""
+        _check_choice("experiment", self.experiment, EXPERIMENTS)
+        _check_choice("geometry", self.geometry, _GEOMETRY_READS)
+        reads = fields_read(self.experiment, self.geometry)
         for name in ("seed", "L", "trials", "M", "max_iters", "noise_seeds"):
             _check_int(name, getattr(self, name), 0 if name == "seed" else 1)
-        if self.experiment in (*SWEEPS, "recover2d", "recover3d"):
-            if not self.sigmas and not self.snrs:
-                raise ConfigError(f"{self.experiment} requires a sigma or snr list")
-        elif self.experiment == "einstein_noise" and (self.snrs is not None or len(self.sigmas or []) > 1):
-            raise ConfigError("einstein_noise takes at most one sigma and no snrs")
         for name in ("sigmas", "snrs"):
             _check_levels(name, getattr(self, name))
-        if self.method not in forward.INTERPOLATION_ORDERS:
-            methods = list(forward.INTERPOLATION_ORDERS)
-            raise ConfigError(f"method must be one of {methods}, got {self.method!r}")
+        if self.experiment == "einstein_noise":
+            if len(self.sigmas or []) > 1:
+                raise ConfigError("einstein_noise takes at most one entry in sigmas")
+        elif not self.sigmas and not self.snrs:
+            raise ConfigError(f"{self.experiment} requires a sigmas or snrs list")
+        _check_choice("method", self.method, forward.INTERPOLATION_ORDERS)
         if not _is_positive(self.rel_tol):
             raise ConfigError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        if not isinstance(self.projected, bool):
+            raise ConfigError(f"projected must be true or false, got {self.projected!r}")
         for name in ("phantom", "template_phantom"):
-            _check_phantom(name, getattr(self, name))
+            _check_phantom(name, getattr(self, name), polar="polar" in reads)
         if self.polar is not None:
             _check_keys("polar", self.polar, ("d_radial", "l_angular"))
             for name in ("d_radial", "l_angular"):
                 if name in self.polar:
                     _check_int(f"polar {name}", self.polar[name], 1)
-        if self.projected and self.experiment not in SWEEPS:
-            raise ConfigError(f"projected applies only to {', '.join(SWEEPS)}, not {self.experiment}")
         if self.truth_prior is not None:
             _check_prior("truth_prior", self.truth_prior)
         if self.estimation_priors is not None:
@@ -142,17 +143,26 @@ class ExperimentConfig:
         if self.experiment == "prior_mismatch" and not self.estimation_priors:
             raise ConfigError("prior_mismatch requires estimation_priors")
         if self.experiment == "snr_sweep" and len(self.estimation_priors or []) > 1:
-            raise ConfigError("snr_sweep takes at most one estimation prior")
-        if self.experiment == "grid_sweep" or self.L_values is not None:
+            raise ConfigError("snr_sweep takes at most one entry in estimation_priors")
+        if self.experiment == "grid_sweep":
             ls = self.L_values
             ints = isinstance(ls, list) and all(_is_int(v) and v >= 1 for v in ls)
             if not (ints and len(set(ls)) == len(ls) > 1):
                 raise ConfigError(f"L_values must be a list of >= 2 distinct integers >= 1, got {ls!r}")
-        if self.geometry not in ("polar", "volume"):
-            raise ConfigError("geometry must be 'polar' or 'volume'")
-        for mode in self.assignment_modes or []:
-            if mode not in reconstruct.ASSIGNMENTS:
-                raise ConfigError(f"unknown assignment mode: {mode!r}")
+        modes = self.assignment_modes
+        if modes is not None:
+            if not (isinstance(modes, list) and modes):
+                raise ConfigError(f"assignment_modes must be a non-empty list, got {modes!r}")
+            for mode in modes:
+                _check_choice("assignment_modes entry", mode, reconstruct.ASSIGNMENTS)
+            if len(set(modes)) < len(modes):
+                raise ConfigError(f"assignment_modes lists a mode twice: {modes!r}")
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in reads | {"experiment", "seed"} and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ConfigError(f"{self.experiment} does not read {unread}: leave them out or at their defaults")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -165,6 +175,12 @@ def _is_int(v) -> bool:
 def _is_positive(v) -> bool:
     """A finite number > 0."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+
+
+def _check_choice(name: str, value, choices) -> None:
+    # strings only: a list or object in a dict raises TypeError
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{name} must be one of {list(choices)}, got {value!r}")
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -194,21 +210,24 @@ def _check_keys(name: str, spec, allowed) -> None:
 def _check_prior(name: str, spec) -> None:
     kind = spec.get("kind", "uniform") if isinstance(spec, dict) else None
     _check_keys(name, spec, ("kind", "eta") if kind == "isotropic_gaussian" else ("kind",))
-    if kind not in so3.PRIOR_KINDS:
-        raise ConfigError(f"{name} kind must be one of {so3.PRIOR_KINDS}, got {kind!r}")
+    _check_choice(f"{name} kind", kind, so3.PRIOR_KINDS)
     eta = spec.get("eta")
     if kind == "isotropic_gaussian" and not _is_positive(eta):
         raise ConfigError(f"{name} isotropic_gaussian eta must be finite and positive, got {eta!r}")
 
 
-def _check_phantom(name: str, spec) -> None:
+def _check_phantom(name: str, spec, polar: bool) -> None:
+    """A polar phantom reads only its seed; a volume one may also set its
+    kind, size n and, for kind 'loaded' only, a file path."""
     if spec is None:
         return
-    _check_keys(name, spec, ("kind", "n", "seed", "path"))
-    if "kind" in spec and spec["kind"] not in forward.PHANTOM_KINDS:
-        raise ConfigError(f"{name} kind must be one of {forward.PHANTOM_KINDS}, got {spec['kind']!r}")
-    if spec.get("kind") == "loaded" and not spec.get("path"):
-        raise ConfigError(f"{name} of kind 'loaded' requires a path")
+    _check_keys(name, spec, ("seed",) if polar else ("kind", "n", "seed", "path"))
+    if "kind" in spec:
+        _check_choice(f"{name} kind", spec["kind"], forward.PHANTOM_KINDS)
+    if (spec.get("kind") == "loaded") != ("path" in spec):
+        raise ConfigError(f"{name} takes a path exactly when its kind is 'loaded'")
+    if "path" in spec and not (isinstance(spec["path"], str) and spec["path"]):
+        raise ConfigError(f"{name} path must be a non-empty string, got {spec['path']!r}")
     for key, low in (("n", forward.MIN_PHANTOM_N), ("seed", 0)):
         if key in spec:
             _check_int(f"{name} {key}", spec[key], low)
@@ -330,7 +349,7 @@ def run_snr_sweep(cfg: ExperimentConfig, threads: int | None = None):
     vbar, rotations, clean = _sweep_inputs(cfg, threads)
     est_prior = _prior_from_spec((cfg.estimation_priors or [None])[0])
     cands = _candidates(cfg, vbar, est_prior, cfg.L, cfg.seed, threads)
-    return _sweep(cfg, vbar, rotations, clean, cfg.L, [(cands, ["map", "mmse"])], threads)
+    return Outputs(_sweep(cfg, vbar, rotations, clean, cfg.L, [(cands, ["map", "mmse"])], threads))
 
 
 def run_prior_mismatch(cfg: ExperimentConfig, threads: int | None = None):
@@ -341,11 +360,11 @@ def run_prior_mismatch(cfg: ExperimentConfig, threads: int | None = None):
     for k, spec in enumerate(cfg.estimation_priors):
         cset = _candidates(cfg, vbar, _prior_from_spec(spec), cfg.L, cfg.seed + 1 + k, threads)
         estimates.append((cset, [f"mmse:{cset.prior.label()}"]))
-    return _sweep(cfg, vbar, rotations, clean, cfg.L, estimates, threads)
+    return Outputs(_sweep(cfg, vbar, rotations, clean, cfg.L, estimates, threads))
 
 
 def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
-    """Estimator error vs grid size; returns records plus fitted log-log slopes."""
+    """Estimator error vs grid size, with the fitted log-log slopes as extra."""
     vbar, rotations, clean = _sweep_inputs(cfg, threads)
     ls = cfg.L_values
     records, first = [], {}
@@ -360,7 +379,7 @@ def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
         label: float(np.polyfit(log_l, np.log(np.array([first[L][label] for L in ls])), 1)[0])
         for label in ("map", "mmse")
     }
-    return records, slopes
+    return Outputs(records, extra={"slopes": slopes})
 
 
 def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[int], threads) -> np.ndarray:
@@ -377,6 +396,17 @@ def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) 
     return forward.make_polar_phantom(
         polar.get("d_radial", 300), polar.get("l_angular", 30), seed=(spec or {}).get("seed", default_seed)
     )
+
+
+def _template_and_group(cfg: ExperimentConfig, geometry: str, map=map):
+    """The EM starting template and its group: exact shifts of a polar image,
+    or rotations of a volume by uniform candidates run through ``map`` (only
+    rotations: reconstruction and registration read no candidate templates)."""
+    if geometry == "polar":
+        template = _polar_phantom(cfg, cfg.template_phantom, 2)
+        return template, reconstruct.Shifts(template.shape[1])
+    cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
+    return _phantom_from_spec(cfg.template_phantom), reconstruct.Rotations(cands, cfg.method, map=map)
 
 
 def _reconstruct(cfg: ExperimentConfig, mode: str, ys, template, group, noise, truth=None):
@@ -404,15 +434,15 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
             records.append(_error_records(cfg, sigma, snr, group.size, mode, [registered]))
             template_pcc = reconstruct.pcc(final, template)
             records.append(_error_records(cfg, sigma, snr, group.size, f"{mode}/template", [template_pcc]))
-    return records, traces, volumes
+    return Outputs(records, traces, volumes)
 
 
 def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
     """Iterative polar-image recovery from shifted noisy copies."""
     truth = _polar_phantom(cfg, cfg.phantom, 1)
-    template = _polar_phantom(cfg, cfg.template_phantom, 2)
+    template, group = _template_and_group(cfg, "polar")
     return _recover(
-        cfg, truth, template, reconstruct.Shifts(truth.shape[1]),
+        cfg, truth, template, group,
         lambda si, sigma: _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si], threads),
     )
 
@@ -420,14 +450,12 @@ def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
 def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
     """Iterative 3D recovery from rotated noisy copies (no projection)."""
     truth = _phantom_from_spec(cfg.phantom, default_kind="gaussian_blobs")
-    template = _phantom_from_spec(cfg.template_phantom, default_kind="asymmetric_L")
     pool = partial(parallel_map, threads=threads)
-    # reconstruction and registration read only the candidate rotations
-    cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
+    template, group = _template_and_group(cfg, "volume", pool)
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
     clean = forward.rotated_stack(truth, rotations, cfg.method, map=pool)
     return _recover(
-        cfg, truth, template, reconstruct.Rotations(cands, cfg.method, map=pool),
+        cfg, truth, template, group,
         lambda si, sigma: _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads),
     )
 
@@ -437,13 +465,7 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
     modes = cfg.assignment_modes or DEFAULT_MODES
     sigma = float((cfg.sigmas or [1.0])[0])
     noise = forward.NoiseModel(sigma=sigma)
-    if cfg.geometry == "polar":
-        template = _polar_phantom(cfg, cfg.template_phantom, 2)
-        group = reconstruct.Shifts(template.shape[1])
-    else:
-        template = _phantom_from_spec(cfg.template_phantom, default_kind="asymmetric_L")
-        cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
-        group = reconstruct.Rotations(cands, cfg.method)  # builtin map: the seeds run on the pool
+    template, group = _template_and_group(cfg, cfg.geometry)  # builtin map: the seeds run on the pool
     dim = template.size
     records, traces = [], {}
 
@@ -462,7 +484,7 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
         for k, res in enumerate(per_seed):
             traces[f"einstein_s{k}_{mode}"] = res[mode][1]
         records.append(_error_records(cfg, sigma, 0.0, group.size, f"{mode}/template", pccs))
-    return records, traces, {}
+    return Outputs(records, traces)
 
 
 def emit_csv(records, path) -> None:
@@ -490,27 +512,37 @@ def emit_json(cfg: ExperimentConfig, records, path, extra: dict | None = None) -
         fh.write("\n")
 
 
+# run(cfg, threads) gives the Outputs; reads are the config fields read
+# besides experiment and seed.
+Experiment = namedtuple("Experiment", "run reads")
+# The fields an EM geometry adds: the polar grid, or the rotation grid of a volume.
+_GEOMETRY_READS = {"polar": ("polar",), "volume": ("L", "method")}
+_SWEEP_READS = ("trials", "sigmas", "snrs", "truth_prior", "phantom", "projected", "method")
+_EM_READS = ("sigmas", "template_phantom", "M", "assignment_modes", "max_iters", "rel_tol")
+
+EXPERIMENTS = {
+    "snr_sweep": Experiment(run_snr_sweep, (*_SWEEP_READS, "L", "estimation_priors")),
+    "prior_mismatch": Experiment(run_prior_mismatch, (*_SWEEP_READS, "L", "estimation_priors")),
+    "grid_sweep": Experiment(run_grid_sweep, (*_SWEEP_READS, "L_values")),
+    "recover2d": Experiment(run_recover2d, (*_EM_READS, "snrs", "phantom", *_GEOMETRY_READS["polar"])),
+    "recover3d": Experiment(run_recover3d, (*_EM_READS, "snrs", "phantom", *_GEOMETRY_READS["volume"])),
+    "einstein_noise": Experiment(run_einstein_noise, (*_EM_READS, "geometry", "noise_seeds")),
+}
+
+
+def fields_read(experiment: str, geometry: str) -> set:
+    """The config fields ``experiment`` reads besides experiment and seed;
+    one that reads ``geometry`` also reads that geometry's fields."""
+    reads = EXPERIMENTS[experiment].reads
+    return {*reads, *_GEOMETRY_READS[geometry]} if "geometry" in reads else set(reads)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None):
-    """Dispatch an experiment and write results.csv / results.json plus any
+    """Run cfg's experiment and write results.csv / results.json plus any
     traces/*.jsonl and volumes/*.obv under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traces, volumes, extra = {}, {}, None
-    if cfg.experiment == "snr_sweep":
-        records = run_snr_sweep(cfg, threads)
-    elif cfg.experiment == "prior_mismatch":
-        records = run_prior_mismatch(cfg, threads)
-    elif cfg.experiment == "grid_sweep":
-        records, slopes = run_grid_sweep(cfg, threads)
-        extra = {"slopes": slopes}
-    elif cfg.experiment == "recover2d":
-        records, traces, volumes = run_recover2d(cfg, threads)
-    elif cfg.experiment == "recover3d":
-        records, traces, volumes = run_recover3d(cfg, threads)
-    elif cfg.experiment == "einstein_noise":
-        records, traces, volumes = run_einstein_noise(cfg, threads)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown experiment: {cfg.experiment!r}")
+    records, traces, volumes, extra = EXPERIMENTS[cfg.experiment].run(cfg, threads)
     emit_csv(records, out / "results.csv")
     emit_json(cfg, records, out / "results.json", extra=extra)
     if traces:

@@ -64,7 +64,7 @@ def test_criterion_2_snr_sweep_ordering(phantom):
                 "phantom": {"kind": "asymmetric_L", "n": 32, "seed": 0},
             }
         )
-        recs = bench.run_snr_sweep(cfg)
+        recs = bench.run_snr_sweep(cfg).records
         map_means = [r.metric_mean for r in recs if r.estimator == "map"]
         mmse_means = [r.metric_mean for r in recs if r.estimator == "mmse"]
         impr = [(m - e) / m for m, e in zip(map_means, mmse_means)]
@@ -98,7 +98,7 @@ def test_criterion_3_prior_mismatch_ordering(phantom):
             "phantom": {"kind": "asymmetric_L", "n": 32, "seed": 0},
         }
     )
-    recs = bench.run_prior_mismatch(cfg)
+    recs = bench.run_prior_mismatch(cfg).records
     lowest_snr = max(r.sigma for r in recs)
     at_low = {r.estimator: r.metric_mean for r in recs if r.sigma == lowest_snr}
     matched = at_low["mmse:ig(eta=0.1)"]
@@ -127,7 +127,8 @@ def test_criterion_4_grid_scaling(phantom):
             "phantom": {"kind": "asymmetric_L", "n": 32, "seed": 0},
         }
     )
-    records, slopes = bench.run_grid_sweep(cfg)
+    records, _, _, extra = bench.run_grid_sweep(cfg)
+    slopes = extra["slopes"]
     means = {(r.L, r.sigma, r.estimator): r.metric_mean for r in records}
     lo_sigma, hi_sigma = sorted({r.sigma for r in records})
     ls = np.array([100, 300, 1000, 3000], dtype=float)
@@ -179,7 +180,7 @@ def test_criterion_5_polar_recovery():
             "max_iters": 50,
         }
     )
-    recs, _, _ = bench.run_recover2d(cfg)
+    recs = bench.run_recover2d(cfg).records
     truth_pcc = {
         (round(r.sigma / scale, 2), r.estimator): r.metric_mean
         for r in recs
@@ -199,7 +200,7 @@ def test_criterion_5_polar_recovery():
             "max_iters": 30,
         }
     )
-    noise_recs, _, _ = bench.run_einstein_noise(noise_cfg)
+    noise_recs = bench.run_einstein_noise(noise_cfg).records
     bias = {r.estimator: r.metric_mean for r in noise_recs}
     bias_ok = bias["hard_map/template"] > bias["mmse_align/template"]
     elapsed = time.time() - t0
@@ -228,7 +229,7 @@ def test_criterion_6_volume_recovery():
             "max_iters": 30,
         }
     )
-    recs, _, _ = bench.run_recover3d(cfg)
+    recs = bench.run_recover3d(cfg).records
     snrs = sorted({r.snr for r in recs}, reverse=True)  # [~1e-2, ~2e-3]
     truth_pcc = {
         (snrs.index(r.snr), r.estimator): r.metric_mean
@@ -251,7 +252,7 @@ def test_criterion_6_volume_recovery():
             "max_iters": 10,
         }
     )
-    noise_recs, _, _ = bench.run_einstein_noise(noise_cfg)
+    noise_recs = bench.run_einstein_noise(noise_cfg).records
     bias = {r.estimator: r.metric_mean for r in noise_recs}
     bias_ok = bias["hard_map/template"] > bias["mmse_align/template"]
     elapsed = time.time() - t0

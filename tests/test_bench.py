@@ -1,58 +1,56 @@
 import json
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from small_configs import SMALL
 
 from orient_bayes import bench, cli, forward
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
+# Every config field an experiment might not read, with a valid non-default value.
+FIELDS = {f.name for f in fields(bench.ExperimentConfig)} - {"experiment", "seed"}
+NON_DEFAULT = {
+    "L": 7,
+    "trials": 3,
+    "sigmas": [0.5],
+    "snrs": [0.5],
+    "truth_prior": {"kind": "uniform"},
+    "estimation_priors": [{"kind": "uniform"}],
+    "phantom": {"seed": 3},
+    "template_phantom": {"seed": 3},
+    "projected": True,
+    "L_values": [5, 9],
+    "M": 9,
+    "polar": {"d_radial": 8},
+    "assignment_modes": ["soft_em"],
+    "max_iters": 3,
+    "rel_tol": 0.01,
+    "method": "tricubic",
+    "geometry": "volume",
+    "noise_seeds": 3,
+}
+UNREAD = [
+    (name, field)
+    for name, raw in SMALL.items()
+    for field in sorted(FIELDS - bench.fields_read(raw["experiment"], raw.get("geometry", "polar")))
+]
+
 
 def small_snr_config(**overrides):
-    raw = {
-        "experiment": "snr_sweep",
-        "seed": 5,
-        "L": 20,
-        "trials": 6,
-        "sigmas": [0.01, 0.1],
-        "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
-    }
-    raw.update(overrides)
-    return bench.ExperimentConfig.from_dict(raw)
+    return bench.ExperimentConfig.from_dict({**SMALL["snr_sweep"], **overrides})
 
 
 def small_prior_mismatch_config():
-    return bench.ExperimentConfig.from_dict(
-        {
-            "experiment": "prior_mismatch",
-            "seed": 2,
-            "L": 15,
-            "trials": 4,
-            "sigmas": [0.05],
-            "truth_prior": {"kind": "isotropic_gaussian", "eta": 0.1},
-            "estimation_priors": [
-                {"kind": "isotropic_gaussian", "eta": 0.5},
-                {"kind": "isotropic_gaussian", "eta": 0.1},
-            ],
-            "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
-        }
-    )
+    return bench.ExperimentConfig.from_dict(SMALL["prior_mismatch"])
 
 
 def small_grid_config():
-    return bench.ExperimentConfig.from_dict(
-        {
-            "experiment": "grid_sweep",
-            "seed": 2,
-            "trials": 4,
-            "sigmas": [0.02],
-            "L_values": [10, 30],
-            "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
-        }
-    )
+    return bench.ExperimentConfig.from_dict(SMALL["grid_sweep"])
 
 
 class TestConfig:
@@ -107,6 +105,16 @@ class TestConfig:
         cfg = bench.ExperimentConfig.from_file(path)
         assert cfg.experiment in bench.EXPERIMENTS
 
+    @pytest.mark.parametrize("raw", [{}, {"seed": 1}, {"experiment": ["snr_sweep"]}, {"experiment": {"a": 1}}])
+    def test_missing_or_unhashable_experiment(self, raw):
+        with pytest.raises(bench.ConfigError, match="experiment"):
+            bench.ExperimentConfig.from_dict(raw)
+
+    def test_non_default_values_cover_every_field(self):
+        assert set(NON_DEFAULT) == FIELDS
+        defaults = {f.name: f.default for f in fields(bench.ExperimentConfig)}
+        assert all(value != defaults[name] for name, value in NON_DEFAULT.items())
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -154,8 +162,8 @@ class TestCsv:
 class TestSweeps:
     def test_snr_sweep_shape_and_determinism(self):
         cfg = small_snr_config()
-        a = bench.run_snr_sweep(cfg)
-        b = bench.run_snr_sweep(cfg)
+        a = bench.run_snr_sweep(cfg).records
+        b = bench.run_snr_sweep(cfg).records
         assert a == b
         assert len(a) == 2 * len(cfg.sigmas)
         assert {r.estimator for r in a} == {"map", "mmse"}
@@ -164,13 +172,13 @@ class TestSweeps:
     def test_emitted_snr_matches_definition(self):
         cfg = small_snr_config()
         vbar = forward.make_phantom("gaussian_blobs", 12, seed=1)
-        for r in bench.run_snr_sweep(cfg):
+        for r in bench.run_snr_sweep(cfg).records:
             expected = forward.snr_of(vbar, forward.NoiseModel(sigma=r.sigma))
             assert abs(r.snr - expected) <= 1e-9 * max(1.0, expected)
 
     def test_snr_list_round_trips(self):
         cfg = small_snr_config(sigmas=None, snrs=[1.0, 0.01])
-        for r, target in zip(bench.run_snr_sweep(cfg)[::2], [1.0, 0.01]):
+        for r, target in zip(bench.run_snr_sweep(cfg).records[::2], [1.0, 0.01]):
             assert r.snr == pytest.approx(target, abs=1e-9)
 
     def test_thread_count_invariance(self, monkeypatch):
@@ -219,11 +227,12 @@ class TestSweeps:
         assert np.array_equal(pooled, serial)
 
     def test_prior_mismatch_labels(self):
-        labels = {r.estimator for r in bench.run_prior_mismatch(small_prior_mismatch_config())}
+        labels = {r.estimator for r in bench.run_prior_mismatch(small_prior_mismatch_config()).records}
         assert labels == {"map", "mmse:ig(eta=0.5)", "mmse:ig(eta=0.1)"}
 
     def test_grid_sweep_slopes_present(self):
-        records, slopes = bench.run_grid_sweep(small_grid_config())
+        records, _, _, extra = bench.run_grid_sweep(small_grid_config())
+        slopes = extra["slopes"]
         assert set(slopes) == {"map", "mmse"}
         assert {r.L for r in records} == {10, 30}
 
@@ -235,14 +244,7 @@ class TestCli:
         return path
 
     def small_raw(self):
-        return {
-            "experiment": "snr_sweep",
-            "seed": 5,
-            "L": 20,
-            "trials": 6,
-            "sigmas": [0.01, 0.1],
-            "phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1},
-        }
+        return dict(SMALL["snr_sweep"])
 
     def test_success_and_outputs(self, tmp_path):
         cfg_path = self.write_config(tmp_path, self.small_raw())
@@ -262,14 +264,15 @@ class TestCli:
         assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
 
     def test_json_config_reruns_identically(self, tmp_path):
-        # reload the emitted config document and rerun: records must match
-        cfg_path = self.write_config(tmp_path, self.small_raw())
-        out = tmp_path / "out"
-        cli.main(["snr_sweep", "--config", str(cfg_path), "--out", str(out)])
-        doc = json.loads((out / "results.json").read_text())
-        reloaded = bench.ExperimentConfig.from_dict(doc["config"])
-        records = bench.run_snr_sweep(reloaded)
-        assert records == bench.parse_csv(out / "results.csv")
+        # reload each experiment's emitted config document and rerun: records must match
+        for name, raw in SMALL.items():
+            cfg_path = self.write_config(tmp_path, raw)
+            out = tmp_path / name
+            assert cli.main([raw["experiment"], "--config", str(cfg_path), "--out", str(out)]) == 0
+            doc = json.loads((out / "results.json").read_text())
+            reloaded = bench.ExperimentConfig.from_dict(doc["config"])
+            records = bench.EXPERIMENTS[raw["experiment"]].run(reloaded).records
+            assert records == bench.parse_csv(out / "results.csv"), name
 
     def test_seed_override(self, tmp_path):
         cfg_path = self.write_config(tmp_path, self.small_raw())
@@ -380,14 +383,45 @@ class TestCli:
             {"experiment": "grid_sweep", "L_values": [3, 3]},
             {"experiment": "recover2d", "polar": {"d_radial": 10, "l_angualr": 6}},
             {"phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1, "sed": 5}},
+            {"projected": "false"},
+            {"projected": 0},
+            {"method": ["trilinear"]},
+            {"method": {"a": 1}},
+            {"geometry": ["polar"]},
+            {"phantom": {"kind": "loaded", "path": ["volume.obv"]}},
+            {"phantom": {"kind": "loaded", "path": {"a": 1}}},
+            {"phantom": {"kind": "loaded", "path": 987654}},
+            {"phantom": {"kind": "loaded", "path": 0}},
+            {"phantom": {"kind": "loaded", "path": ""}},
+            {"phantom": {"kind": "asymmetric_L", "n": 12, "path": "volume.obv"}},
+            {"experiment": "recover2d", "phantom": {"kind": "gaussian_blobs", "n": 12}},
+            {"experiment": "einstein_noise", "template_phantom": {"kind": "asymmetric_L", "seed": 2}},
+            {"experiment": "recover2d", "assignment_modes": ["hard_map", "hard_map"]},
+            {"experiment": "recover2d", "assignment_modes": "hard_map"},
+            {"experiment": "recover2d", "assignment_modes": []},
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, overrides, capsys):
-        raw = dict(self.small_raw(), **overrides)
+        # each case starts from a valid config of its own experiment and
+        # breaks the field it lists last
+        raw = dict(SMALL[overrides.get("experiment", "snr_sweep")], **overrides)
         cfg_path = self.write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert cli.main([raw["experiment"], "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert list(overrides)[-1] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, field", UNREAD, ids=[f"{name}-{field}" for name, field in UNREAD])
+    def test_unread_field_exit_code(self, tmp_path, capsys, name, field):
+        # a field the experiment does not read may not claim a setting
+        raw = dict(SMALL[name], **{field: NON_DEFAULT[field]})
+        cfg_path = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main([raw["experiment"], "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{raw['experiment']} does not read" in err and repr(field) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])

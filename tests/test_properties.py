@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
+from small_configs import SMALL
 
 from orient_bayes import bench, estimators, forward, reconstruct, so3
 
@@ -133,3 +134,30 @@ def test_csv_round_trip(rows):
         path = Path(tmp) / "results.csv"
         bench.emit_csv(rows, path)
         assert bench.parse_csv(path) == rows
+
+
+# names the config checks look for, so generated values often reach past the
+# first type check
+NAMES = st.sampled_from(
+    [*bench.EXPERIMENTS, *reconstruct.ASSIGNMENTS, *forward.INTERPOLATION_ORDERS, *forward.PHANTOM_KINDS,
+     *so3.PRIOR_KINDS, "polar", "volume", "kind", "n", "seed", "path", "eta", "d_radial", "l_angular"]
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text() | NAMES, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(SMALL)),
+    st.sampled_from(sorted(bench.ExperimentConfig.__dataclass_fields__)),
+    json_values,
+)
+def test_any_json_value_in_one_field_loads_or_is_a_config_error(name, field, value):
+    raw = {**SMALL[name], field: value}
+    try:
+        bench.ExperimentConfig.from_dict(raw)
+    except bench.ConfigError:
+        pass

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from orient_bayes import bench
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,3 +16,19 @@ def test_quick_example_runs(capsys):
     # the example prints the geodesic error of its MMSE estimate, in radians
     error = float(capsys.readouterr().out.split()[-1])
     assert 0.0 <= error < 0.5
+
+
+def test_field_table_matches_the_experiment_table():
+    # the README's per-experiment field table is the declaration in bench.EXPERIMENTS
+    section = README.read_text().split("### Fields each experiment reads", 1)[1].split("\n### ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            experiment, geometry, fields = (cell.strip() for cell in line.strip("|").split("|"))
+            documented[(experiment.strip("`"), geometry.strip("`") or None)] = set(re.findall(r"`(\w+)`", fields))
+    declared = {
+        (name, geometry): bench.fields_read(name, geometry or "polar")
+        for name, experiment in bench.EXPERIMENTS.items()
+        for geometry in (bench._GEOMETRY_READS if "geometry" in experiment.reads else [None])
+    }
+    assert documented == declared
