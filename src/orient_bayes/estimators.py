@@ -111,14 +111,17 @@ class Scores:
     posterior log-weights both read it, so one scoring serves both.
     """
 
-    ys: np.ndarray  # (M, d)
+    y_sq: np.ndarray  # (M,)
     x_sq: np.ndarray  # (L,)
     cross: np.ndarray  # (M, L), ys @ x.T
 
     @classmethod
-    def of(cls, ys: np.ndarray, x: np.ndarray) -> "Scores":
+    def of(cls, ys: np.ndarray, x: np.ndarray, y_sq: np.ndarray | None = None) -> "Scores":
+        """``y_sq`` is ||y_m||^2 when the caller already holds it for this batch."""
         ys = _batch(ys, x)
-        return cls(ys=ys, x_sq=np.einsum("ld,ld->l", x, x), cross=ys @ x.T)
+        if y_sq is None:
+            y_sq = np.einsum("md,md->m", ys, ys)
+        return cls(y_sq=y_sq, x_sq=np.einsum("ld,ld->l", x, x), cross=ys @ x.T)
 
     def map_indices(self) -> np.ndarray:
         """Argmin_l ||y - x_l||^2 per observation; ties resolve to the lowest index."""
@@ -129,8 +132,7 @@ class Scores:
         """Normalized log posterior weights under one scalar variance, (M, L)."""
         if var == 0:
             raise ZeroVarianceError("all effective variances are zero")
-        y_sq = np.einsum("md,md->m", self.ys, self.ys)
-        return _normalized(-(y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var))
+        return _normalized(-(self.y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var))
 
 
 def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:

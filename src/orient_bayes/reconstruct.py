@@ -10,11 +10,16 @@ A :class:`Rotations` group may run its rotations through an order-preserving
 ``map``, for example on a worker pool.  Every sum is still accumulated on
 the calling thread in the original order, so the result does not depend on
 the map.
+
+The observations are a :class:`Batch`, fixed across iterations and modes:
+only the templates change between steps, so the batch's terms are computed
+once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +42,12 @@ class ReconstructionConfig:
     def __post_init__(self):
         if self.assignment not in ASSIGNMENTS:
             raise ValueError(f"unknown assignment mode: {self.assignment!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
 
 
 def pcc(a: np.ndarray, b: np.ndarray) -> float:
@@ -85,7 +92,16 @@ class _Group:
         """(1/M) sum_i g_{idx_i} . y_i over a stack of M structures, back-acting
         once per element used: the action is linear, so each group of
         observations is summed first."""
-        return self.summed(lambda ell: self.back(ell, ys[idx == ell].sum(axis=0)), np.unique(idx)) / len(ys)
+
+        def back_sum(ell):
+            # rows added in observation order onto +0.0, as numpy sums a masked
+            # copy along axis 0 (bit for bit, for two or more coordinates)
+            out = np.zeros(ys.shape[1:])
+            for i in np.flatnonzero(idx == ell):
+                out += ys[i]
+            return self.back(ell, out)
+
+        return self.summed(back_sum, np.unique(idx)) / len(ys)
 
 
 class Shifts(_Group):
@@ -144,52 +160,88 @@ class Rotations(_Group):
         return out / len(ys)
 
 
-def _setup(obs, v_t, group):
-    """The observations as an (M, d) matrix and as a stack shaped like v_t,
-    and the templates of v_t."""
-    v_t = np.asarray(v_t, dtype=float)
-    ys = np.atleast_2d(np.asarray(obs, dtype=float))
-    if ys.shape[1] != v_t.size:
-        raise estimators.DimensionMismatchError(f"observation dim {ys.shape[1]} != structure dim {v_t.size}")
-    return ys, ys.reshape(-1, *v_t.shape), group.templates(v_t)
+class Batch:
+    """M fixed observations of a structure of ``shape``: the (M, d) matrix
+    ``ys``, the same rows shaped like the structure (``shaped``) and their
+    squared norms ``y_sq``.
+
+    Every mode, step and iteration on one batch reads these.  The batch also
+    keeps the scores of the first template it scores, the starting template
+    every mode begins from, and returns them when that template is scored
+    against that group again.  A batch is used by one thread at a time.
+    """
+
+    def __init__(self, obs, shape):
+        self.shape = tuple(shape)
+        self.ys = np.atleast_2d(np.asarray(obs, dtype=float))
+        if self.ys.ndim != 2 or self.ys.shape[1] != math.prod(self.shape):
+            raise estimators.DimensionMismatchError(
+                f"observations of shape {self.ys.shape} are not rows of a {self.shape} structure"
+            )
+        self.shaped = self.ys.reshape(-1, *self.shape)
+        self.y_sq = np.einsum("md,md->m", self.ys, self.ys)
+        self._start = None  # (group, template bytes, scores)
+
+    def __len__(self) -> int:
+        return len(self.ys)
+
+    def scores(self, v: np.ndarray, group) -> estimators.Scores:
+        """The scores of v's templates under ``group``; the (L, d) templates
+        are dropped as soon as their product with ``ys`` is taken."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.shape:
+            raise estimators.DimensionMismatchError(f"structure {v.shape} != batch structure {self.shape}")
+        key = v.tobytes()
+        if self._start is not None and self._start[0] is group and self._start[1] == key:
+            return self._start[2]
+        scores = estimators.Scores.of(self.ys, group.templates(v), self.y_sq)
+        if self._start is None:
+            self._start = (group, key, scores)
+        return scores
 
 
-def _weights(ys, x, noise) -> np.ndarray:
-    return np.exp(estimators.normalized_log_weights(ys, x, noise.effective_variance(ys.shape[1])))
+def _log_weights(batch: Batch, v_t, group, noise) -> np.ndarray:
+    var = noise.effective_variance(batch.ys.shape[1])
+    if var.ndim:  # per-coordinate variance: every term of the residual is weighted
+        return estimators.normalized_log_weights(batch.ys, group.templates(v_t), var)
+    return batch.scores(v_t, group).log_weights(var)
 
 
-def em_step_soft(obs, v_t, group, noise) -> np.ndarray:
+def em_step_soft(batch: Batch, v_t, group, noise) -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
-    ys, shaped, x = _setup(obs, v_t, group)
     # the action is linear, so the weighted observation sum per element is
     # back-acted once per element instead of once per observation
-    colsum = (_weights(ys, x, noise).T @ ys).reshape(-1, *shaped.shape[1:])
-    return group.summed(lambda ell: group.back(ell, colsum[ell]), range(group.size)) / len(ys)
+    w = np.exp(_log_weights(batch, v_t, group, noise))
+    colsum = (w.T @ batch.ys).reshape(-1, *batch.shape)
+    return group.summed(lambda ell: group.back(ell, colsum[ell]), range(group.size)) / len(batch)
 
 
-def em_step_mmse(obs, v_t, group, noise) -> np.ndarray:
+def em_step_mmse(batch: Batch, v_t, group, noise) -> np.ndarray:
     """One MMSE-alignment update: back-align each observation by its rounded
     posterior-mean group element against v_t, then average."""
-    ys, shaped, x = _setup(obs, v_t, group)
-    return group.mmse_average(shaped, _weights(ys, x, noise))
+    return group.mmse_average(batch.shaped, np.exp(_log_weights(batch, v_t, group, noise)))
 
 
-def hard_step(obs, v_t, group, noise) -> np.ndarray:
+def hard_step(batch: Batch, v_t, group, noise) -> np.ndarray:
     """One hard-assignment update: back-align each observation by its MAP
     element against v_t, then average.  This is the soft update with
-    one-hot weights, so only the assigned elements are back-acted."""
-    ys, shaped, x = _setup(obs, v_t, group)
-    return group.assigned_average(shaped, estimators.Scores.of(ys, x).map_indices())
+    one-hot weights, so only the assigned elements are back-acted.  Under
+    one scalar variance the MAP element is the least-squares one."""
+    if noise.effective_variance().ndim:
+        idx = np.argmax(_log_weights(batch, v_t, group, noise), axis=1)
+    else:
+        idx = batch.scores(v_t, group).map_indices()
+    return group.assigned_average(batch.shaped, idx)
 
 
 _STEPS = {"soft_em": em_step_soft, "mmse_align": em_step_mmse, "hard_map": hard_step}
 
 
 def run_reconstruction(
-    obs, v0: np.ndarray, group, noise, cfg: ReconstructionConfig, truth: np.ndarray | None = None
+    batch: Batch, v0: np.ndarray, group, noise, cfg: ReconstructionConfig, truth: np.ndarray | None = None
 ):
-    """Iterate the configured step over ``group`` until the relative change
-    drops below cfg.rel_tol or cfg.max_iters is reached.
+    """Iterate the configured step on ``batch`` over ``group`` until the
+    relative change drops below cfg.rel_tol or cfg.max_iters is reached.
 
     Returns the final estimate and a per-iteration trace (iter, rel_change,
     pcc_truth, pcc_template).
@@ -199,7 +251,7 @@ def run_reconstruction(
     template = v.copy()
     trace = []
     for it in range(cfg.max_iters):
-        v_next = step(obs, v, group, noise)
+        v_next = step(batch, v, group, noise)
         prev_norm = np.linalg.norm(v)
         rel = float(np.linalg.norm(v_next - v) / prev_norm) if prev_norm > 0 else float("inf")
         record = {

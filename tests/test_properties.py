@@ -110,6 +110,56 @@ def test_shifts_back_is_the_adjoint_and_shift_zero_the_identity(inputs):
     assert np.array_equal(group.act(0, v), v)
 
 
+class RecordingShifts(reconstruct.Shifts):
+    """Shifts that keep each per-element sum handed to ``back``."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.sums = {}
+
+    def back(self, ell, u):
+        self.sums[int(ell)] = u.copy()
+        return super().back(ell, u)
+
+
+@st.composite
+def assigned_rows(draw):
+    """A stack of M polar images, some rows all -0.0, and an element per row:
+    either any elements (some unused) or one element for every row."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    # two or more coordinates per image: numpy sums a single coordinate pairwise
+    radial = draw(st.integers(min_value=2 if size == 1 else 1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=12))
+    values = st.floats(min_value=-1e300, max_value=1e300)  # -0.0 and subnormals included
+    ys = draw(hnp.arrays(float, (m, radial, size), elements=values))
+    ys[draw(hnp.arrays(bool, m))] = -0.0
+    elements = st.integers(min_value=0, max_value=size - 1)
+    if draw(st.booleans()):
+        idx = np.full(m, draw(elements))
+    else:
+        idx = draw(hnp.arrays(np.int64, m, elements=elements))
+    return ys, idx
+
+
+@SETTINGS
+@given(assigned_rows())
+def test_grouped_sum_is_the_masked_sum_bit_for_bit(inputs):
+    # the hard and polar MMSE steps sum each element's rows in place, without
+    # a masked copy of the stack; the bytes must be those of the masked sum
+    ys, idx = inputs
+    group = RecordingShifts(ys.shape[2])
+    out = group.assigned_average(ys, idx)
+    used = np.unique(idx)
+    assert sorted(group.sums) == list(used)  # an unused element is never back-acted
+    oracle = 0.0
+    for ell in used:
+        masked = ys[idx == ell].sum(axis=0)
+        assert np.array_equal(np.signbit(group.sums[ell]), np.signbit(masked))
+        assert group.sums[ell].tobytes() == masked.tobytes()
+        oracle = oracle + forward.rotate_polar(masked, ell)
+    assert out.tobytes() == (oracle / len(ys)).tobytes()
+
+
 # any finite double: subnormal, huge and negative values included
 doubles = st.floats(allow_nan=False, allow_infinity=False)
 labels = st.text(alphabet=string.printable)  # commas, both quotes, whitespace and newlines
