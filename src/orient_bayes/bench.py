@@ -409,9 +409,9 @@ def _template_and_group(cfg: ExperimentConfig, geometry: str, map=map):
     return _phantom_from_spec(cfg.template_phantom), reconstruct.Rotations(cands, cfg.method, map=map)
 
 
-def _reconstruct(cfg: ExperimentConfig, mode: str, batch, template, group, noise, truth=None):
+def _reconstruct(cfg: ExperimentConfig, mode: str, batch, template, group, truth=None):
     rcfg = reconstruct.ReconstructionConfig(assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
-    return reconstruct.run_reconstruction(batch, template, group, noise, rcfg, truth=truth)
+    return reconstruct.run_reconstruction(batch, template, group, rcfg, truth=truth)
 
 
 def _recover(cfg: ExperimentConfig, truth, template, group, observe):
@@ -421,11 +421,11 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
     modes = cfg.assignment_modes or DEFAULT_MODES
     records, traces, volumes = [], {}, {}
     for si, sigma in enumerate(_sigma_list(cfg, truth)):
-        batch = reconstruct.Batch(observe(si, sigma), template.shape)
         noise = forward.NoiseModel(sigma=sigma)
+        batch = reconstruct.Batch(observe(si, sigma), template.shape, noise)
         snr = forward.snr_of(truth, noise)
         for mode in modes:
-            final, trace = _reconstruct(cfg, mode, batch, template, group, noise, truth=truth)
+            final, trace = _reconstruct(cfg, mode, batch, template, group, truth=truth)
             key = f"{cfg.experiment}_s{si}_{mode}"
             traces[key] = trace
             if final.ndim == 3:
@@ -473,9 +473,9 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
         out = {}
         # one thread: the seeds already run on the pool
         ys = _rows([cfg.seed, _K_NOISE, k], (cfg.M, dim), lambda t, rng: rng.normal(size=dim) * sigma, 1)
-        batch = reconstruct.Batch(ys, template.shape)
+        batch = reconstruct.Batch(ys, template.shape, noise)
         for mode in modes:
-            final, trace = _reconstruct(cfg, mode, batch, template, group, noise)
+            final, trace = _reconstruct(cfg, mode, batch, template, group)
             out[mode] = (reconstruct.pcc(final, template), trace)
         return out
 

@@ -39,10 +39,6 @@ class CandidateSet:
             raise ValueError("rotations and templates must have equal length")
 
     @property
-    def size(self) -> int:
-        return self.rotations.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.templates.shape[1]
 
@@ -135,23 +131,31 @@ class Scores:
         return _normalized(-(self.y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var))
 
 
+def whitening(var):
+    """The one rule for both kinds of variance, as (whiten, var): the map
+    applied to observation and template rows before scoring, and the scalar
+    variance of the whitened scores.
+
+    A scalar variance scores the raw rows under itself.  A per-coordinate
+    variance scores the rows scaled by 1/sqrt(var_i) under unit variance:
+    sum_i (y_i - x_i)^2 / var_i is the squared distance of the scaled rows.
+    """
+    var = np.asarray(var, dtype=float)
+    if var.ndim == 0:
+        return (lambda a: a), var
+    if np.any(var == 0):
+        raise ZeroVarianceError("an effective variance is zero")
+    scale = 1.0 / np.sqrt(var)
+    return (lambda a: a * scale), 1.0
+
+
 def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
     """Normalized log posterior weights against a template matrix, (M, L).
 
     log w_l = -1/2 sum_i (y_i - x_li)^2 / var_i, normalized per row.
     """
-    var = np.asarray(var, dtype=float)
-    if var.ndim == 0:
-        # scalar variance: expand the residual through a single matmul
-        return Scores.of(ys, x).log_weights(var)
-    ys = _batch(ys, x)
-    if np.any(var == 0):
-        raise ZeroVarianceError("an effective variance is zero")
-    inv = 1.0 / var
-    y_sq = (ys**2) @ inv
-    x_sq = (x**2) @ inv
-    cross = (ys * inv) @ x.T
-    return _normalized(-0.5 * (y_sq[:, None] - 2.0 * cross + x_sq[None, :]))
+    whiten, var = whitening(var)
+    return Scores.of(whiten(_batch(ys, x)), whiten(x)).log_weights(var)
 
 
 def mmse_rotations(w: np.ndarray, rotations: np.ndarray):

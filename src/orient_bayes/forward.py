@@ -39,10 +39,15 @@ class NoiseModel:
     tau: float | np.ndarray = 0.0
 
     def __post_init__(self):
+        tau = np.asarray(self.tau, dtype=float)
+        if not (np.isfinite(self.sigma) and np.all(np.isfinite(tau))):
+            raise ValueError("sigma and tau must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if np.any(np.asarray(self.tau) < 0):
+        if np.any(tau < 0):
             raise ValueError("tau must be >= 0")
+        if tau.ndim > 1:
+            raise ValueError(f"tau must be a scalar or a vector, got shape {tau.shape}")
 
     def effective_variance(self, d: int | None = None):
         var = np.asarray(self.tau, dtype=float) ** 2 + self.sigma**2

@@ -161,9 +161,11 @@ class Rotations(_Group):
 
 
 class Batch:
-    """M fixed observations of a structure of ``shape``: the (M, d) matrix
-    ``ys``, the same rows shaped like the structure (``shaped``) and their
-    squared norms ``y_sq``.
+    """M fixed observations of a structure of ``shape`` under one noise
+    model: the (M, d) matrix ``ys``, the same rows shaped like the structure
+    (``shaped``), and what scoring reads, the rows whitened by
+    :func:`estimators.whitening`, their squared norms ``y_sq`` and the
+    variance ``var`` of the whitened scores.
 
     Every mode, step and iteration on one batch reads these.  The batch also
     keeps the scores of the first template it scores, the starting template
@@ -171,7 +173,7 @@ class Batch:
     against that group again.  A batch is used by one thread at a time.
     """
 
-    def __init__(self, obs, shape):
+    def __init__(self, obs, shape, noise):
         self.shape = tuple(shape)
         self.ys = np.atleast_2d(np.asarray(obs, dtype=float))
         if self.ys.ndim != 2 or self.ys.shape[1] != math.prod(self.shape):
@@ -179,66 +181,60 @@ class Batch:
                 f"observations of shape {self.ys.shape} are not rows of a {self.shape} structure"
             )
         self.shaped = self.ys.reshape(-1, *self.shape)
-        self.y_sq = np.einsum("md,md->m", self.ys, self.ys)
+        self._whiten, self.var = estimators.whitening(noise.effective_variance(self.ys.shape[1]))
+        self._scored = self._whiten(self.ys)
+        self.y_sq = np.einsum("md,md->m", self._scored, self._scored)
         self._start = None  # (group, template bytes, scores)
 
     def __len__(self) -> int:
         return len(self.ys)
 
     def scores(self, v: np.ndarray, group) -> estimators.Scores:
-        """The scores of v's templates under ``group``; the (L, d) templates
-        are dropped as soon as their product with ``ys`` is taken."""
+        """The whitened scores of v's templates under ``group``; the (L, d)
+        templates are dropped as soon as their product with the rows is taken."""
         v = np.asarray(v, dtype=float)
         if v.shape != self.shape:
             raise estimators.DimensionMismatchError(f"structure {v.shape} != batch structure {self.shape}")
         key = v.tobytes()
         if self._start is not None and self._start[0] is group and self._start[1] == key:
             return self._start[2]
-        scores = estimators.Scores.of(self.ys, group.templates(v), self.y_sq)
+        scores = estimators.Scores.of(self._scored, self._whiten(group.templates(v)), self.y_sq)
         if self._start is None:
             self._start = (group, key, scores)
         return scores
 
-
-def _log_weights(batch: Batch, v_t, group, noise) -> np.ndarray:
-    var = noise.effective_variance(batch.ys.shape[1])
-    if var.ndim:  # per-coordinate variance: every term of the residual is weighted
-        return estimators.normalized_log_weights(batch.ys, group.templates(v_t), var)
-    return batch.scores(v_t, group).log_weights(var)
+    def weights(self, v: np.ndarray, group) -> np.ndarray:
+        """Posterior weights of each observation over ``group`` against v, (M, L)."""
+        return np.exp(self.scores(v, group).log_weights(self.var))
 
 
-def em_step_soft(batch: Batch, v_t, group, noise) -> np.ndarray:
+def em_step_soft(batch: Batch, v_t, group) -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
     # the action is linear, so the weighted observation sum per element is
     # back-acted once per element instead of once per observation
-    w = np.exp(_log_weights(batch, v_t, group, noise))
-    colsum = (w.T @ batch.ys).reshape(-1, *batch.shape)
+    colsum = (batch.weights(v_t, group).T @ batch.ys).reshape(-1, *batch.shape)
     return group.summed(lambda ell: group.back(ell, colsum[ell]), range(group.size)) / len(batch)
 
 
-def em_step_mmse(batch: Batch, v_t, group, noise) -> np.ndarray:
+def em_step_mmse(batch: Batch, v_t, group) -> np.ndarray:
     """One MMSE-alignment update: back-align each observation by its rounded
     posterior-mean group element against v_t, then average."""
-    return group.mmse_average(batch.shaped, np.exp(_log_weights(batch, v_t, group, noise)))
+    return group.mmse_average(batch.shaped, batch.weights(v_t, group))
 
 
-def hard_step(batch: Batch, v_t, group, noise) -> np.ndarray:
+def hard_step(batch: Batch, v_t, group) -> np.ndarray:
     """One hard-assignment update: back-align each observation by its MAP
     element against v_t, then average.  This is the soft update with
-    one-hot weights, so only the assigned elements are back-acted.  Under
-    one scalar variance the MAP element is the least-squares one."""
-    if noise.effective_variance().ndim:
-        idx = np.argmax(_log_weights(batch, v_t, group, noise), axis=1)
-    else:
-        idx = batch.scores(v_t, group).map_indices()
-    return group.assigned_average(batch.shaped, idx)
+    one-hot weights, so only the assigned elements are back-acted; on the
+    whitened scores the MAP element is the least-squares one."""
+    return group.assigned_average(batch.shaped, batch.scores(v_t, group).map_indices())
 
 
 _STEPS = {"soft_em": em_step_soft, "mmse_align": em_step_mmse, "hard_map": hard_step}
 
 
 def run_reconstruction(
-    batch: Batch, v0: np.ndarray, group, noise, cfg: ReconstructionConfig, truth: np.ndarray | None = None
+    batch: Batch, v0: np.ndarray, group, cfg: ReconstructionConfig, truth: np.ndarray | None = None
 ):
     """Iterate the configured step on ``batch`` over ``group`` until the
     relative change drops below cfg.rel_tol or cfg.max_iters is reached.
@@ -251,7 +247,7 @@ def run_reconstruction(
     template = v.copy()
     trace = []
     for it in range(cfg.max_iters):
-        v_next = step(batch, v, group, noise)
+        v_next = step(batch, v, group)
         prev_norm = np.linalg.norm(v)
         rel = float(np.linalg.norm(v_next - v) / prev_norm) if prev_norm > 0 else float("inf")
         record = {

@@ -34,16 +34,6 @@ def is_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     return ortho <= tol and abs(np.linalg.det(m) - 1.0) <= tol
 
 
-def rot_z(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def chordal_distance(g1: np.ndarray, g2: np.ndarray) -> float:
-    """Frobenius-norm distance between two rotations; range [0, 2*sqrt(2)]."""
-    return float(np.linalg.norm(np.asarray(g1) - np.asarray(g2)))
-
-
 def geodesic_distance(g1: np.ndarray, g2: np.ndarray) -> float:
     """Rotation angle of g2 g1^-1, in [0, pi]: the one-pair call of :func:`geodesic_distances`."""
     return float(geodesic_distances(np.asarray(g1)[None], np.asarray(g2)[None])[0])
@@ -84,46 +74,6 @@ def procrustes_project(a: np.ndarray) -> ProcrustesResult:
     tie = (s[..., 1] - s[..., 2] <= _TIE_TOL) & (d < 0)
     nonunique = tie | (np.sum(s < _RANK_TOL, axis=-1) >= 2)
     return ProcrustesResult(rotation=u @ vt, nonunique=nonunique)
-
-
-def axis_angle_to_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues' formula; ``axis`` must be unit length, ``angle`` in radians."""
-    axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-        raise ValueError("axis must be a unit vector")
-    k = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
-def rotation_to_axis_angle(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse of :func:`axis_angle_to_rotation`; angle in [0, pi]."""
-    m = np.asarray(m, dtype=float)
-    angle = np.arccos(np.clip((np.trace(m) - 1.0) / 2.0, -1.0, 1.0))
-    if angle < 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    if angle > 3.0:
-        # near pi the skew part vanishes; recover the axis from the
-        # symmetric part, where (S - cos w I)/(1 - cos w) = a a^T
-        cos_w = (np.trace(m) - 1.0) / 2.0
-        outer = ((m + m.T) / 2.0 - cos_w * np.eye(3)) / (1.0 - cos_w)
-        k = int(np.argmax(np.diag(outer)))
-        axis = outer[:, k] / np.sqrt(max(outer[k, k], 0.0))
-        axis /= np.linalg.norm(axis)
-        v = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-        if np.dot(axis, v) < 0:
-            axis = -axis
-        # the trace readout of the angle is ill-conditioned near pi; the
-        # skew-part magnitude (2 sin w) is not
-        angle = np.pi - np.arcsin(np.clip(np.linalg.norm(v) / 2.0, -1.0, 1.0))
-        return axis, float(angle)
-    v = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    return v / np.linalg.norm(v), float(angle)
 
 
 def _quats_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -219,9 +169,6 @@ class InverseCdfTable:
     omega_grid: np.ndarray
     cdf_values: np.ndarray
 
-    def cdf(self, omega):
-        return np.interp(omega, self.omega_grid, self.cdf_values)
-
     def inverse(self, u):
         return np.interp(u, self.cdf_values, self.omega_grid)
 
@@ -298,7 +245,3 @@ class RotationPrior:
     def label(self) -> str:
         return "uniform" if self.kind == "uniform" else f"ig(eta={self.eta:g})"
 
-
-def serialize_rotation(m: np.ndarray) -> list[float]:
-    """Row-major 9-tuple, the JSON wire format for rotations."""
-    return [float(v) for v in np.asarray(m, dtype=float).reshape(9)]

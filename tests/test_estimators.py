@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from helpers import rot_z
 
 from orient_bayes import bench, estimators, forward, so3
 
@@ -26,13 +27,13 @@ def volume_setup():
 class TestPosteriorWeights:
     def test_hand_example_two_templates(self):
         # y = 0 against templates 0 and 1 at sigma = 1: (1, e^{-1/2}) normalized
-        cands = make_cands([np.eye(3), so3.rot_z(1.0)], [[0.0], [1.0]])
+        cands = make_cands([np.eye(3), rot_z(1.0)], [[0.0], [1.0]])
         w = estimators.posterior_weights([0.0], cands, forward.NoiseModel(sigma=1.0)).w
         assert w[0] == pytest.approx(0.62246, abs=1e-5)
         assert w[1] == pytest.approx(0.37754, abs=1e-5)
 
     def test_equal_residuals_split_evenly(self):
-        cands = make_cands([np.eye(3), so3.rot_z(1.0)], [[1.0, 0.0], [0.0, 1.0]])
+        cands = make_cands([np.eye(3), rot_z(1.0)], [[1.0, 0.0], [0.0, 1.0]])
         w = estimators.posterior_weights([0.0, 0.0], cands, forward.NoiseModel(sigma=0.7)).w
         assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
@@ -41,7 +42,7 @@ class TestPosteriorWeights:
         w = estimators.posterior_weights(
             vbar.ravel(), cands, forward.NoiseModel(sigma=1e12)
         ).w
-        assert np.max(np.abs(w - 1.0 / cands.size)) <= 1e-9
+        assert np.max(np.abs(w - 1.0 / len(cands.rotations))) <= 1e-9
 
     @pytest.mark.parametrize("sigma", [1e-8, 1e-4, 1.0, 1e4, 1e8])
     def test_sums_to_one_across_sigma(self, volume_setup, sigma):
@@ -50,14 +51,14 @@ class TestPosteriorWeights:
         assert np.sum(rep.w) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.isfinite(rep.log_w))
         assert np.all(rep.w >= 0)
-        assert 1.0 <= rep.effective_sample_size <= cands.size + 1e-9
+        assert 1.0 <= rep.effective_sample_size <= len(cands.rotations) + 1e-9
 
     def test_monotone_likelihood(self):
         # pulling one template closer to y strictly raises its weight
         y = np.array([1.0, 0.0])
         noise = forward.NoiseModel(sigma=1.0)
-        far = make_cands([np.eye(3), so3.rot_z(1.0)], [[0.0, 0.0], [0.0, 1.0]])
-        near = make_cands([np.eye(3), so3.rot_z(1.0)], [[0.5, 0.0], [0.0, 1.0]])
+        far = make_cands([np.eye(3), rot_z(1.0)], [[0.0, 0.0], [0.0, 1.0]])
+        near = make_cands([np.eye(3), rot_z(1.0)], [[0.5, 0.0], [0.0, 1.0]])
         w_far = estimators.posterior_weights(y, far, noise).w
         w_near = estimators.posterior_weights(y, near, noise).w
         assert w_near[0] > w_far[0]
@@ -84,7 +85,7 @@ class TestPosteriorWeights:
     def test_partly_zero_variance_rejected(self):
         # one zero coordinate variance makes that coordinate's residual
         # infinitely informative: the weights would be nan, not a posterior
-        cands = make_cands([np.eye(3), so3.rot_z(1.0)], [[0.0, 1.0], [1.0, 0.0]])
+        cands = make_cands([np.eye(3), rot_z(1.0)], [[0.0, 1.0], [1.0, 0.0]])
         noise = forward.NoiseModel(sigma=0.0, tau=np.array([0.0, 1.0]))
         with pytest.raises(estimators.ZeroVarianceError):
             estimators.posterior_weights([0.0, 0.0], cands, noise)
@@ -101,7 +102,7 @@ class TestMapEstimate:
 
     def test_tie_breaks_to_lowest_index(self):
         cands = make_cands(
-            [so3.rot_z(t) for t in (0.1, 0.2, 0.3)],
+            [rot_z(t) for t in (0.1, 0.2, 0.3)],
             [[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]],
         )
         rep = estimators.map_estimate([0.0, 0.0], cands)
@@ -128,14 +129,14 @@ class TestMapEstimate:
 
 class TestMmseEstimate:
     def test_single_candidate(self):
-        g = so3.rot_z(0.9)
+        g = rot_z(0.9)
         cands = make_cands([g], [[1.0, 2.0]])
         rep = estimators.mmse_estimate([1.0, 2.0], cands, forward.NoiseModel(sigma=1.0))
         assert np.allclose(rep.rotation, g, atol=1e-12)
 
     def test_symmetric_pair_averages_to_identity(self):
         cands = make_cands(
-            [so3.rot_z(0.2), so3.rot_z(-0.2)], [[1.0, 0.0], [-1.0, 0.0]]
+            [rot_z(0.2), rot_z(-0.2)], [[1.0, 0.0], [-1.0, 0.0]]
         )
         rep = estimators.mmse_estimate([0.0, 0.0], cands, forward.NoiseModel(sigma=1.0))
         assert np.allclose(rep.rotation, np.eye(3), atol=1e-10)
@@ -207,7 +208,7 @@ class TestSharedScores:
     def batch(self, volume_setup):
         _, cands = volume_setup
         rng = np.random.default_rng(5)
-        picked = cands.templates[rng.integers(cands.size, size=25)]
+        picked = cands.templates[rng.integers(len(cands.rotations), size=25)]
         ys = picked + 0.3 * rng.normal(size=(25, cands.dim))
         return ys, cands, forward.NoiseModel(sigma=0.3)
 
@@ -222,7 +223,7 @@ class TestSharedScores:
         shared, _, _ = estimators.mmse_rotations(w, cands.rotations)
         # the per-call path: its own log-weights, posterior average, Procrustes rounding
         w = np.exp(estimators.normalized_log_weights(ys, cands.templates, noise.effective_variance()))
-        avg = w @ cands.rotations.reshape(cands.size, 9)
+        avg = w @ cands.rotations.reshape(len(cands.rotations), 9)
         per_call = so3.procrustes_project(avg.reshape(-1, 3, 3)).rotation
         assert np.array_equal(shared, per_call)
 
@@ -243,7 +244,7 @@ class TestRawAverage:
     def test_one_hot(self, volume_setup):
         # a one-hot average is the candidate itself, bit for bit
         _, cands = volume_setup
-        w = np.zeros(cands.size)
+        w = np.zeros(len(cands.rotations))
         w[3] = 1.0
         rotations, nonunique, degenerate = estimators.mmse_rotations(w, cands.rotations)
         assert np.array_equal(rotations, so3.procrustes_project(cands.rotations[3:4]).rotation)
@@ -253,7 +254,7 @@ class TestRawAverage:
         # the average is diag(cos t, cos t, 1), whose nearest rotation is I
         theta = 0.7
         rotations, nonunique, degenerate = estimators.mmse_rotations(
-            np.array([0.5, 0.5]), np.stack([so3.rot_z(theta), so3.rot_z(-theta)])
+            np.array([0.5, 0.5]), np.stack([rot_z(theta), rot_z(-theta)])
         )
         assert np.allclose(rotations[0], np.eye(3), atol=1e-12)
         assert not nonunique[0] and not degenerate[0]
@@ -308,7 +309,7 @@ class TestPermutationEquivariance:
         vbar, cands = volume_setup
         rng = np.random.default_rng(40)
         y = vbar.ravel() + 0.2 * rng.normal(size=cands.dim)
-        perm = rng.permutation(cands.size)
+        perm = rng.permutation(len(cands.rotations))
         permuted = estimators.CandidateSet(
             rotations=cands.rotations[perm],
             templates=cands.templates[perm],

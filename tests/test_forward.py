@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import rot_z
 
 from orient_bayes import forward, so3
 
@@ -21,7 +22,7 @@ class TestRotateVolume:
         assert np.array_equal(out, blob_phantom)
 
     def test_quarter_turn_is_permutation(self, blob_phantom):
-        g = so3.rot_z(np.pi / 2)
+        g = rot_z(np.pi / 2)
         g = np.round(g)  # exact 0/+-1 entries so coordinates land on grid points
         out = forward.rotate_volume(blob_phantom, g, method="trilinear")
         # oracle: the same quarter turn as an index permutation
@@ -83,7 +84,7 @@ class TestProjectZ:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_commutes_with_z_quarter_turn(self, blob_phantom):
-        g = np.round(so3.rot_z(np.pi / 2))
+        g = np.round(rot_z(np.pi / 2))
         lhs = forward.project_z(forward.rotate_volume(blob_phantom, g))
         rhs = np.rot90(forward.project_z(blob_phantom), k=-1)
         interior = np.linalg.norm(
@@ -124,6 +125,28 @@ class TestSynthesizeObservation:
     def test_structural_tau(self):
         noise = forward.NoiseModel(sigma=0.6, tau=0.8)
         assert noise.effective_std() == pytest.approx(1.0)
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a NaN sigma used to give NaN posterior weights without an error
+        with pytest.raises(ValueError):
+            forward.NoiseModel(sigma=sigma)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, np.array([0.5, np.nan]), np.array([np.inf, 0.5])])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError):
+            forward.NoiseModel(sigma=1.0, tau=tau)
+
+    def test_tau_of_more_than_one_dimension_rejected(self):
+        # a (2, 3) tau used to pass effective_variance(6) as a (2, 3) variance
+        with pytest.raises(ValueError):
+            forward.NoiseModel(sigma=1.0, tau=np.ones((2, 3)))
+
+    def test_vector_tau_accepted(self):
+        noise = forward.NoiseModel(sigma=0.6, tau=np.full(4, 0.8))
+        assert np.allclose(noise.effective_variance(4), 1.0)
 
 
 class TestRotatePolar:

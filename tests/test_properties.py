@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from helpers import direct_log_weights
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -36,6 +37,44 @@ def test_log_weights_normalized(m, l, d, seed, log_sigma, per_coordinate):
     log_w = estimators.normalized_log_weights(ys, x, var)
     assert log_w.shape == (m, l)
     assert np.all(np.abs(logsumexp(log_w, axis=1)) <= 1e-12)
+
+
+@SETTINGS
+@given(
+    m=sizes,
+    radial=sizes,
+    angular=sizes,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    log_snr=st.floats(min_value=-2.0, max_value=2.0),
+    per_coordinate=st.booleans(),
+)
+def test_whitened_scores_are_the_direct_sum(m, radial, angular, seed, log_scale, log_snr, per_coordinate):
+    # the weights and MAP indices every EM step reads, and the one-call
+    # weights, against -1/2 sum_i (y_i - x_i)^2 / var_i taken one residual at a time
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    v = scale * rng.normal(size=(radial, angular))
+    ys = scale * rng.normal(size=(m, v.size))
+    sigma = scale * 10.0**log_snr
+    tau = sigma * rng.uniform(0.0, 2.0, size=v.size) if per_coordinate else 0.0
+    noise = forward.NoiseModel(sigma=sigma, tau=tau)
+    var = noise.effective_variance(v.size)
+    x = np.stack([np.roll(v, -s, axis=1).ravel() for s in range(angular)])  # template of shift s
+    oracle = direct_log_weights(ys, x, var)
+    # the expanded residual ||y||^2 - 2 y.x + ||x||^2 rounds in proportion to
+    # the whitened squared norms
+    norms = np.max(np.sum(ys**2 / var, axis=1)) + np.max(np.sum(x**2 / var, axis=1))
+    tol = 1e-12 + 8 * v.size * np.finfo(float).eps * norms
+
+    group, b = reconstruct.Shifts(angular), reconstruct.Batch(ys, v.shape, noise)
+    assert np.all(np.abs(estimators.normalized_log_weights(ys, x, var) - oracle) <= tol)
+    assert np.all(np.abs(b.scores(v, group).log_weights(b.var) - oracle) <= tol)  # the steps' exp weights
+
+    ranked = np.sort(-2.0 * oracle, axis=1)  # residuals sum (y - x)^2 / var, up to a row constant
+    untied = (ranked[:, 1] - ranked[:, 0] > 4 * tol) if angular > 1 else np.ones(m, dtype=bool)
+    map_idx = b.scores(v, group).map_indices()
+    assert np.array_equal(map_idx[untied], np.argmax(oracle, axis=1)[untied])
 
 
 @SETTINGS

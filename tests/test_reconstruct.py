@@ -4,9 +4,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+from helpers import direct_log_weights
 from scipy.special import logsumexp
 
 from orient_bayes import bench, estimators, forward, reconstruct, so3
+from orient_bayes.estimators import ZeroVarianceError
 
 
 @pytest.fixture(scope="module")
@@ -17,9 +19,9 @@ def polar_truth():
 SHIFTS = reconstruct.Shifts(8)  # the shift group of polar_truth
 
 
-def batch(ys, v):
+def batch(ys, v, noise):
     # the observations as a batch of structures shaped like v
-    return reconstruct.Batch(ys, np.shape(v))
+    return reconstruct.Batch(ys, np.shape(v), noise)
 
 
 def polar_templates(img):
@@ -66,7 +68,7 @@ class TestPolarSteps:
     def test_soft_single_obs_identity(self, polar_truth):
         # M = 1 with zero shift: the update returns the observation bit-exactly
         ys = noiseless_polar_obs(polar_truth, [0])
-        out = reconstruct.em_step_soft(batch(ys, polar_truth), polar_truth, SHIFTS, forward.NoiseModel(sigma=1e-6))
+        out = reconstruct.em_step_soft(batch(ys, polar_truth, forward.NoiseModel(sigma=1e-6)), polar_truth, SHIFTS)
         assert np.allclose(out, polar_truth, atol=1e-12)
 
     def test_hand_computed_four_term_sum(self):
@@ -82,12 +84,12 @@ class TestPolarSteps:
         expected = sum(
             w[s] * forward.rotate_polar(y.reshape(img.shape), s) for s in range(4)
         )
-        out = reconstruct.em_step_soft(batch(y[None], img), img, reconstruct.Shifts(4), noise)
+        out = reconstruct.em_step_soft(batch(y[None], img, noise), img, reconstruct.Shifts(4))
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_two_shifted_copies_recover_truth(self, polar_truth):
         ys = noiseless_polar_obs(polar_truth, [2, 5])
-        out = reconstruct.hard_step(batch(ys, polar_truth), polar_truth, SHIFTS, forward.NoiseModel(sigma=1e-9))
+        out = reconstruct.hard_step(batch(ys, polar_truth, forward.NoiseModel(sigma=1e-9)), polar_truth, SHIFTS)
         assert np.array_equal(out, polar_truth)
 
     def test_hard_step_brute_force_indices(self, polar_truth):
@@ -100,7 +102,7 @@ class TestPolarSteps:
         oracle = np.array(
             [np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys]
         )
-        out = reconstruct.hard_step(batch(ys, polar_truth), polar_truth, SHIFTS, noise)
+        out = reconstruct.hard_step(batch(ys, polar_truth, noise), polar_truth, SHIFTS)
         expected = polar_assigned_average(ys, oracle, polar_truth.shape)
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -109,9 +111,9 @@ class TestPolarSteps:
         # three update rules coincide
         ys = noiseless_polar_obs(polar_truth, [0, 2, 4, 7])
         noise = forward.NoiseModel(sigma=1e-8 * forward.signal_scale(polar_truth))
-        soft = reconstruct.em_step_soft(batch(ys, polar_truth), polar_truth, SHIFTS, noise)
-        mmse = reconstruct.em_step_mmse(batch(ys, polar_truth), polar_truth, SHIFTS, noise)
-        hard = reconstruct.hard_step(batch(ys, polar_truth), polar_truth, SHIFTS, noise)
+        soft = reconstruct.em_step_soft(batch(ys, polar_truth, noise), polar_truth, SHIFTS)
+        mmse = reconstruct.em_step_mmse(batch(ys, polar_truth, noise), polar_truth, SHIFTS)
+        hard = reconstruct.hard_step(batch(ys, polar_truth, noise), polar_truth, SHIFTS)
         assert np.allclose(soft, mmse, atol=1e-10)
         assert np.allclose(mmse, hard, atol=1e-10)
 
@@ -123,8 +125,8 @@ class TestPolarSteps:
         noise = forward.NoiseModel(sigma=0.2)
         perm = rng.permutation(4)
         for step in (reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step):
-            a = step(batch(ys, polar_truth), polar_truth, SHIFTS, noise)
-            b = step(batch(ys[perm], polar_truth), polar_truth, SHIFTS, noise)
+            a = step(batch(ys, polar_truth, noise), polar_truth, SHIFTS)
+            b = step(batch(ys[perm], polar_truth, noise), polar_truth, SHIFTS)
             assert np.allclose(a, b, atol=1e-10)
 
     def test_fixed_alignment_linearity(self, polar_truth):
@@ -132,8 +134,8 @@ class TestPolarSteps:
         # scaling the data keeps every MAP shift, so ys and 3 ys share them
         ys = noiseless_polar_obs(polar_truth, [1, 4])
         noise = forward.NoiseModel(sigma=0.1)
-        a = reconstruct.hard_step(batch(3.0 * ys, polar_truth), polar_truth, SHIFTS, noise)
-        b = 3.0 * reconstruct.hard_step(batch(ys, polar_truth), polar_truth, SHIFTS, noise)
+        a = reconstruct.hard_step(batch(3.0 * ys, polar_truth, noise), polar_truth, SHIFTS)
+        b = 3.0 * reconstruct.hard_step(batch(ys, polar_truth, noise), polar_truth, SHIFTS)
         assert np.allclose(a, b, atol=1e-12)
         expected = polar_assigned_average(3.0 * ys, [1, 4], polar_truth.shape)
         assert np.allclose(a, expected, atol=1e-12)
@@ -160,7 +162,7 @@ def test_polar_soft_em_never_lowers_likelihood(sigma):
         v = forward.make_polar_phantom(20, 12, seed=seed + 100)
         ll = [polar_log_likelihood(ys, v, sigma)]
         for _ in range(15):
-            v = reconstruct.em_step_soft(batch(ys, v), v, reconstruct.Shifts(12), noise)
+            v = reconstruct.em_step_soft(batch(ys, v, noise), v, reconstruct.Shifts(12))
             ll.append(polar_log_likelihood(ys, v, sigma))
         for before, after in zip(ll, ll[1:]):
             assert after >= before - 1e-12 * abs(before)
@@ -187,9 +189,9 @@ class TestVolumeSteps:
         vbar, cands, ys = volume_setup
         noise = forward.NoiseModel(sigma=1e-8 * forward.signal_scale(vbar))
         group = reconstruct.Rotations(cands.rotations)
-        soft = reconstruct.em_step_soft(batch(ys, vbar), vbar, group, noise)
-        mmse = reconstruct.em_step_mmse(batch(ys, vbar), vbar, group, noise)
-        hard = reconstruct.hard_step(batch(ys, vbar), vbar, group, noise)
+        soft = reconstruct.em_step_soft(batch(ys, vbar, noise), vbar, group)
+        mmse = reconstruct.em_step_mmse(batch(ys, vbar, noise), vbar, group)
+        hard = reconstruct.hard_step(batch(ys, vbar, noise), vbar, group)
         assert np.allclose(soft, mmse, atol=1e-10)
         assert np.allclose(mmse, hard, atol=1e-10)
 
@@ -198,7 +200,7 @@ class TestVolumeSteps:
         noise = forward.NoiseModel(sigma=0.1)
         x = [forward.rotate_volume(vbar, g).ravel() for g in cands.rotations]
         oracle = np.array([np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys])
-        out = reconstruct.hard_step(batch(ys, vbar), vbar, reconstruct.Rotations(cands.rotations), noise)
+        out = reconstruct.hard_step(batch(ys, vbar, noise), vbar, reconstruct.Rotations(cands.rotations))
         expected = sum(
             forward.rotate_volume(y.reshape(vbar.shape), cands.rotations[i].T)
             for y, i in zip(ys, oracle)
@@ -208,7 +210,7 @@ class TestVolumeSteps:
     def test_hard_step_improves_template_correlation(self, volume_setup):
         vbar, cands, ys = volume_setup
         group = reconstruct.Rotations(cands.rotations)
-        out = reconstruct.hard_step(batch(ys, vbar), vbar, group, forward.NoiseModel(sigma=0.05))
+        out = reconstruct.hard_step(batch(ys, vbar, forward.NoiseModel(sigma=0.05)), vbar, group)
         assert reconstruct.pcc(out, vbar) > 0.9
 
 
@@ -236,7 +238,7 @@ class TestRunReconstruction:
         cfg = reconstruct.ReconstructionConfig(assignment="soft_em")
         noise = forward.NoiseModel(sigma=1e-8 * forward.signal_scale(polar_truth))
         v, trace = reconstruct.run_reconstruction(
-            batch(ys, polar_truth), polar_truth, SHIFTS, noise, cfg, truth=polar_truth
+            batch(ys, polar_truth, noise), polar_truth, SHIFTS, cfg, truth=polar_truth
         )
         assert len(trace) <= 2
         assert trace[-1]["pcc_truth"] == pytest.approx(1.0, abs=1e-9)
@@ -246,7 +248,7 @@ class TestRunReconstruction:
         ys = noiseless_polar_obs(polar_truth, [0, 3])
         cfg = reconstruct.ReconstructionConfig(assignment="hard_map", max_iters=1, rel_tol=1e-30)
         _, trace = reconstruct.run_reconstruction(
-            batch(ys, polar_truth), polar_truth, SHIFTS, forward.NoiseModel(sigma=0.1), cfg
+            batch(ys, polar_truth, forward.NoiseModel(sigma=0.1)), polar_truth, SHIFTS, cfg
         )
         assert len(trace) == 1
         assert trace[0]["iter"] == 0
@@ -255,7 +257,7 @@ class TestRunReconstruction:
         ys = noiseless_polar_obs(polar_truth, [0, 3])
         cfg = reconstruct.ReconstructionConfig(max_iters=2, rel_tol=1e-30)
         _, trace = reconstruct.run_reconstruction(
-            batch(ys, polar_truth), polar_truth, SHIFTS, forward.NoiseModel(sigma=0.1), cfg
+            batch(ys, polar_truth, forward.NoiseModel(sigma=0.1)), polar_truth, SHIFTS, cfg
         )
         assert all(r["pcc_truth"] is None for r in trace)
         assert all(np.isfinite(r["pcc_template"]) for r in trace)
@@ -264,8 +266,8 @@ class TestRunReconstruction:
         rng_ys = noiseless_polar_obs(polar_truth, [1, 2, 4]) + 0.3
         cfg = reconstruct.ReconstructionConfig(assignment="mmse_align", max_iters=5)
         noise = forward.NoiseModel(sigma=0.3)
-        v1, t1 = reconstruct.run_reconstruction(batch(rng_ys, polar_truth), polar_truth, SHIFTS, noise, cfg)
-        v2, t2 = reconstruct.run_reconstruction(batch(rng_ys, polar_truth), polar_truth, SHIFTS, noise, cfg)
+        v1, t1 = reconstruct.run_reconstruction(batch(rng_ys, polar_truth, noise), polar_truth, SHIFTS, cfg)
+        v2, t2 = reconstruct.run_reconstruction(batch(rng_ys, polar_truth, noise), polar_truth, SHIFTS, cfg)
         assert np.array_equal(v1, v2)
         assert t1 == t2
 
@@ -293,16 +295,16 @@ class TestRunReconstruction:
 class TestBatch:
     def test_rejects_rows_of_another_size(self, polar_truth):
         with pytest.raises(estimators.DimensionMismatchError):
-            reconstruct.Batch(np.zeros((3, polar_truth.size + 1)), polar_truth.shape)
+            reconstruct.Batch(np.zeros((3, polar_truth.size + 1)), polar_truth.shape, forward.NoiseModel(sigma=1.0))
 
     def test_rejects_a_structure_of_another_shape(self, polar_truth):
-        b = batch(noiseless_polar_obs(polar_truth, [0, 1]), polar_truth)
+        b = batch(noiseless_polar_obs(polar_truth, [0, 1]), polar_truth, forward.NoiseModel(sigma=1.0))
         with pytest.raises(estimators.DimensionMismatchError):
             b.scores(polar_truth.T, reconstruct.Shifts(40))
 
     def test_holds_the_rows_and_their_squared_norms(self, polar_truth):
         ys = noiseless_polar_obs(polar_truth, [0, 3, 5])
-        b = batch(ys, polar_truth)
+        b = batch(ys, polar_truth, forward.NoiseModel(sigma=1.0))
         assert len(b) == 3
         assert np.array_equal(b.shaped[1], ys[1].reshape(polar_truth.shape))
         assert np.array_equal(b.y_sq, np.einsum("md,md->m", ys, ys))
@@ -342,14 +344,15 @@ def test_a_shared_batch_gives_the_bytes_of_fresh_batches(em_problem):
     # every mode reads one batch and one scoring of the start template, yet
     # each gives what it gives on a batch of its own
     ys, truth, template, make_group, noise = em_problem
-    shared, group = batch(ys, template), make_group()
+    shared, group = batch(ys, template, noise), make_group()
     calls, later_iters = counted_templates(group), 0
     for mode in reconstruct.ASSIGNMENTS:
         cfg = reconstruct.ReconstructionConfig(assignment=mode, max_iters=3, rel_tol=1e-30)
         fresh_group = make_group()
         fresh_calls = counted_templates(fresh_group)
-        v_a, trace_a = reconstruct.run_reconstruction(shared, template, group, noise, cfg, truth=truth)
-        v_b, trace_b = reconstruct.run_reconstruction(batch(ys, template), template, fresh_group, noise, cfg, truth=truth)
+        v_a, trace_a = reconstruct.run_reconstruction(shared, template, group, cfg, truth=truth)
+        fresh = batch(ys, template, noise)
+        v_b, trace_b = reconstruct.run_reconstruction(fresh, template, fresh_group, cfg, truth=truth)
         assert np.array_equal(v_a, v_b)
         assert trace_a == trace_b
         later_iters += len(trace_a) - 1
@@ -373,21 +376,21 @@ class TestPerCoordinateVariance:
         noise = forward.NoiseModel(sigma=0.3 * forward.signal_scale(truth), tau=tau)
         clean = noiseless_polar_obs(truth, rng.integers(6, size=30))
         ys = clean + noise.effective_std(truth.size) * rng.normal(size=clean.shape)
-        log_w = estimators.normalized_log_weights(ys, polar_templates(template), noise.effective_variance(truth.size))
+        log_w = direct_log_weights(ys, polar_templates(template), noise.effective_variance(truth.size))
         return ys, template, noise, log_w
 
     def test_soft(self, problem):
         ys, template, noise, log_w = problem
         w = np.exp(log_w)
         expected = sum(forward.rotate_polar((w[:, s] @ ys).reshape(template.shape), s) for s in range(6)) / len(ys)
-        out = reconstruct.em_step_soft(batch(ys, template), template, reconstruct.Shifts(6), noise)
+        out = reconstruct.em_step_soft(batch(ys, template, noise), template, reconstruct.Shifts(6))
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_mmse(self, problem):
         ys, template, noise, log_w = problem
         mean_angle, _ = estimators.mmse_angles(np.exp(log_w), 2.0 * np.pi * np.arange(6) / 6)
         shifts = np.round(mean_angle * 6 / (2.0 * np.pi)).astype(int) % 6
-        out = reconstruct.em_step_mmse(batch(ys, template), template, reconstruct.Shifts(6), noise)
+        out = reconstruct.em_step_mmse(batch(ys, template, noise), template, reconstruct.Shifts(6))
         assert np.allclose(out, polar_assigned_average(ys, shifts, template.shape), atol=1e-12)
 
     def test_hard_takes_the_largest_weight(self, problem):
@@ -395,8 +398,26 @@ class TestPerCoordinateVariance:
         idx = np.argmax(log_w, axis=1)
         # the weighting decides: the unweighted least-squares element differs
         assert np.any(idx != estimators.Scores.of(ys, polar_templates(template)).map_indices())
-        out = reconstruct.hard_step(batch(ys, template), template, reconstruct.Shifts(6), noise)
+        out = reconstruct.hard_step(batch(ys, template, noise), template, reconstruct.Shifts(6))
         assert np.allclose(out, polar_assigned_average(ys, idx, template.shape), atol=1e-12)
+
+    @pytest.mark.parametrize("step", [reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step])
+    def test_partly_zero_variance_rejected(self, problem, step):
+        # a zero variance makes its coordinate infinitely informative
+        ys, template, _, _ = problem
+        noise = forward.NoiseModel(sigma=0.0, tau=np.repeat(np.where(np.arange(12) % 2, 1.0, 0.0), 6))
+        with pytest.raises(ZeroVarianceError):
+            step(batch(ys, template, noise), template, reconstruct.Shifts(6))
+
+
+def test_hard_step_runs_at_zero_sigma(polar_truth):
+    # the least-squares element needs no variance; the weighted steps do
+    ys = noiseless_polar_obs(polar_truth, [2, 5])
+    noise = forward.NoiseModel(sigma=0.0)
+    assert np.array_equal(reconstruct.hard_step(batch(ys, polar_truth, noise), polar_truth, SHIFTS), polar_truth)
+    for step in (reconstruct.em_step_soft, reconstruct.em_step_mmse):
+        with pytest.raises(ZeroVarianceError):
+            step(batch(ys, polar_truth, noise), polar_truth, SHIFTS)
 
 
 class TestRegisteredPcc:
@@ -445,8 +466,8 @@ class TestWorkerMap:
     @pytest.mark.parametrize("step", [reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step])
     def test_steps(self, pooled_setup, step):
         vbar, rotations, ys, noise = pooled_setup
-        serial = step(batch(ys, vbar), vbar, reconstruct.Rotations(rotations), noise)
-        pooled = step(batch(ys, vbar), vbar, reconstruct.Rotations(rotations, map=two_threads), noise)
+        serial = step(batch(ys, vbar, noise), vbar, reconstruct.Rotations(rotations))
+        pooled = step(batch(ys, vbar, noise), vbar, reconstruct.Rotations(rotations, map=two_threads))
         assert np.array_equal(pooled, serial)
 
     def test_registered_pcc(self, pooled_setup):
@@ -460,8 +481,8 @@ class TestWorkerMap:
         vbar, rotations, ys, noise = pooled_setup
         cfg = reconstruct.ReconstructionConfig(assignment="soft_em", max_iters=2, rel_tol=1e-30)
         serial, pooled = reconstruct.Rotations(rotations), reconstruct.Rotations(rotations, map=two_threads)
-        v_a, trace_a = reconstruct.run_reconstruction(batch(ys, vbar), vbar, serial, noise, cfg, truth=vbar)
-        v_b, trace_b = reconstruct.run_reconstruction(batch(ys, vbar), vbar, pooled, noise, cfg, truth=vbar)
+        v_a, trace_a = reconstruct.run_reconstruction(batch(ys, vbar, noise), vbar, serial, cfg, truth=vbar)
+        v_b, trace_b = reconstruct.run_reconstruction(batch(ys, vbar, noise), vbar, pooled, cfg, truth=vbar)
         assert np.array_equal(v_a, v_b)
         assert trace_a == trace_b
 
@@ -470,12 +491,12 @@ class TestWorkerMap:
         # disjoint rows and sums are taken on the calling thread, so no
         # update can be lost
         vbar, rotations, ys, noise = pooled_setup
-        serial = reconstruct.em_step_soft(batch(ys, vbar), vbar, reconstruct.Rotations(rotations), noise)
+        serial = reconstruct.em_step_soft(batch(ys, vbar, noise), vbar, reconstruct.Rotations(rotations))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             eight = reconstruct.Rotations(rotations, map=lambda fn, xs: bench.parallel_map(fn, xs, 8))
-            pooled = reconstruct.em_step_soft(batch(ys, vbar), vbar, eight, noise)
+            pooled = reconstruct.em_step_soft(batch(ys, vbar, noise), vbar, eight)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial)
@@ -485,7 +506,7 @@ def test_write_trace_round_trip(tmp_path, polar_truth):
     ys = noiseless_polar_obs(polar_truth, [0, 2])
     cfg = reconstruct.ReconstructionConfig(max_iters=3, rel_tol=1e-30)
     _, trace = reconstruct.run_reconstruction(
-        batch(ys, polar_truth), polar_truth, SHIFTS, forward.NoiseModel(sigma=0.2), cfg, truth=polar_truth
+        batch(ys, polar_truth, forward.NoiseModel(sigma=0.2)), polar_truth, SHIFTS, cfg, truth=polar_truth
     )
     path = tmp_path / "trace.jsonl"
     reconstruct.write_trace(path, trace)
