@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import sys
 import typing
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,8 @@ from . import estimators, forward, reconstruct, so3
 
 # The reconstruction modes run when a config lists no assignment_modes.
 DEFAULT_MODES = ("mmse_align", "hard_map")
+# The edge length of a generated phantom that gives no n.
+DEFAULT_PHANTOM_N = 32
 
 # Key-space tags so different random streams derived from one master seed
 # never collide.
@@ -116,6 +119,8 @@ class ExperimentConfig:
             _check_int(name, getattr(self, name), 0 if name == "seed" else 1)
         for name in ("sigmas", "snrs"):
             _check_levels(name, getattr(self, name))
+        for sigma in self.sigmas or []:
+            _check_sigma(float(sigma), "sigmas")
         if self.experiment == "einstein_noise":
             if len(self.sigmas or []) > 1:
                 raise ConfigError("einstein_noise takes at most one entry in sigmas")
@@ -128,6 +133,11 @@ class ExperimentConfig:
             raise ConfigError(f"projected must be true or false, got {self.projected!r}")
         for name in ("phantom", "template_phantom"):
             _check_phantom(name, getattr(self, name), polar="polar" in reads)
+        if self.experiment == "recover3d":
+            specs = [spec or {} for spec in (self.phantom, self.template_phantom)]
+            sizes = [spec.get("n", DEFAULT_PHANTOM_N) for spec in specs if spec.get("kind") != "loaded"]
+            if len(set(sizes)) > 1:
+                raise ConfigError(f"phantom and template_phantom must have the same n, got {sizes}")
         if self.polar is not None:
             _check_keys("polar", self.polar, ("d_radial", "l_angular"))
             for name in ("d_radial", "l_angular"):
@@ -173,8 +183,8 @@ def _is_int(v) -> bool:
 
 
 def _is_positive(v) -> bool:
-    """A finite number > 0."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+    """A finite number > 0; an integer too large for a double is not finite."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
 
 
 def _check_choice(name: str, value, choices) -> None:
@@ -198,6 +208,14 @@ def _check_levels(name: str, values) -> None:
             raise ConfigError(f"every entry of {name} must be finite and positive, got {v!r}")
 
 
+def _check_sigma(sigma: float, source: str) -> float:
+    """sigma, if sigma^2 and 2 sigma^2 (the variance and the log-weight
+    denominator) are finite, positive normal doubles."""
+    if not (sys.float_info.min <= sigma * sigma and math.isfinite(2.0 * sigma * sigma)):
+        raise ConfigError(f"{source} gives sigma {sigma!r}, whose variance is not a finite positive normal double")
+    return sigma
+
+
 def _check_keys(name: str, spec, allowed) -> None:
     """``spec`` must be an object whose keys are all in ``allowed``."""
     if not isinstance(spec, dict):
@@ -212,20 +230,21 @@ def _check_prior(name: str, spec) -> None:
     _check_keys(name, spec, ("kind", "eta") if kind == "isotropic_gaussian" else ("kind",))
     _check_choice(f"{name} kind", kind, so3.PRIOR_KINDS)
     eta = spec.get("eta")
-    if kind == "isotropic_gaussian" and not _is_positive(eta):
-        raise ConfigError(f"{name} isotropic_gaussian eta must be finite and positive, got {eta!r}")
+    if kind == "isotropic_gaussian" and not (_is_positive(eta) and eta >= so3.MIN_ETA):
+        raise ConfigError(f"{name} isotropic_gaussian eta must be finite and >= {so3.MIN_ETA}, got {eta!r}")
 
 
 def _check_phantom(name: str, spec, polar: bool) -> None:
-    """A polar phantom reads only its seed; a volume one may also set its
-    kind, size n and, for kind 'loaded' only, a file path."""
+    """A polar phantom reads only its seed; a volume one its kind and its
+    size n and seed or, for kind 'loaded' only, a file path."""
     if spec is None:
         return
-    _check_keys(name, spec, ("seed",) if polar else ("kind", "n", "seed", "path"))
+    loaded = isinstance(spec, dict) and spec.get("kind") == "loaded"
+    _check_keys(name, spec, ("seed",) if polar else ("kind", "path") if loaded else ("kind", "n", "seed"))
     if "kind" in spec:
         _check_choice(f"{name} kind", spec["kind"], forward.PHANTOM_KINDS)
-    if (spec.get("kind") == "loaded") != ("path" in spec):
-        raise ConfigError(f"{name} takes a path exactly when its kind is 'loaded'")
+    if loaded and "path" not in spec:
+        raise ConfigError(f"{name} of kind 'loaded' requires a path")
     if "path" in spec and not (isinstance(spec["path"], str) and spec["path"]):
         raise ConfigError(f"{name} path must be a non-empty string, got {spec['path']!r}")
     for key, low in (("n", forward.MIN_PHANTOM_N), ("seed", 0)):
@@ -244,7 +263,7 @@ def _phantom_from_spec(spec: dict | None, default_kind="asymmetric_L") -> np.nda
     spec = spec or {}
     return forward.make_phantom(
         spec.get("kind", default_kind),
-        int(spec.get("n", 32)),
+        int(spec.get("n", DEFAULT_PHANTOM_N)),
         seed=int(spec.get("seed", 0)),
         path=spec.get("path"),
     )
@@ -274,7 +293,8 @@ def parallel_map(fn, items, threads: int | None = None):
 def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
     if cfg.sigmas:
         return [float(s) for s in cfg.sigmas]
-    return [forward.sigma_for_snr(vbar, float(s), projected=cfg.projected) for s in cfg.snrs]
+    return [_check_sigma(forward.sigma_for_snr(vbar, float(s), projected=cfg.projected), f"snr {s!r}")
+            for s in cfg.snrs]
 
 
 def _rows(key: list[int], shape: tuple, draw, threads: int | None) -> np.ndarray:
@@ -383,10 +403,11 @@ def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
 
 
 def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[int], threads) -> np.ndarray:
-    noise = forward.NoiseModel(sigma=sigma)
+    """Row t: truth shifted by a random element plus noise; its generator draws the shift first."""
 
     def draw(t, rng):
-        return forward.synthesize_polar_observation(truth, int(rng.integers(truth.shape[1])), noise, rng)
+        shift = int(rng.integers(truth.shape[1]))
+        return forward.rotate_polar(truth, -shift).ravel() + rng.normal(size=truth.size) * sigma
 
     return _rows(key, (cfg.M, truth.size), draw, threads)
 
@@ -452,6 +473,8 @@ def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
     truth = _phantom_from_spec(cfg.phantom, default_kind="gaussian_blobs")
     pool = partial(parallel_map, threads=threads)
     template, group = _template_and_group(cfg, "volume", pool)
+    if template.shape != truth.shape:  # validate() has compared the sizes of generated phantoms only
+        raise ConfigError(f"phantom is {truth.shape} but template_phantom is {template.shape}")
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
     clean = forward.rotated_stack(truth, rotations, cfg.method, map=pool)
     return _recover(

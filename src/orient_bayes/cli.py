@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bench
+from . import bench, forward
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,6 +42,10 @@ def main(argv=None) -> int:
         return 2
     try:
         bench.run_experiment(cfg, args.out, threads=args.threads)
+    except (bench.ConfigError, forward.FileFormatError) as exc:
+        # what only the run can check: a phantom file's contents and size, a noise level set by an SNR
+        print(f"orient-bayes: config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"orient-bayes: I/O error: {exc}", file=sys.stderr)
         return 3

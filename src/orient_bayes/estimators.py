@@ -32,15 +32,10 @@ class CandidateSet:
     rotations: np.ndarray  # (L, 3, 3)
     templates: np.ndarray  # (L, d)
     prior: so3.RotationPrior
-    seed: int | None = None
 
     def __post_init__(self):
         if self.rotations.shape[0] != self.templates.shape[0]:
             raise ValueError("rotations and templates must have equal length")
-
-    @property
-    def dim(self) -> int:
-        return self.templates.shape[1]
 
     @classmethod
     def build(
@@ -57,32 +52,13 @@ class CandidateSet:
         :func:`forward.rotated_stack`); any map gives the same bytes."""
         rotations = candidate_rotations(prior, count, seed)
         templates = forward.rotated_stack(vbar, rotations, method, projected, map)
-        return cls(rotations=rotations, templates=templates, prior=prior, seed=seed)
+        return cls(rotations=rotations, templates=templates, prior=prior)
 
 
 def candidate_rotations(prior: so3.RotationPrior, count: int, seed: int) -> np.ndarray:
     """The rotations of ``CandidateSet.build(..., prior, count, seed)``, (count, 3, 3),
     without building templates."""
     return prior.sample(np.random.default_rng([seed, 0xCA4D]), count)
-
-
-@dataclass(frozen=True)
-class PosteriorWeights:
-    log_w: np.ndarray  # normalized log-probabilities
-    w: np.ndarray
-
-    @property
-    def effective_sample_size(self) -> float:
-        return float(1.0 / np.sum(self.w**2))
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    rotation: np.ndarray
-    map_index: int | None = None
-    effective_sample_size: float | None = None
-    procrustes_nonunique: bool = False
-    degenerate_average: bool = False
 
 
 def _batch(ys, x: np.ndarray) -> np.ndarray:
@@ -179,25 +155,3 @@ def mmse_angles(w: np.ndarray, angles: np.ndarray):
     s, c = w @ np.sin(angles), w @ np.cos(angles)
     return np.arctan2(s, c), np.hypot(s, c) < DEGENERATE_NORM
 
-
-def posterior_weights(y, cands: CandidateSet, noise: forward.NoiseModel) -> PosteriorWeights:
-    ys = np.ravel(y)[None, :]
-    log_w = normalized_log_weights(ys, cands.templates, noise.effective_variance(cands.dim))[0]
-    return PosteriorWeights(log_w=log_w, w=np.exp(log_w))
-
-
-def map_estimate(y, cands: CandidateSet) -> EstimateReport:
-    idx = int(Scores.of(np.ravel(y)[None, :], cands.templates).map_indices()[0])
-    return EstimateReport(rotation=cands.rotations[idx].copy(), map_index=idx)
-
-
-def mmse_estimate(y, cands: CandidateSet, noise: forward.NoiseModel) -> EstimateReport:
-    """Procrustes-rounded posterior mean rotation, with degeneracy diagnostics."""
-    weights = posterior_weights(y, cands, noise)
-    rotations, nonunique, degenerate = mmse_rotations(weights.w, cands.rotations)
-    return EstimateReport(
-        rotation=rotations[0],
-        effective_sample_size=weights.effective_sample_size,
-        procrustes_nonunique=bool(nonunique[0]),
-        degenerate_average=bool(degenerate[0]),
-    )

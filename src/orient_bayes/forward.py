@@ -1,4 +1,4 @@
-"""Synthetic data generation: phantoms, grid rotations, projection, noise.
+"""Synthetic data generation: phantoms, grid rotations, projection, the noise model.
 
 Volumes are (n, n, n) float arrays indexed [x, y, z] with coordinates
 centered at the grid midpoint; polar images are (d_radial, l_angular)
@@ -13,8 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
-
-from . import so3
 
 
 class FileFormatError(ValueError):
@@ -54,9 +52,6 @@ class NoiseModel:
         if d is not None and var.ndim == 1 and var.shape[0] != d:
             raise ValueError("tau length does not match measurement dimension")
         return var
-
-    def effective_std(self, d: int | None = None):
-        return np.sqrt(self.effective_variance(d))
 
 
 @lru_cache(maxsize=8)
@@ -126,30 +121,6 @@ def rotate_polar(img: np.ndarray, k: int) -> np.ndarray:
     return np.roll(np.asarray(img), k, axis=1)
 
 
-def _noisy(clean: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    std = noise.effective_std(clean.size)
-    return clean if np.all(std == 0) else clean + rng.normal(size=clean.size) * std
-
-
-def synthesize_observation(
-    vbar: np.ndarray,
-    g: np.ndarray,
-    noise: NoiseModel,
-    projected: bool,
-    rng: np.random.Generator,
-    method: str = "trilinear",
-) -> np.ndarray:
-    """One noisy measurement y = Pi(g^-1 . vbar) + noise, flattened."""
-    return _noisy(rotated_stack(vbar, [g], method, projected)[0], noise, rng)
-
-
-def synthesize_polar_observation(
-    img: np.ndarray, shift: int, noise: NoiseModel, rng: np.random.Generator
-) -> np.ndarray:
-    """Polar analogue: y = (shift^-1 . img) + noise, flattened."""
-    return _noisy(rotate_polar(img, -shift).ravel(), noise, rng)
-
-
 def _power(signal: np.ndarray, projected: bool) -> float:
     """Mean clean-signal power per coordinate."""
     arr = np.asarray(signal, dtype=float)
@@ -187,14 +158,17 @@ def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> n
     ``gaussian_blobs`` sums a handful of anisotropically placed Gaussian
     bumps with no rotational symmetry; ``asymmetric_L`` is a smoothed chiral
     three-arm solid, so the true rotation is identifiable; ``loaded`` reads
-    a volume file (see :func:`read_obv`).
+    a volume file (see :func:`read_obv`), whose edge length replaces n.
     """
-    if n < MIN_PHANTOM_N:
-        raise ValueError(f"n must be >= {MIN_PHANTOM_N}")
     if kind == "loaded":
         if path is None:
             raise ValueError("loaded phantom requires a path")
-        return read_obv(path)
+        vol = read_obv(path)
+        if vol.shape[0] < MIN_PHANTOM_N or not np.all(np.isfinite(vol)):
+            raise FileFormatError(f"{path}: a phantom needs an edge length >= {MIN_PHANTOM_N} and finite voxels")
+        return vol
+    if n < MIN_PHANTOM_N:
+        raise ValueError(f"n must be >= {MIN_PHANTOM_N}")
     c = (n - 1) / 2.0
     coords = _centered_grid(n).reshape(3, n, n, n)
     if kind == "gaussian_blobs":

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from functools import partial
@@ -34,6 +36,32 @@ NON_DEFAULT = {
     "geometry": "volume",
     "noise_seeds": 3,
 }
+# Bad inputs that exit 2; each ran, or stopped with a traceback, before its
+# check.  "<name.obv>" stands for the volume file VOLUME_FILES[name].
+BAD_INPUTS = {
+    "loaded-file-malformed": {"phantom": {"kind": "loaded", "path": "<bad.obv>"}},
+    "loaded-file-too-small": {"phantom": {"kind": "loaded", "path": "<n2.obv>"}},
+    "loaded-file-not-finite": {"phantom": {"kind": "loaded", "path": "<nan.obv>"}},
+    "loaded-with-n": {"phantom": {"kind": "loaded", "path": "<n12.obv>", "n": 64}},
+    "loaded-with-seed": {"phantom": {"kind": "loaded", "path": "<n12.obv>", "seed": 1}},
+    "recover3d-phantom-sizes-differ": {"experiment": "recover3d", "phantom": {"kind": "gaussian_blobs", "n": 12}},
+    "recover3d-loaded-size-differs": {"experiment": "recover3d", "phantom": {"kind": "loaded", "path": "<n12.obv>"}},
+    "sigma-variance-overflows": {"sigmas": [1e300]},
+    "sigma-variance-underflows": {"sigmas": [1e-300]},
+    "sigma-too-large-for-a-double": {"sigmas": [10**400]},
+    "snr-sigma-variance-overflows": {"sigmas": None, "snrs": [5e-324]},
+    "eta-below-floor": {
+        "experiment": "prior_mismatch", "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1e-5}]
+    },
+}
+VOLUME_FILES = {
+    "bad.obv": lambda path: path.write_bytes(b"OBV2" + bytes(12)),
+    "n2.obv": lambda path: forward.write_obv(path, np.ones((2, 2, 2))),
+    "nan.obv": lambda path: forward.write_obv(path, np.full((8, 8, 8), np.nan)),
+    "n12.obv": lambda path: forward.write_obv(path, forward.make_phantom("gaussian_blobs", 12, seed=1)),
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 UNREAD = [
     (name, field)
     for name, raw in SMALL.items()
@@ -211,10 +239,10 @@ class TestSweeps:
             draw = partial(bench._noisy, clean, 0.4, key, threads)
         else:
             # recover2d's rows: each draws its shift, then its noise, from its own generator
-            truth, noise = clean[0].reshape(30, 10), forward.NoiseModel(sigma=0.4)
+            truth = clean[0].reshape(30, 10)
             for t in range(clean.shape[0]):
                 rng = np.random.default_rng(key + [t])
-                serial[t] = forward.synthesize_polar_observation(truth, int(rng.integers(10)), noise, rng)
+                serial[t] = forward.rotate_polar(truth, -int(rng.integers(10))).ravel() + rng.normal(size=300) * 0.4
             cfg = bench.ExperimentConfig.from_dict({"experiment": "recover2d", "sigmas": [0.4], "M": 29})
             draw = partial(bench._polar_observations, cfg, truth, 0.4, key, threads)
         interval = sys.getswitchinterval()
@@ -412,6 +440,23 @@ class TestCli:
         assert "config error" in err
         assert list(overrides)[-1] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, case):
+        overrides = BAD_INPUTS[case]
+        raw = dict(SMALL[overrides.get("experiment", "snr_sweep")], **overrides)
+        text = json.dumps(raw)
+        for name, write in VOLUME_FILES.items():
+            write(tmp_path / name)
+            text = text.replace(f'"<{name}>"', json.dumps(str(tmp_path / name)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "orient_bayes.cli", raw["experiment"], "--config", str(cfg_path),
+                "--out", str(tmp_path / "out")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "config error" in done.stderr and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("name, field", UNREAD, ids=[f"{name}-{field}" for name, field in UNREAD])
     def test_unread_field_exit_code(self, tmp_path, capsys, name, field):

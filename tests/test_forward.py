@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import rot_z
+from helpers import geodesic_distance, rot_z
 
-from orient_bayes import forward, so3
+from orient_bayes import bench, forward, so3
 
 
 @pytest.fixture(scope="module")
@@ -94,37 +94,31 @@ class TestProjectZ:
 
 
 class TestSynthesizeObservation:
+    """An observation is a row of forward.rotated_stack plus a row of bench._noisy."""
+
     def test_noiseless_identity(self, blob_phantom):
-        obs = forward.synthesize_observation(
-            blob_phantom, np.eye(3), forward.NoiseModel(sigma=0.0), False, np.random.default_rng(0)
-        )
-        assert np.array_equal(obs, blob_phantom.ravel())
+        obs = forward.rotated_stack(blob_phantom, [np.eye(3)])
+        assert np.array_equal(obs, blob_phantom.reshape(1, -1))
 
     def test_noise_variance(self):
-        obs = forward.synthesize_observation(
-            np.zeros((32, 32, 32)), np.eye(3), forward.NoiseModel(sigma=1.0), False,
-            np.random.default_rng(1),
-        )
+        obs = bench._noisy(np.zeros((1, 32**3)), 1.0, [1])
         assert 0.97 <= obs.var() <= 1.03
 
     def test_deterministic(self, blob_phantom):
-        g = so3.sample_uniform(np.random.default_rng(2), 1)[0]
-        kwargs = dict(noise=forward.NoiseModel(sigma=0.5), projected=True)
-        a = forward.synthesize_observation(blob_phantom, g, rng=np.random.default_rng(3), **kwargs)
-        b = forward.synthesize_observation(blob_phantom, g, rng=np.random.default_rng(3), **kwargs)
+        g = so3.sample_uniform(np.random.default_rng(2), 1)
+        a = bench._noisy(forward.rotated_stack(blob_phantom, g, projected=True), 0.5, [3])
+        b = bench._noisy(forward.rotated_stack(blob_phantom, g, projected=True), 0.5, [3])
         assert np.array_equal(a, b)
 
     def test_noiseless_projected_matches_pipeline(self, blob_phantom):
-        g = so3.sample_uniform(np.random.default_rng(4), 1)[0]
-        obs = forward.synthesize_observation(
-            blob_phantom, g, forward.NoiseModel(sigma=0.0), True, np.random.default_rng(0)
-        )
-        expected = forward.project_z(forward.rotate_volume(blob_phantom, g)).ravel()
-        assert np.array_equal(obs, expected)
+        g = so3.sample_uniform(np.random.default_rng(4), 1)
+        obs = forward.rotated_stack(blob_phantom, g, projected=True)
+        expected = forward.project_z(forward.rotate_volume(blob_phantom, g[0])).ravel()
+        assert np.array_equal(obs[0], expected)
 
     def test_structural_tau(self):
         noise = forward.NoiseModel(sigma=0.6, tau=0.8)
-        assert noise.effective_std() == pytest.approx(1.0)
+        assert noise.effective_variance() == pytest.approx(1.0)
 
 
 class TestNoiseModel:
@@ -189,7 +183,7 @@ class TestPhantoms:
         norm = np.linalg.norm(chiral_phantom)
         worst = np.inf
         for g in so3.sample_uniform(rng, 1000):
-            if so3.geodesic_distance(np.eye(3), g) < 1e-3:
+            if geodesic_distance(np.eye(3), g) < 1e-3:
                 continue
             diff = np.linalg.norm(chiral_phantom - forward.rotate_volume(chiral_phantom, g))
             worst = min(worst, diff / norm)

@@ -109,23 +109,44 @@ def map_inputs(draw):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(min_value=0.3, max_value=10.0),
 )
-def test_batch_map_equals_scalar_and_brute_force(inputs, seed, sigma):
+def test_row_result_does_not_depend_on_its_batch(inputs, seed, sigma):
+    # each row's MAP index, rounded MMSE rotation and flags are those of the
+    # row scored alone, and the MAP index is the least-squares candidate
     ys, x = inputs
     rotations = so3.sample_uniform(np.random.default_rng(seed), x.shape[0])
-    cands = estimators.CandidateSet(rotations=rotations, templates=x, prior=so3.RotationPrior.uniform())
-    noise = forward.NoiseModel(sigma=sigma)
-    scores = estimators.Scores.of(ys, x)
-    batch = scores.map_indices()
-    mmse, nonunique, degenerate = estimators.mmse_rotations(
-        np.exp(scores.log_weights(noise.effective_variance())), rotations
-    )
-    for m, (y, idx) in enumerate(zip(ys, batch)):
-        rep = estimators.map_estimate(y, cands)
-        assert rep.map_index == idx == np.argmin(np.sum((y - x) ** 2, axis=1))  # exact residuals
-        assert np.array_equal(rep.rotation, rotations[idx])
-        rep = estimators.mmse_estimate(y, cands, noise)
-        assert np.allclose(rep.rotation, mmse[m], rtol=0.0, atol=1e-12)
-        assert (rep.procrustes_nonunique, rep.degenerate_average) == (nonunique[m], degenerate[m])
+
+    def estimate(rows):
+        scores = estimators.Scores.of(rows, x)
+        w = np.exp(scores.log_weights(sigma**2))
+        return (scores.map_indices(), *estimators.mmse_rotations(w, rotations))
+
+    batch_map, batch_mmse, batch_nonunique, batch_degenerate = estimate(ys)
+    for m, y in enumerate(ys):
+        (idx,), (mmse,), (nonunique,), (degenerate,) = estimate(y[None])
+        assert idx == batch_map[m] == np.argmin(np.sum((y - x) ** 2, axis=1))  # exact residuals
+        assert np.allclose(mmse, batch_mmse[m], rtol=0.0, atol=1e-12)
+        assert (nonunique, degenerate) == (batch_nonunique[m], batch_degenerate[m])
+
+
+@SETTINGS
+@given(
+    map_inputs(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.3, max_value=10.0),
+    st.sampled_from([so3.RotationPrior.uniform(), so3.RotationPrior.isotropic_gaussian(0.3)]),
+)
+def test_mmse_minimizes_the_posterior_expected_loss(inputs, seed, sigma, prior):
+    # rho(Q) = sum_l w_l ||Q - R_l||_F^2 = const - 2 tr(Q^T sum_l w_l R_l) is
+    # minimized over SO(3) by the Procrustes rounding of the posterior mean, so
+    # no candidate, the MAP one included, has a smaller expected loss
+    ys, x = inputs
+    rotations = prior.sample(np.random.default_rng(seed), x.shape[0])
+    w = np.exp(estimators.normalized_log_weights(ys, x, sigma**2))
+    mmse, _, _ = estimators.mmse_rotations(w, rotations)
+    at_mmse = np.einsum("ml,mlij->m", w, (mmse[:, None] - rotations[None]) ** 2)
+    at_candidates = w @ np.sum((rotations[:, None] - rotations[None]) ** 2, axis=(2, 3))  # (M, L)
+    # ||Q - R||_F^2 <= 8 on SO(3)
+    assert np.all(at_mmse <= at_candidates.min(axis=1) + 1e-12 * 8)
 
 
 @st.composite

@@ -35,13 +35,7 @@ def polar_assigned_average(ys, shifts, shape):
 
 
 def noiseless_polar_obs(img, shifts):
-    rng = np.random.default_rng(0)
-    return np.stack(
-        [
-            forward.synthesize_polar_observation(img, s, forward.NoiseModel(sigma=0.0), rng)
-            for s in shifts
-        ]
-    )
+    return np.stack([forward.rotate_polar(img, -s).ravel() for s in shifts])
 
 
 class TestPcc:
@@ -172,16 +166,7 @@ def test_polar_soft_em_never_lowers_likelihood(sigma):
 def volume_setup():
     vbar = forward.make_phantom("gaussian_blobs", 12, seed=2)
     cands = estimators.CandidateSet.build(vbar, so3.RotationPrior.uniform(), 8, seed=4)
-    rng = np.random.default_rng(7)
-    ys = np.stack(
-        [
-            forward.synthesize_observation(
-                vbar, g, forward.NoiseModel(sigma=0.0), False, rng
-            )
-            for g in cands.rotations[:4]
-        ]
-    )
-    return vbar, cands, ys
+    return vbar, cands, forward.rotated_stack(vbar, cands.rotations[:4])
 
 
 class TestVolumeSteps:
@@ -375,7 +360,7 @@ class TestPerCoordinateVariance:
         tau = np.repeat(np.where(np.arange(12) % 2, 4.0, 0.0), 6) * forward.signal_scale(truth)
         noise = forward.NoiseModel(sigma=0.3 * forward.signal_scale(truth), tau=tau)
         clean = noiseless_polar_obs(truth, rng.integers(6, size=30))
-        ys = clean + noise.effective_std(truth.size) * rng.normal(size=clean.shape)
+        ys = clean + np.sqrt(noise.effective_variance(truth.size)) * rng.normal(size=clean.shape)
         log_w = direct_log_weights(ys, polar_templates(template), noise.effective_variance(truth.size))
         return ys, template, noise, log_w
 
@@ -456,7 +441,7 @@ def pooled_setup():
     true = so3.RotationPrior.uniform().sample(np.random.default_rng(9), count)
     rng = np.random.default_rng(6)
     noise = forward.NoiseModel(sigma=0.5 * forward.signal_scale(vbar))
-    ys = np.stack([forward.synthesize_observation(vbar, g, noise, False, rng) for g in true])
+    ys = forward.rotated_stack(vbar, true) + noise.sigma * rng.normal(size=(count, vbar.size))
     return vbar, rotations, ys, noise
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import rot_z
+from helpers import geodesic_distance, rot_z
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 from scipy.stats import kstest
@@ -14,22 +14,22 @@ def haar_angle_cdf(omega):
 
 class TestGeodesic:
     def test_identity(self):
-        assert so3.geodesic_distance(np.eye(3), np.eye(3)) == 0.0
+        assert geodesic_distance(np.eye(3), np.eye(3)) == 0.0
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.5, np.pi / 2, 3.0, np.pi])
     def test_z_rotation_angle(self, theta):
-        assert so3.geodesic_distance(np.eye(3), rot_z(theta)) == pytest.approx(theta, abs=1e-12)
+        assert geodesic_distance(np.eye(3), rot_z(theta)) == pytest.approx(theta, abs=1e-12)
 
     def test_bi_invariance(self):
         rng = np.random.default_rng(11)
         for g1, g2, h in zip(*(so3.sample_uniform(rng, 30) for _ in range(3))):
-            d = so3.geodesic_distance(g1, g2)
-            assert so3.geodesic_distance(h @ g1, h @ g2) == pytest.approx(d, abs=1e-10)
+            d = geodesic_distance(g1, g2)
+            assert geodesic_distance(h @ g1, h @ g2) == pytest.approx(d, abs=1e-10)
 
     def test_symmetry(self):
         rng = np.random.default_rng(12)
         g1, g2 = so3.sample_uniform(rng, 2)
-        assert so3.geodesic_distance(g1, g2) == pytest.approx(so3.geodesic_distance(g2, g1), abs=1e-12)
+        assert geodesic_distance(g1, g2) == pytest.approx(geodesic_distance(g2, g1), abs=1e-12)
 
 
 class TestProcrustes:
@@ -71,7 +71,7 @@ class TestProcrustes:
             proj = so3.procrustes_project(a).rotation
             # the projection must score at least as well as the best sample
             assert np.trace(proj.T @ a) >= np.trace(best.T @ a) - 1e-9
-            gaps.append(so3.geodesic_distance(best, proj))
+            gaps.append(geodesic_distance(best, proj))
         assert max(gaps) <= 0.25
         assert np.mean(gaps) <= 0.10
 
@@ -219,6 +219,21 @@ class TestIgSampling:
         a = so3.ig_sample(np.random.default_rng(5), 0.3, 50)
         b = so3.ig_sample(np.random.default_rng(5), 0.3, 50)
         assert np.array_equal(a, b)
+
+    def test_mean_angle_at_the_eta_floor(self):
+        # small-eta closed form: the mean angle is 4 eta / sqrt(pi)
+        eta = so3.MIN_ETA
+        gs = so3.ig_sample(np.random.default_rng(0), eta, 2000)
+        angles = so3.geodesic_distances(np.broadcast_to(np.eye(3), gs.shape), gs)
+        assert angles.mean() / eta == pytest.approx(4.0 / np.sqrt(np.pi), rel=0.02)
+
+    @pytest.mark.parametrize("eta", [1e-4, 1e-5, 1e-200, 0.0, np.nan])
+    def test_eta_below_the_floor_rejected(self, eta):
+        # the inverse-CDF table cannot resolve a narrower density: at 1e-5 it gave NaN rotations
+        with pytest.raises(ValueError):
+            so3.RotationPrior.isotropic_gaussian(eta)
+        with pytest.raises(ValueError):
+            so3.ig_sample(np.random.default_rng(0), eta, 1)
 
     def test_prior_wrapper(self):
         prior = so3.RotationPrior.isotropic_gaussian(0.3)
