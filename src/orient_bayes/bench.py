@@ -19,7 +19,6 @@ import typing
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,7 @@ CSV_HEADER = list(_COLUMNS)
 Outputs = namedtuple("Outputs", "records traces volumes extra", defaults=({}, {}, None))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     seed: int = 0
@@ -94,9 +93,7 @@ class ExperimentConfig:
         _check_keys("config", raw, cls.__dataclass_fields__)
         if "experiment" not in raw:
             raise ConfigError("config requires an experiment")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -109,23 +106,29 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
 
-    def validate(self):
-        """Check every field's value, then that each field the experiment
-        does not read is absent or at its default."""
+    def __post_init__(self):
+        """Check that each field the experiment does not read is absent or at
+        its default, then every field's value."""
         _check_choice("experiment", self.experiment, EXPERIMENTS)
         _check_choice("geometry", self.geometry, _GEOMETRY_READS)
         reads = fields_read(self.experiment, self.geometry)
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in reads | {"experiment", "seed"} and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ConfigError(f"{self.experiment} does not read {unread}: leave them out or at their defaults")
         for name in ("seed", "L", "trials", "M", "max_iters", "noise_seeds"):
             _check_int(name, getattr(self, name), 0 if name == "seed" else 1)
         for name in ("sigmas", "snrs"):
             _check_levels(name, getattr(self, name))
         for sigma in self.sigmas or []:
             _check_sigma(float(sigma), "sigmas")
-        if self.experiment == "einstein_noise":
-            if len(self.sigmas or []) > 1:
-                raise ConfigError("einstein_noise takes at most one entry in sigmas")
-        elif not self.sigmas and not self.snrs:
-            raise ConfigError(f"{self.experiment} requires a sigmas or snrs list")
+        levels = [name for name in ("sigmas", "snrs") if getattr(self, name) is not None]
+        if len(levels) > 1 or not (levels or self.experiment == "einstein_noise"):
+            raise ConfigError(f"{self.experiment} takes the noise level once, in sigmas or snrs; got {levels}")
+        if self.experiment == "einstein_noise" and len(self.sigmas or []) > 1:
+            raise ConfigError("einstein_noise takes at most one entry in sigmas")
         _check_choice("method", self.method, forward.INTERPOLATION_ORDERS)
         if not _is_positive(self.rel_tol):
             raise ConfigError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
@@ -167,15 +170,6 @@ class ExperimentConfig:
                 _check_choice("assignment_modes entry", mode, reconstruct.ASSIGNMENTS)
             if len(set(modes)) < len(modes):
                 raise ConfigError(f"assignment_modes lists a mode twice: {modes!r}")
-        unread = [
-            f.name for f in fields(self)
-            if f.name not in reads | {"experiment", "seed"} and getattr(self, f.name) != f.default
-        ]
-        if unread:
-            raise ConfigError(f"{self.experiment} does not read {unread}: leave them out or at their defaults")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _is_int(v) -> bool:
@@ -201,8 +195,8 @@ def _check_int(name: str, value, low: int) -> None:
 def _check_levels(name: str, values) -> None:
     if values is None:
         return
-    if not isinstance(values, list):
-        raise ConfigError(f"{name} must be a list, got {values!r}")
+    if not (isinstance(values, list) and values):
+        raise ConfigError(f"{name} must be a non-empty list, got {values!r}")
     for v in values:
         if not _is_positive(v):
             raise ConfigError(f"every entry of {name} must be finite and positive, got {v!r}")
@@ -229,9 +223,11 @@ def _check_prior(name: str, spec) -> None:
     kind = spec.get("kind", "uniform") if isinstance(spec, dict) else None
     _check_keys(name, spec, ("kind", "eta") if kind == "isotropic_gaussian" else ("kind",))
     _check_choice(f"{name} kind", kind, so3.PRIOR_KINDS)
-    eta = spec.get("eta")
-    if kind == "isotropic_gaussian" and not (_is_positive(eta) and eta >= so3.MIN_ETA):
-        raise ConfigError(f"{name} isotropic_gaussian eta must be finite and >= {so3.MIN_ETA}, got {eta!r}")
+    if kind == "isotropic_gaussian":
+        try:
+            so3.check_eta(spec.get("eta"))
+        except ValueError as exc:
+            raise ConfigError(f"{name} isotropic_gaussian {exc}") from None
 
 
 def _check_phantom(name: str, spec, polar: bool) -> None:
@@ -253,7 +249,7 @@ def _check_phantom(name: str, spec, polar: bool) -> None:
 
 
 def _prior_from_spec(spec: dict | None) -> so3.RotationPrior:
-    # validate() has checked the spec
+    # the config has checked the spec
     if spec is not None and spec.get("kind") == "isotropic_gaussian":
         return so3.RotationPrior.isotropic_gaussian(float(spec["eta"]))
     return so3.RotationPrior.uniform()
@@ -274,7 +270,7 @@ def worker_count(requested: int | None = None) -> int:
     cap = os.environ.get("OB_THREADS")
     n = requested or (os.cpu_count() or 1)
     if cap:
-        if not cap.strip().isdigit() or int(cap) < 1:
+        if not (cap.isascii() and cap.strip().isdigit()) or int(cap) < 1:
             raise ConfigError(f"OB_THREADS must be a positive integer, got {cap!r}")
         n = min(n, int(cap))
     return max(1, n)
@@ -297,26 +293,28 @@ def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
             for s in cfg.snrs]
 
 
-def _rows(key: list[int], shape: tuple, draw, threads: int | None) -> np.ndarray:
+def _rows(key: list[int], shape: tuple, draw, map) -> np.ndarray:
     """A new array of ``shape`` whose row t is draw(t, rng) with its own
     generator, seeded by key + [t], so the rows can be drawn in any order
-    and the result does not depend on batching or the thread count."""
+    and the result does not depend on batching or on the order-preserving
+    ``map`` that runs them."""
     out = np.empty(shape)
 
     def row(t):
         out[t] = draw(t, np.random.default_rng(key + [t]))
 
-    parallel_map(row, range(shape[0]), threads)
+    for _ in map(row, range(shape[0])):
+        pass
     return out
 
 
 def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int) -> np.ndarray:
-    # one thread: the prior builds its sampling table on first use
-    return _rows([cfg.seed, _K_TRUTH], (count, 3, 3), lambda t, rng: prior.sample(rng, 1)[0], 1)
+    # the builtin map: the prior builds its sampling table on first use
+    return _rows([cfg.seed, _K_TRUTH], (count, 3, 3), lambda t, rng: prior.sample(rng, 1)[0], map)
 
 
-def _noisy(clean: np.ndarray, sigma: float, key: list[int], threads: int | None = None) -> np.ndarray:
-    return _rows(key, clean.shape, lambda t, rng: clean[t] + rng.normal(size=clean.shape[1]) * sigma, threads)
+def _noisy(clean: np.ndarray, sigma: float, key: list[int]) -> np.ndarray:
+    return _rows(key, clean.shape, lambda t, rng: clean[t] + rng.normal(size=clean.shape[1]) * sigma, parallel_map)
 
 
 def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
@@ -326,29 +324,27 @@ def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
     return ResultRecord(cfg.experiment, cfg.seed, float(sigma), float(snr), int(L), label, mean, se, errors.size)
 
 
-def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int, threads: int | None):
+def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int):
     return estimators.CandidateSet.build(
-        vbar, prior, L, seed=seed, projected=cfg.projected, method=cfg.method,
-        map=partial(parallel_map, threads=threads),
+        vbar, prior, L, seed=seed, projected=cfg.projected, method=cfg.method, map=parallel_map
     )
 
 
-def _sweep_inputs(cfg: ExperimentConfig, threads: int | None):
+def _sweep_inputs(cfg: ExperimentConfig):
     """The sweep phantom, the true rotations, and their clean observations."""
     vbar = _phantom_from_spec(cfg.phantom)
     rotations = _true_rotations(cfg, _prior_from_spec(cfg.truth_prior), cfg.trials)
-    pool = partial(parallel_map, threads=threads)
-    return vbar, rotations, forward.rotated_stack(vbar, rotations, cfg.method, cfg.projected, pool)
+    return vbar, rotations, forward.rotated_stack(vbar, rotations, cfg.method, cfg.projected, parallel_map)
 
 
-def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates, threads) -> list[ResultRecord]:
+def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> list[ResultRecord]:
     """Geodesic-error records at every sigma of each (cands, labels) entry; a
     label is "map" or "mmse", optionally followed by ":<detail>".  Each sigma
     scores its noisy batch once per candidate set, and MAP and MMSE both read
     those scores."""
     records = []
     for si, sigma in enumerate(_sigma_list(cfg, vbar)):
-        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads)
+        ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(vbar, noise, projected=cfg.projected)
         for cands, labels in estimates:
@@ -364,33 +360,33 @@ def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates, thr
     return records
 
 
-def run_snr_sweep(cfg: ExperimentConfig, threads: int | None = None):
+def run_snr_sweep(cfg: ExperimentConfig):
     """Mean geodesic error of MAP and MMSE across a noise sweep (shared grid)."""
-    vbar, rotations, clean = _sweep_inputs(cfg, threads)
+    vbar, rotations, clean = _sweep_inputs(cfg)
     est_prior = _prior_from_spec((cfg.estimation_priors or [None])[0])
-    cands = _candidates(cfg, vbar, est_prior, cfg.L, cfg.seed, threads)
-    return Outputs(_sweep(cfg, vbar, rotations, clean, cfg.L, [(cands, ["map", "mmse"])], threads))
+    cands = _candidates(cfg, vbar, est_prior, cfg.L, cfg.seed)
+    return Outputs(_sweep(cfg, vbar, rotations, clean, cfg.L, [(cands, ["map", "mmse"])]))
 
 
-def run_prior_mismatch(cfg: ExperimentConfig, threads: int | None = None):
+def run_prior_mismatch(cfg: ExperimentConfig):
     """MAP on a uniform grid vs MMSE variants sampled from estimation priors."""
-    vbar, rotations, clean = _sweep_inputs(cfg, threads)
-    uniform = _candidates(cfg, vbar, so3.RotationPrior.uniform(), cfg.L, cfg.seed, threads)
+    vbar, rotations, clean = _sweep_inputs(cfg)
+    uniform = _candidates(cfg, vbar, so3.RotationPrior.uniform(), cfg.L, cfg.seed)
     estimates = [(uniform, ["map"])]
     for k, spec in enumerate(cfg.estimation_priors):
-        cset = _candidates(cfg, vbar, _prior_from_spec(spec), cfg.L, cfg.seed + 1 + k, threads)
+        cset = _candidates(cfg, vbar, _prior_from_spec(spec), cfg.L, cfg.seed + 1 + k)
         estimates.append((cset, [f"mmse:{cset.prior.label()}"]))
-    return Outputs(_sweep(cfg, vbar, rotations, clean, cfg.L, estimates, threads))
+    return Outputs(_sweep(cfg, vbar, rotations, clean, cfg.L, estimates))
 
 
-def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
+def run_grid_sweep(cfg: ExperimentConfig):
     """Estimator error vs grid size, with the fitted log-log slopes as extra."""
-    vbar, rotations, clean = _sweep_inputs(cfg, threads)
+    vbar, rotations, clean = _sweep_inputs(cfg)
     ls = cfg.L_values
     records, first = [], {}
     for L in ls:
-        cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed, threads)
-        records_L = _sweep(cfg, vbar, rotations, clean, L, [(cands, ["map", "mmse"])], threads)
+        cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed)
+        records_L = _sweep(cfg, vbar, rotations, clean, L, [(cands, ["map", "mmse"])])
         first[L] = {r.estimator: r.metric_mean for r in records_L[:2]}
         records += records_L
     # slope of log(mean error) vs log(L) at the first sigma (highest SNR)
@@ -402,14 +398,14 @@ def run_grid_sweep(cfg: ExperimentConfig, threads: int | None = None):
     return Outputs(records, extra={"slopes": slopes})
 
 
-def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[int], threads) -> np.ndarray:
+def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[int]) -> np.ndarray:
     """Row t: truth shifted by a random element plus noise; its generator draws the shift first."""
 
     def draw(t, rng):
         shift = int(rng.integers(truth.shape[1]))
         return forward.rotate_polar(truth, -shift).ravel() + rng.normal(size=truth.size) * sigma
 
-    return _rows(key, (cfg.M, truth.size), draw, threads)
+    return _rows(key, (cfg.M, truth.size), draw, parallel_map)
 
 
 def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) -> np.ndarray:
@@ -458,32 +454,28 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
     return Outputs(records, traces, volumes)
 
 
-def run_recover2d(cfg: ExperimentConfig, threads: int | None = None):
+def run_recover2d(cfg: ExperimentConfig):
     """Iterative polar-image recovery from shifted noisy copies."""
     truth = _polar_phantom(cfg, cfg.phantom, 1)
     template, group = _template_and_group(cfg, "polar")
     return _recover(
         cfg, truth, template, group,
-        lambda si, sigma: _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si], threads),
+        lambda si, sigma: _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si]),
     )
 
 
-def run_recover3d(cfg: ExperimentConfig, threads: int | None = None):
+def run_recover3d(cfg: ExperimentConfig):
     """Iterative 3D recovery from rotated noisy copies (no projection)."""
     truth = _phantom_from_spec(cfg.phantom, default_kind="gaussian_blobs")
-    pool = partial(parallel_map, threads=threads)
-    template, group = _template_and_group(cfg, "volume", pool)
-    if template.shape != truth.shape:  # validate() has compared the sizes of generated phantoms only
+    template, group = _template_and_group(cfg, "volume", parallel_map)
+    if template.shape != truth.shape:  # the config has compared the sizes of generated phantoms only
         raise ConfigError(f"phantom is {truth.shape} but template_phantom is {template.shape}")
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
-    clean = forward.rotated_stack(truth, rotations, cfg.method, map=pool)
-    return _recover(
-        cfg, truth, template, group,
-        lambda si, sigma: _noisy(clean, sigma, [cfg.seed, _K_NOISE, si], threads),
-    )
+    clean = forward.rotated_stack(truth, rotations, cfg.method, map=parallel_map)
+    return _recover(cfg, truth, template, group, lambda si, sigma: _noisy(clean, sigma, [cfg.seed, _K_NOISE, si]))
 
 
-def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
+def run_einstein_noise(cfg: ExperimentConfig):
     """Template-bias measurement on pure-noise data, averaged over noise seeds."""
     modes = cfg.assignment_modes or DEFAULT_MODES
     sigma = float((cfg.sigmas or [1.0])[0])
@@ -494,15 +486,15 @@ def run_einstein_noise(cfg: ExperimentConfig, threads: int | None = None):
 
     def one_seed(k):
         out = {}
-        # one thread: the seeds already run on the pool
-        ys = _rows([cfg.seed, _K_NOISE, k], (cfg.M, dim), lambda t, rng: rng.normal(size=dim) * sigma, 1)
+        # the builtin map: the seeds already run on the pool
+        ys = _rows([cfg.seed, _K_NOISE, k], (cfg.M, dim), lambda t, rng: rng.normal(size=dim) * sigma, map)
         batch = reconstruct.Batch(ys, template.shape, noise)
         for mode in modes:
             final, trace = _reconstruct(cfg, mode, batch, template, group)
             out[mode] = (reconstruct.pcc(final, template), trace)
         return out
 
-    per_seed = parallel_map(one_seed, range(cfg.noise_seeds), threads)
+    per_seed = parallel_map(one_seed, range(cfg.noise_seeds))
     for mode in modes:
         pccs = [res[mode][0] for res in per_seed]
         for k, res in enumerate(per_seed):
@@ -528,7 +520,7 @@ def parse_csv(path) -> list[ResultRecord]:
 
 
 def emit_json(cfg: ExperimentConfig, records, path, extra: dict | None = None) -> None:
-    doc = {"config": cfg.to_dict(), "records": [asdict(r) for r in records]}
+    doc = {"config": asdict(cfg), "records": [asdict(r) for r in records]}
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:
@@ -536,7 +528,7 @@ def emit_json(cfg: ExperimentConfig, records, path, extra: dict | None = None) -
         fh.write("\n")
 
 
-# run(cfg, threads) gives the Outputs; reads are the config fields read
+# run(cfg) gives the Outputs; reads are the config fields read
 # besides experiment and seed.
 Experiment = namedtuple("Experiment", "run reads")
 # The fields an EM geometry adds: the polar grid, or the rotation grid of a volume.
@@ -561,12 +553,12 @@ def fields_read(experiment: str, geometry: str) -> set:
     return {*reads, *_GEOMETRY_READS[geometry]} if "geometry" in reads else set(reads)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int | None = None):
+def run_experiment(cfg: ExperimentConfig, out_dir):
     """Run cfg's experiment and write results.csv / results.json plus any
     traces/*.jsonl and volumes/*.obv under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records, traces, volumes, extra = EXPERIMENTS[cfg.experiment].run(cfg, threads)
+    records, traces, volumes, extra = EXPERIMENTS[cfg.experiment].run(cfg)
     emit_csv(records, out / "results.csv")
     emit_json(cfg, records, out / "results.json", extra=extra)
     if traces:

@@ -1,13 +1,15 @@
 """Command-line entry point.
 
-    orient-bayes <experiment> --config <path.json> [--seed N] [--out DIR] [--threads N]
+    orient-bayes <experiment> --config <path.json> [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 config validation failure, 3 I/O failure.
+OB_THREADS caps the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import bench, forward
@@ -19,7 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON experiment configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker-count cap")
     return parser
 
 
@@ -32,16 +33,13 @@ def main(argv=None) -> int:
                 f"config declares experiment {cfg.experiment!r}, CLI asked for {args.experiment!r}"
             )
         if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.validate()
-        if args.threads is not None and args.threads < 1:
-            raise bench.ConfigError(f"--threads must be >= 1, got {args.threads}")
-        bench.worker_count(args.threads)  # rejects a malformed OB_THREADS before any work
-    except (OSError, bench.ConfigError, ValueError) as exc:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        bench.worker_count()  # rejects a malformed OB_THREADS before any work
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"orient-bayes: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        bench.run_experiment(cfg, args.out, threads=args.threads)
+        bench.run_experiment(cfg, args.out)
     except (bench.ConfigError, forward.FileFormatError) as exc:
         # what only the run can check: a phantom file's contents and size, a noise level set by an SNR
         print(f"orient-bayes: config error: {exc}", file=sys.stderr)

@@ -111,9 +111,9 @@ def rotated_stack(vol, rotations, method: str = "trilinear", projected: bool = F
     return out
 
 
-def project_z(vol: np.ndarray, voxel_length: float = 1.0) -> np.ndarray:
-    """Line-integral approximation along the third axis, shape (n, n)."""
-    return np.asarray(vol, dtype=float).sum(axis=2) * voxel_length
+def project_z(vol: np.ndarray) -> np.ndarray:
+    """Line-integral approximation along the third axis (unit voxels), shape (n, n)."""
+    return np.asarray(vol, dtype=float).sum(axis=2)
 
 
 def rotate_polar(img: np.ndarray, k: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class ReconstructionConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+        if not 0 < self.rel_tol <= sys.float_info.max:  # an integer too large for a double is not finite
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
 
 

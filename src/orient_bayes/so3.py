@@ -6,6 +6,8 @@ Batches of rotations are stacked along the first axis, shape (L, 3, 3).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,13 @@ PRIOR_KINDS = ("uniform", "isotropic_gaussian")
 # mean sampled angle came out 3x too large, at 1e-5 the samples were NaN).
 _CDF_POINTS = 4096
 MIN_ETA = 1e-3
+
+
+def check_eta(eta) -> None:
+    """Raise ValueError unless eta is a finite real number, not a bool, >= MIN_ETA."""
+    if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and MIN_ETA <= eta <= sys.float_info.max):
+        raise ValueError(f"eta must be a finite number >= {MIN_ETA}, got {eta!r}")
+
 
 # Near-degenerate Procrustes detection thresholds.
 _TIE_TOL = 1e-9
@@ -176,8 +185,7 @@ class InverseCdfTable:
 
 def build_inverse_cdf(eta: float) -> InverseCdfTable:
     """Trapezoidal cumulative angle CDF on a uniform grid, renormalized to 1."""
-    if not eta >= MIN_ETA:
-        raise ValueError(f"eta must be >= {MIN_ETA}, got {eta!r}")
+    check_eta(eta)
     omega = np.linspace(0.0, np.pi, _CDF_POINTS)
     dens = ig_density(omega, eta)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(omega))])
@@ -223,8 +231,8 @@ class RotationPrior:
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
             raise ValueError(f"unknown prior kind: {self.kind!r}")
-        if self.kind == "isotropic_gaussian" and not (self.eta is not None and self.eta >= MIN_ETA):
-            raise ValueError(f"isotropic_gaussian prior requires eta >= {MIN_ETA}, got {self.eta!r}")
+        if self.kind == "isotropic_gaussian":
+            check_eta(self.eta)
 
     @classmethod
     def uniform(cls) -> "RotationPrior":

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from functools import partial
 from pathlib import Path
 
@@ -50,6 +50,8 @@ BAD_INPUTS = {
     "sigma-variance-underflows": {"sigmas": [1e-300]},
     "sigma-too-large-for-a-double": {"sigmas": [10**400]},
     "snr-sigma-variance-overflows": {"sigmas": None, "snrs": [5e-324]},
+    "sigmas-and-snrs": {"snrs": [1.0, 0.01]},
+    "einstein-noise-empty-sigmas": {"experiment": "einstein_noise", "sigmas": []},
     "eta-below-floor": {
         "experiment": "prior_mismatch", "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1e-5}]
     },
@@ -137,6 +139,11 @@ class TestConfig:
     def test_missing_or_unhashable_experiment(self, raw):
         with pytest.raises(bench.ConfigError, match="experiment"):
             bench.ExperimentConfig.from_dict(raw)
+
+    def test_config_is_frozen(self):
+        cfg = small_snr_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 7
 
     def test_non_default_values_cover_every_field(self):
         assert set(NON_DEFAULT) == FIELDS
@@ -229,6 +236,8 @@ class TestSweeps:
     )
     def test_noisy_rows_on_pool_match_serial(self, monkeypatch, rows, threads):
         monkeypatch.delenv("OB_THREADS", raising=False)
+        # bench looks parallel_map up when it runs, so this forces the worker count
+        monkeypatch.setattr(bench, "parallel_map", partial(bench.parallel_map, threads=threads))
         rng = np.random.default_rng(3)
         clean = rng.normal(size=(29, 300))  # more rows than threads
         key = [7, bench._K_NOISE, 2]
@@ -236,7 +245,7 @@ class TestSweeps:
         if rows == "noise":
             for t in range(clean.shape[0]):
                 serial[t] = clean[t] + np.random.default_rng(key + [t]).normal(size=clean.shape[1]) * 0.4
-            draw = partial(bench._noisy, clean, 0.4, key, threads)
+            draw = partial(bench._noisy, clean, 0.4, key)
         else:
             # recover2d's rows: each draws its shift, then its noise, from its own generator
             truth = clean[0].reshape(30, 10)
@@ -244,7 +253,7 @@ class TestSweeps:
                 rng = np.random.default_rng(key + [t])
                 serial[t] = forward.rotate_polar(truth, -int(rng.integers(10))).ravel() + rng.normal(size=300) * 0.4
             cfg = bench.ExperimentConfig.from_dict({"experiment": "recover2d", "sigmas": [0.4], "M": 29})
-            draw = partial(bench._polar_observations, cfg, truth, 0.4, key, threads)
+            draw = partial(bench._polar_observations, cfg, truth, 0.4, key)
         interval = sys.getswitchinterval()
         if threads == 8:
             sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -308,6 +317,14 @@ class TestCli:
         cli.main(["snr_sweep", "--config", str(cfg_path), "--out", str(out1)])
         cli.main(["snr_sweep", "--config", str(cfg_path), "--seed", "99", "--out", str(out2)])
         assert (out1 / "results.csv").read_text() != (out2 / "results.csv").read_text()
+        assert json.loads((out2 / "results.json").read_text())["config"]["seed"] == 99
+
+    def test_negative_seed_override_exit_code(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, self.small_raw())
+        out = tmp_path / "out"
+        assert cli.main(["snr_sweep", "--config", str(cfg_path), "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {"experiment": "snr_sweep"})
@@ -469,31 +486,38 @@ class TestCli:
         assert f"{raw['experiment']} does not read" in err and repr(field) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+    @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5", "²"])
     def test_bad_thread_cap_exit_code(self, tmp_path, monkeypatch, capsys, cap):
         monkeypatch.setenv("OB_THREADS", cap)
         cfg_path = self.write_config(tmp_path, self.small_raw())
         assert cli.main(["snr_sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert "OB_THREADS" in capsys.readouterr().err
 
-    def test_nonpositive_threads_flag_exit_code(self, tmp_path):
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        # OB_THREADS is the one worker cap
         cfg_path = self.write_config(tmp_path, self.small_raw())
-        assert cli.main(["snr_sweep", "--config", str(cfg_path), "--threads", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["snr_sweep", "--config", str(cfg_path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
-    def assert_thread_count_invariant(self, tmp_path, raw, n_files):
+    def assert_thread_count_invariant(self, tmp_path, monkeypatch, raw, n_files):
         cfg_path = self.write_config(tmp_path, raw)
         outs = []
-        for extra in (["--threads", "1"], []):
+        for cap in ("1", None):
+            if cap is None:
+                monkeypatch.delenv("OB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OB_THREADS", cap)
             outs.append(tmp_path / f"out{len(outs)}")
-            argv = [raw["experiment"], "--config", str(cfg_path), "--out", str(outs[-1])]
-            assert cli.main(argv + extra) == 0
+            assert cli.main([raw["experiment"], "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
         files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
         assert len(files) == n_files
         assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
         for rel in files:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
-    def test_recover3d_thread_count_invariance(self, tmp_path):
+    def test_recover3d_thread_count_invariance(self, tmp_path, monkeypatch):
         raw = {
             "experiment": "recover3d",
             "seed": 3,
@@ -505,9 +529,9 @@ class TestCli:
             "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
             "max_iters": 2,
         }
-        self.assert_thread_count_invariant(tmp_path, raw, 2 + 2 * 3)
+        self.assert_thread_count_invariant(tmp_path, monkeypatch, raw, 2 + 2 * 3)
 
-    def test_einstein_noise_volume_thread_count_invariance(self, tmp_path):
+    def test_einstein_noise_volume_thread_count_invariance(self, tmp_path, monkeypatch):
         # the noise seeds run on the pool and each volume group on the builtin map
         raw = {
             "experiment": "einstein_noise",
@@ -521,7 +545,7 @@ class TestCli:
             "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
             "max_iters": 2,
         }
-        self.assert_thread_count_invariant(tmp_path, raw, 2 + 2 * 3)
+        self.assert_thread_count_invariant(tmp_path, monkeypatch, raw, 2 + 2 * 3)
 
     def test_recover3d_outputs_volumes(self, tmp_path):
         cfg_path = self.write_config(

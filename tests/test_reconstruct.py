@@ -266,10 +266,14 @@ class TestRunReconstruction:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rel_tol": float("nan")}, {"rel_tol": float("inf")}, {"max_iters": 2.5}, {"max_iters": True}],
+        [
+            {"rel_tol": float("nan")}, {"rel_tol": float("inf")}, {"max_iters": 2.5}, {"max_iters": True},
+            {"rel_tol": 10**400},
+        ],
     )
     def test_non_finite_tol_and_non_integer_iters_rejected(self, kwargs):
-        # a NaN tolerance never stops EM early; a fractional count fails in range()
+        # a NaN tolerance never stops EM early; a fractional count fails in
+        # range(); 10**400 raised OverflowError, not ValueError
         with pytest.raises(ValueError):
             reconstruct.ReconstructionConfig(**kwargs)
 

@@ -235,6 +235,14 @@ class TestIgSampling:
         with pytest.raises(ValueError):
             so3.ig_sample(np.random.default_rng(0), eta, 1)
 
+    @pytest.mark.parametrize("eta", [np.inf, True], ids=["inf", "bool"])
+    def test_eta_not_a_finite_number_rejected(self, eta):
+        # an infinite eta sampled all-NaN rotations, and True was taken as 1.0
+        with pytest.raises(ValueError):
+            so3.RotationPrior.isotropic_gaussian(eta)
+        with pytest.raises(ValueError):
+            so3.build_inverse_cdf(eta)
+
     def test_prior_wrapper(self):
         prior = so3.RotationPrior.isotropic_gaussian(0.3)
         a = prior.sample(np.random.default_rng(6), 10)

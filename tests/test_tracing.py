@@ -3,12 +3,17 @@ instruments, so a rename in the package fails here and not only under
 ``perfbench/run.py --trace 1``."""
 
 import importlib.util
+import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
+from small_configs import SMALL
 
 import orient_bayes
+import orient_bayes.cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +47,42 @@ def test_tracer_counts_the_scoring_function(monkeypatch):
     assert tracer.counts["support.n"] == 1
     assert tracer.counts["log_weights.flop"] == 2.0 * 3 * 5 * 4 + 2.0 * (3 + 5) * 4
     assert [s.name for s in tracer.spans].count("estimators.log_weights") == 1
+
+
+@pytest.mark.parametrize("name", ["snr_sweep", "recover3d"])
+def test_tracer_sees_every_pooled_fill(monkeypatch, tmp_path, name):
+    # bench must look parallel_map up when it runs: bound as a default
+    # argument, the tracer's patched bench.parallel_map would miss the fills
+    tracing = load_tracing(monkeypatch)
+    monkeypatch.setenv("OB_THREADS", "2")
+    raw = SMALL[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    argv = [raw["experiment"], "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    tracer = tracing.Tracer()
+    uninstall = tracing.instrument(orient_bayes, tracer)
+    try:
+        assert tracer.call("cli.main", orient_bayes.cli.main, (argv,)) == 0
+    finally:
+        uninstall()
+    by_id = {s.id: s for s in tracer.spans}
+    children = defaultdict(list)
+    for s in tracer.spans:
+        children[s.parent].append(s)
+
+    def ancestors(span):
+        while span.parent is not None:
+            span = by_id[span.parent]
+            yield span.name
+
+    rotations = [s for s in tracer.spans if s.name == "forward.rotate_volume"]
+    assert rotations and all("bench.task" in ancestors(s) for s in rotations)
+    # a noise fill: a pooled map the run opens itself, one task per row, whose tasks call nothing traced
+    fills = [
+        s for s in tracer.spans
+        if s.name == "bench.parallel_map" and by_id[s.parent].name == "bench.run"
+        and not any(children[c.id] for c in children[s.id] if c.name == "bench.task")
+    ]
+    rows = raw.get("trials", raw.get("M"))
+    tasks = [[c for c in children[s.id] if c.name == "bench.task"] for s in fills]
+    assert [len(t) for t in tasks] == [rows] * len(raw["sigmas"])
