@@ -71,17 +71,17 @@ class ExperimentConfig:
     seed: int = 0
     L: int = 300
     trials: int = 500
-    sigmas: list | None = None
-    snrs: list | None = None
+    sigmas: tuple | None = None
+    snrs: tuple | None = None
     truth_prior: dict | None = None
-    estimation_priors: list | None = None
+    estimation_priors: tuple | None = None
     phantom: dict | None = None
     template_phantom: dict | None = None
     projected: bool = False
-    L_values: list | None = None
+    L_values: tuple | None = None
     M: int = 1000
     polar: dict | None = None
-    assignment_modes: list | None = None
+    assignment_modes: tuple | None = None
     max_iters: int = 100
     rel_tol: float = 1e-4
     method: str = "trilinear"
@@ -149,7 +149,7 @@ class ExperimentConfig:
         if self.truth_prior is not None:
             _check_prior("truth_prior", self.truth_prior)
         if self.estimation_priors is not None:
-            if not isinstance(self.estimation_priors, list):
+            if not isinstance(self.estimation_priors, (list, tuple)):
                 raise ConfigError(f"estimation_priors must be a list, got {self.estimation_priors!r}")
             for spec in self.estimation_priors:
                 _check_prior("estimation_priors entry", spec)
@@ -159,17 +159,21 @@ class ExperimentConfig:
             raise ConfigError("snr_sweep takes at most one entry in estimation_priors")
         if self.experiment == "grid_sweep":
             ls = self.L_values
-            ints = isinstance(ls, list) and all(_is_int(v) and v >= 1 for v in ls)
+            ints = isinstance(ls, (list, tuple)) and all(_is_int(v) and v >= 1 for v in ls)
             if not (ints and len(set(ls)) == len(ls) > 1):
                 raise ConfigError(f"L_values must be a list of >= 2 distinct integers >= 1, got {ls!r}")
         modes = self.assignment_modes
         if modes is not None:
-            if not (isinstance(modes, list) and modes):
+            if not (isinstance(modes, (list, tuple)) and modes):
                 raise ConfigError(f"assignment_modes must be a non-empty list, got {modes!r}")
             for mode in modes:
                 _check_choice("assignment_modes entry", mode, reconstruct.ASSIGNMENTS)
             if len(set(modes)) < len(modes):
                 raise ConfigError(f"assignment_modes lists a mode twice: {modes!r}")
+        # lists are stored as tuples, so a checked config cannot change; json writes them as arrays
+        for name in ("sigmas", "snrs", "estimation_priors", "L_values", "assignment_modes"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 def _is_int(v) -> bool:
@@ -195,7 +199,7 @@ def _check_int(name: str, value, low: int) -> None:
 def _check_levels(name: str, values) -> None:
     if values is None:
         return
-    if not (isinstance(values, list) and values):
+    if not (isinstance(values, (list, tuple)) and values):
         raise ConfigError(f"{name} must be a non-empty list, got {values!r}")
     for v in values:
         if not _is_positive(v):
@@ -344,6 +348,7 @@ def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> 
     those scores."""
     records = []
     for si, sigma in enumerate(_sigma_list(cfg, vbar)):
+        ys = None  # release the last sigma's batch before drawing the next
         ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
         noise = forward.NoiseModel(sigma=sigma)
         snr = forward.snr_of(vbar, noise, projected=cfg.projected)
@@ -385,6 +390,7 @@ def run_grid_sweep(cfg: ExperimentConfig):
     ls = cfg.L_values
     records, first = [], {}
     for L in ls:
+        cands = None  # release the last candidate set before building the next
         cands = _candidates(cfg, vbar, so3.RotationPrior.uniform(), L, cfg.seed)
         records_L = _sweep(cfg, vbar, rotations, clean, L, [(cands, ["map", "mmse"])])
         first[L] = {r.estimator: r.metric_mean for r in records_L[:2]}
@@ -404,6 +410,16 @@ def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[in
     def draw(t, rng):
         shift = int(rng.integers(truth.shape[1]))
         return forward.rotate_polar(truth, -shift).ravel() + rng.normal(size=truth.size) * sigma
+
+    return _rows(key, (cfg.M, truth.size), draw, parallel_map)
+
+
+def _volume_observations(cfg: ExperimentConfig, truth, rotations, sigma: float, key: list[int]) -> np.ndarray:
+    """Row t: truth rotated by rotations[t] plus noise, rotated and drawn in one
+    task, so no clean stack is held beside the batch."""
+
+    def draw(t, rng):
+        return forward.rotate_volume(truth, rotations[t], cfg.method).ravel() + rng.normal(size=truth.size) * sigma
 
     return _rows(key, (cfg.M, truth.size), draw, parallel_map)
 
@@ -438,6 +454,7 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
     modes = cfg.assignment_modes or DEFAULT_MODES
     records, traces, volumes = [], {}, {}
     for si, sigma in enumerate(_sigma_list(cfg, truth)):
+        batch = None  # release the last level's batch before drawing the next
         noise = forward.NoiseModel(sigma=sigma)
         batch = reconstruct.Batch(observe(si, sigma), template.shape, noise)
         snr = forward.snr_of(truth, noise)
@@ -471,8 +488,10 @@ def run_recover3d(cfg: ExperimentConfig):
     if template.shape != truth.shape:  # the config has compared the sizes of generated phantoms only
         raise ConfigError(f"phantom is {truth.shape} but template_phantom is {template.shape}")
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
-    clean = forward.rotated_stack(truth, rotations, cfg.method, map=parallel_map)
-    return _recover(cfg, truth, template, group, lambda si, sigma: _noisy(clean, sigma, [cfg.seed, _K_NOISE, si]))
+    return _recover(
+        cfg, truth, template, group,
+        lambda si, sigma: _volume_observations(cfg, truth, rotations, sigma, [cfg.seed, _K_NOISE, si]),
+    )
 
 
 def run_einstein_noise(cfg: ExperimentConfig):

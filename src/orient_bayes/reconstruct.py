@@ -66,27 +66,24 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Group:
-    """L group elements acting on a structure.  Subclasses give ``act``
-    (g_l^-1 . v, the candidate template of v for element l), its adjoint
-    ``back`` (g_l . u), ``templates`` (the (L, d) rows of ``act`` on v) and
-    ``mmse_average``, their MMSE-rounded update."""
+    """L group elements acting on a structure.  Subclasses give
+    ``templates`` (the (L, d) array whose row l is g_l^-1 . v, the candidate
+    template of v for element l), ``back`` (g_l . u, the adjoint of element
+    l's action) and ``mmse_average``, their MMSE-rounded update."""
 
     def __init__(self, size: int, map):
         self.size = size
         self.map = map
 
-    def mapped(self, fn, items):
-        """fn over items through the map, CHUNK items at a time, in order."""
-        items = list(items)
-        for start in range(0, len(items), CHUNK):
-            yield from self.map(fn, items[start : start + CHUNK])
-
     def summed(self, fn, items) -> np.ndarray:
-        """sum of fn over items, added in item order on the calling thread;
-        it starts from 0.0, so it takes the shape of the terms."""
+        """sum of fn over items, run through the map CHUNK items at a time and
+        added in item order on the calling thread; it starts from 0.0, so it
+        takes the shape of the terms."""
+        items = list(items)
         out = 0.0
-        for u in self.mapped(fn, items):
-            out += u
+        for start in range(0, len(items), CHUNK):
+            for u in self.map(fn, items[start : start + CHUNK]):
+                out += u
         return out
 
     def assigned_average(self, ys: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -143,9 +140,6 @@ class Rotations(_Group):
         super().__init__(rotations.shape[0], map)
         self.rotations = rotations
         self.method = method
-
-    def act(self, ell: int, v: np.ndarray) -> np.ndarray:
-        return forward.rotate_volume(v, self.rotations[ell], method=self.method)
 
     def templates(self, v: np.ndarray) -> np.ndarray:
         return forward.rotated_stack(v, self.rotations, self.method, map=self.map)
@@ -279,11 +273,12 @@ def registered_pcc(final: np.ndarray, truth: np.ndarray, group) -> float:
     The reconstruction frame is set by the initial template, so the estimate
     recovers the truth only up to a global group element; fidelity is
     measured after registration.  The identity is always scored, since a
-    rotation grid need not contain it.  Only the group action runs through
-    the group's map; the scores are computed on the calling thread.
+    rotation grid need not contain it.  Every element acts first, in one
+    ``templates`` fill through the group's map, and the rows are scored
+    afterwards on the calling thread, so no scoring runs between rotations.
     """
     scores = [pcc(final, truth)]
-    scores += [pcc(u, truth) for u in group.mapped(lambda ell: group.act(ell, final), range(group.size))]
+    scores += [pcc(u, truth) for u in group.templates(final)]
     return max(scores)
 
 

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, fields
+import tracemalloc
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from small_configs import SMALL
 
-from orient_bayes import bench, cli, forward
+from orient_bayes import bench, cli, forward, so3
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -145,6 +147,14 @@ class TestConfig:
         with pytest.raises(FrozenInstanceError):
             cfg.seed = 7
 
+    def test_list_fields_are_stored_as_tuples(self):
+        # a checked config cannot be changed into an unchecked one
+        cfg = small_snr_config()
+        with pytest.raises(AttributeError):
+            cfg.sigmas.append(-1.0)
+        # --seed replaces the seed, and the stored tuples pass the checks again
+        assert replace(cfg, seed=9).sigmas == cfg.sigmas == (0.01, 0.1)
+
     def test_non_default_values_cover_every_field(self):
         assert set(NON_DEFAULT) == FIELDS
         defaults = {f.name: f.default for f in fields(bench.ExperimentConfig)}
@@ -263,6 +273,22 @@ class TestSweeps:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial)
 
+    @pytest.mark.parametrize("threads", ["1", None], ids=["OB_THREADS=1", "default"])
+    @pytest.mark.parametrize("method", sorted(forward.INTERPOLATION_ORDERS))
+    def test_recover3d_rows_are_the_clean_stack_plus_noise(self, monkeypatch, method, threads):
+        # recover3d rotates and draws each row in one task: its bytes are those
+        # of the clean stack's row plus the sweeps' noise row of the same key
+        if threads is None:
+            monkeypatch.delenv("OB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OB_THREADS", threads)
+        cfg = bench.ExperimentConfig.from_dict({**SMALL["recover3d"], "M": 9, "method": method})
+        truth = forward.make_phantom("gaussian_blobs", 10, seed=1)
+        rotations = bench._true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
+        key = [cfg.seed, bench._K_NOISE, 1]
+        oracle = bench._noisy(forward.rotated_stack(truth, rotations, method), 0.3, key)
+        assert np.array_equal(bench._volume_observations(cfg, truth, rotations, 0.3, key), oracle)
+
     def test_prior_mismatch_labels(self):
         labels = {r.estimator for r in bench.run_prior_mismatch(small_prior_mismatch_config()).records}
         assert labels == {"map", "mmse:ig(eta=0.5)", "mmse:ig(eta=0.1)"}
@@ -272,6 +298,57 @@ class TestSweeps:
         slopes = extra["slopes"]
         assert set(slopes) == {"map", "mmse"}
         assert {r.L for r in records} == {10, 30}
+
+
+def peak_rows(run, cfg, d: int) -> float:
+    """Peak memory allocated while run(cfg) runs, in rows of d doubles.
+    numpy reports its buffers to tracemalloc.  A first, untraced run fills
+    the caches (sampling tables, voxel grids) a run keeps."""
+    run(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(cfg)
+        return (tracemalloc.get_traced_memory()[1] - base) / (8 * d)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A run holds one observation batch at a time.  One worker thread, so
+    the per-thread temporaries do not scale with the host's CPU count."""
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.setenv("OB_THREADS", "1")
+
+    def test_recover3d_holds_one_batch(self):
+        # no clean stack beside the batch, and each level's batch is released
+        # before the next is drawn: the batch, L templates and temporaries
+        raw = {**SMALL["recover3d"], "L": 16, "M": 64, "sigmas": [0.05, 0.5], "max_iters": 1}
+        raw["phantom"] = {**raw["phantom"], "n": 16}
+        raw["template_phantom"] = {**raw["template_phantom"], "n": 16}
+        cfg = bench.ExperimentConfig.from_dict(raw)
+        assert peak_rows(bench.run_recover3d, cfg, 16**3) < 2 * cfg.M
+
+    def test_snr_sweep_holds_one_noisy_batch(self):
+        # the clean stack and one sigma's noisy batch, never two noisy batches
+        cfg = small_snr_config(trials=64, sigmas=[0.01, 0.1, 1.0])
+        assert peak_rows(bench.run_snr_sweep, cfg, 12**3) < 2.5 * cfg.trials
+
+    def test_grid_sweep_releases_each_candidate_set(self, monkeypatch):
+        built = []
+        original = bench._candidates
+
+        def candidates(*args):
+            assert all(ref() is None for ref in built), "the last candidate set is still held"
+            cands = original(*args)
+            built.append(weakref.ref(cands.templates))
+            return cands
+
+        monkeypatch.setattr(bench, "_candidates", candidates)
+        bench.run_grid_sweep(small_grid_config())
+        assert len(built) == 2
 
 
 class TestCli:

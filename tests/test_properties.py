@@ -149,6 +149,34 @@ def test_mmse_minimizes_the_posterior_expected_loss(inputs, seed, sigma, prior):
     assert np.all(at_mmse <= at_candidates.min(axis=1) + 1e-12 * 8)
 
 
+class RecordingAssignments(reconstruct.Shifts):
+    """Shifts that keep the element each row is assigned."""
+
+    def assigned_average(self, ys, idx):
+        self.idx = idx
+        return super().assigned_average(ys, idx)
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda size: hnp.arrays(float, st.tuples(sizes, st.just(size)), elements=st.floats(0.0, 1.0))
+    )
+)
+def test_mmse_shift_minimizes_the_posterior_expected_loss(w):
+    # the SO(2) case: sum_l w_l |e^{i theta_l} - e^{i phi}|^2 =
+    # 2 sum_l w_l - 2 Re(e^{-i phi} sum_l w_l e^{i theta_l}) falls as phi nears
+    # the circular mean, so the grid shift mmse_average rounds that mean to
+    # has the least expected loss of every grid shift
+    m, size = w.shape
+    group = RecordingAssignments(size)
+    group.mmse_average(np.zeros((m, 1, size)), w)
+    unit = np.exp(2j * np.pi * np.arange(size) / size)
+    loss = w @ np.abs(unit[:, None] - unit[None, :]) ** 2  # (M, shift)
+    # each loss is a sum of at most 12 terms of at most 4
+    assert np.all(loss[np.arange(m), group.idx] <= loss.min(axis=1) + 1e-12)
+
+
 @st.composite
 def shift_inputs(draw):
     # integer-valued images keep every inner product exact

@@ -49,7 +49,13 @@ def test_tracer_counts_the_scoring_function(monkeypatch):
     assert [s.name for s in tracer.spans].count("estimators.log_weights") == 1
 
 
-@pytest.mark.parametrize("name", ["snr_sweep", "recover3d"])
+# What each task of an observation fill calls, of the traced functions: a
+# sweep adds noise to its clean stack, recover3d rotates the truth and adds
+# noise in one task.
+ROW_CALLS = {"snr_sweep": [], "recover3d": ["forward.rotate_volume"]}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CALLS))
 def test_tracer_sees_every_pooled_fill(monkeypatch, tmp_path, name):
     # bench must look parallel_map up when it runs: bound as a default
     # argument, the tracer's patched bench.parallel_map would miss the fills
@@ -77,12 +83,9 @@ def test_tracer_sees_every_pooled_fill(monkeypatch, tmp_path, name):
 
     rotations = [s for s in tracer.spans if s.name == "forward.rotate_volume"]
     assert rotations and all("bench.task" in ancestors(s) for s in rotations)
-    # a noise fill: a pooled map the run opens itself, one task per row, whose tasks call nothing traced
-    fills = [
-        s for s in tracer.spans
-        if s.name == "bench.parallel_map" and by_id[s.parent].name == "bench.run"
-        and not any(children[c.id] for c in children[s.id] if c.name == "bench.task")
-    ]
+    # an observation fill: a pooled map the run opens itself, one per sigma, one task per row
+    fills = [s for s in tracer.spans if s.name == "bench.parallel_map" and by_id[s.parent].name == "bench.run"]
     rows = raw.get("trials", raw.get("M"))
     tasks = [[c for c in children[s.id] if c.name == "bench.task"] for s in fills]
     assert [len(t) for t in tasks] == [rows] * len(raw["sigmas"])
+    assert all([c.name for c in children[task.id]] == ROW_CALLS[name] for t in tasks for task in t)
