@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import sys
 import typing
@@ -118,20 +117,22 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{self.experiment} does not read {unread}: leave them out or at their defaults")
+        # JSON integers: reconstruct also takes a numpy max_iters, which results.json could not hold
         for name in ("seed", "L", "trials", "M", "max_iters", "noise_seeds"):
             _check_int(name, getattr(self, name), 0 if name == "seed" else 1)
         for name in ("sigmas", "snrs"):
             _check_levels(name, getattr(self, name))
         for sigma in self.sigmas or []:
-            _check_sigma(float(sigma), "sigmas")
+            try:
+                forward.check_sigma(sigma)
+            except ValueError as exc:
+                raise ConfigError(f"sigmas: {exc}") from None
         levels = [name for name in ("sigmas", "snrs") if getattr(self, name) is not None]
         if len(levels) > 1 or not (levels or self.experiment == "einstein_noise"):
             raise ConfigError(f"{self.experiment} takes the noise level once, in sigmas or snrs; got {levels}")
         if self.experiment == "einstein_noise" and len(self.sigmas or []) > 1:
             raise ConfigError("einstein_noise takes at most one entry in sigmas")
         _check_choice("method", self.method, forward.INTERPOLATION_ORDERS)
-        if not _is_positive(self.rel_tol):
-            raise ConfigError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
         if not isinstance(self.projected, bool):
             raise ConfigError(f"projected must be true or false, got {self.projected!r}")
         for name in ("phantom", "template_phantom"):
@@ -163,13 +164,15 @@ class ExperimentConfig:
             if not (ints and len(set(ls)) == len(ls) > 1):
                 raise ConfigError(f"L_values must be a list of >= 2 distinct integers >= 1, got {ls!r}")
         modes = self.assignment_modes
-        if modes is not None:
-            if not (isinstance(modes, (list, tuple)) and modes):
-                raise ConfigError(f"assignment_modes must be a non-empty list, got {modes!r}")
-            for mode in modes:
-                _check_choice("assignment_modes entry", mode, reconstruct.ASSIGNMENTS)
-            if len(set(modes)) < len(modes):
-                raise ConfigError(f"assignment_modes lists a mode twice: {modes!r}")
+        if modes is not None and not (isinstance(modes, (list, tuple)) and modes):
+            raise ConfigError(f"assignment_modes must be a non-empty list, got {modes!r}")
+        for mode in modes or DEFAULT_MODES:  # the EM settings of every mode the run reconstructs with
+            try:
+                reconstruct.ReconstructionConfig(mode, self.max_iters, self.rel_tol)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        if modes is not None and len(set(modes)) < len(modes):
+            raise ConfigError(f"assignment_modes lists a mode twice: {modes!r}")
         # lists are stored as tuples, so a checked config cannot change; json writes them as arrays
         for name in ("sigmas", "snrs", "estimation_priors", "L_values", "assignment_modes"):
             if getattr(self, name) is not None:
@@ -204,14 +207,6 @@ def _check_levels(name: str, values) -> None:
     for v in values:
         if not _is_positive(v):
             raise ConfigError(f"every entry of {name} must be finite and positive, got {v!r}")
-
-
-def _check_sigma(sigma: float, source: str) -> float:
-    """sigma, if sigma^2 and 2 sigma^2 (the variance and the log-weight
-    denominator) are finite, positive normal doubles."""
-    if not (sys.float_info.min <= sigma * sigma and math.isfinite(2.0 * sigma * sigma)):
-        raise ConfigError(f"{source} gives sigma {sigma!r}, whose variance is not a finite positive normal double")
-    return sigma
 
 
 def _check_keys(name: str, spec, allowed) -> None:
@@ -293,8 +288,16 @@ def parallel_map(fn, items, threads: int | None = None):
 def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
     if cfg.sigmas:
         return [float(s) for s in cfg.sigmas]
-    return [_check_sigma(forward.sigma_for_snr(vbar, float(s), projected=cfg.projected), f"snr {s!r}")
-            for s in cfg.snrs]
+    return [_sigma_for_snr(cfg, vbar, s) for s in cfg.snrs]
+
+
+def _sigma_for_snr(cfg: ExperimentConfig, vbar: np.ndarray, snr) -> float:
+    try:
+        sigma = forward.sigma_for_snr(vbar, float(snr), projected=cfg.projected)
+        forward.check_sigma(sigma)
+    except ValueError as exc:
+        raise ConfigError(f"snr {snr!r}: {exc}") from None
+    return sigma
 
 
 def _rows(key: list[int], shape: tuple, draw, map) -> np.ndarray:
@@ -350,13 +353,12 @@ def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> 
     for si, sigma in enumerate(_sigma_list(cfg, vbar)):
         ys = None  # release the last sigma's batch before drawing the next
         ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
-        noise = forward.NoiseModel(sigma=sigma)
-        snr = forward.snr_of(vbar, noise, projected=cfg.projected)
+        snr = forward.snr_of(vbar, sigma, projected=cfg.projected)
         for cands, labels in estimates:
             scores = estimators.Scores.of(ys, cands.templates)
             for label in labels:
                 if label.startswith("mmse"):
-                    w = np.exp(scores.log_weights(noise.effective_variance()))
+                    w = np.exp(scores.log_weights(sigma**2))
                     estimate, _, _ = estimators.mmse_rotations(w, cands.rotations)
                 else:
                     estimate = cands.rotations[scores.map_indices()]
@@ -455,9 +457,8 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
     records, traces, volumes = [], {}, {}
     for si, sigma in enumerate(_sigma_list(cfg, truth)):
         batch = None  # release the last level's batch before drawing the next
-        noise = forward.NoiseModel(sigma=sigma)
-        batch = reconstruct.Batch(observe(si, sigma), template.shape, noise)
-        snr = forward.snr_of(truth, noise)
+        batch = reconstruct.Batch(observe(si, sigma), template.shape, sigma)
+        snr = forward.snr_of(truth, sigma)
         for mode in modes:
             final, trace = _reconstruct(cfg, mode, batch, template, group, truth=truth)
             key = f"{cfg.experiment}_s{si}_{mode}"
@@ -498,7 +499,6 @@ def run_einstein_noise(cfg: ExperimentConfig):
     """Template-bias measurement on pure-noise data, averaged over noise seeds."""
     modes = cfg.assignment_modes or DEFAULT_MODES
     sigma = float((cfg.sigmas or [1.0])[0])
-    noise = forward.NoiseModel(sigma=sigma)
     template, group = _template_and_group(cfg, cfg.geometry)  # builtin map: the seeds run on the pool
     dim = template.size
     records, traces = [], {}
@@ -507,7 +507,7 @@ def run_einstein_noise(cfg: ExperimentConfig):
         out = {}
         # the builtin map: the seeds already run on the pool
         ys = _rows([cfg.seed, _K_NOISE, k], (cfg.M, dim), lambda t, rng: rng.normal(size=dim) * sigma, map)
-        batch = reconstruct.Batch(ys, template.shape, noise)
+        batch = reconstruct.Batch(ys, template.shape, sigma)
         for mode in modes:
             final, trace = _reconstruct(cfg, mode, batch, template, group)
             out[mode] = (reconstruct.pcc(final, template), trace)

@@ -101,37 +101,17 @@ class Scores:
         return np.argmin(resid, axis=1)
 
     def log_weights(self, var) -> np.ndarray:
-        """Normalized log posterior weights under one scalar variance, (M, L)."""
+        """Normalized log posterior weights under the variance ``var``, (M, L):
+        log w_l = -||y - x_l||^2 / (2 var), normalized per row."""
         if var == 0:
-            raise ZeroVarianceError("all effective variances are zero")
+            raise ZeroVarianceError("the variance is zero: posterior weights need sigma > 0")
         return _normalized(-(self.y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var))
 
 
-def whitening(var):
-    """The one rule for both kinds of variance, as (whiten, var): the map
-    applied to observation and template rows before scoring, and the scalar
-    variance of the whitened scores.
-
-    A scalar variance scores the raw rows under itself.  A per-coordinate
-    variance scores the rows scaled by 1/sqrt(var_i) under unit variance:
-    sum_i (y_i - x_i)^2 / var_i is the squared distance of the scaled rows.
-    """
-    var = np.asarray(var, dtype=float)
-    if var.ndim == 0:
-        return (lambda a: a), var
-    if np.any(var == 0):
-        raise ZeroVarianceError("an effective variance is zero")
-    scale = 1.0 / np.sqrt(var)
-    return (lambda a: a * scale), 1.0
-
-
 def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:
-    """Normalized log posterior weights against a template matrix, (M, L).
-
-    log w_l = -1/2 sum_i (y_i - x_li)^2 / var_i, normalized per row.
-    """
-    whiten, var = whitening(var)
-    return Scores.of(whiten(_batch(ys, x)), whiten(x)).log_weights(var)
+    """Normalized log posterior weights against a template matrix under one
+    scalar variance, (M, L): the scores of :meth:`Scores.log_weights`."""
+    return Scores.of(ys, x).log_weights(var)
 
 
 def mmse_rotations(w: np.ndarray, rotations: np.ndarray):

@@ -1,4 +1,4 @@
-"""Synthetic data generation: phantoms, grid rotations, projection, the noise model.
+"""Synthetic data generation: phantoms, grid rotations, projection, the noise level.
 
 Volumes are (n, n, n) float arrays indexed [x, y, z] with coordinates
 centered at the grid midpoint; polar images are (d_radial, l_angular)
@@ -7,8 +7,10 @@ arrays whose angular axis wraps around.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -26,32 +28,15 @@ class ZeroNoiseError(ValueError):
 OBV_MAGIC = b"OBV1"
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Measurement noise sigma plus optional per-coordinate structural tau.
-
-    The effective per-coordinate variance is tau_i^2 + sigma^2.
-    """
-
-    sigma: float
-    tau: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        if not (np.isfinite(self.sigma) and np.all(np.isfinite(tau))):
-            raise ValueError("sigma and tau must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if np.any(tau < 0):
-            raise ValueError("tau must be >= 0")
-        if tau.ndim > 1:
-            raise ValueError(f"tau must be a scalar or a vector, got shape {tau.shape}")
-
-    def effective_variance(self, d: int | None = None):
-        var = np.asarray(self.tau, dtype=float) ** 2 + self.sigma**2
-        if d is not None and var.ndim == 1 and var.shape[0] != d:
-            raise ValueError("tau length does not match measurement dimension")
-        return var
+def check_sigma(sigma) -> None:
+    """Raise ValueError unless sigma is a real number, not a bool, that is 0 or
+    positive with sigma^2 and 2 sigma^2 (the variance and the log-weight
+    denominator) finite, positive normal doubles."""
+    if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Real) and 0 <= sigma <= sys.float_info.max):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
+    var = float(sigma) * float(sigma)  # a float's ** raises OverflowError
+    if sigma != 0 and not (sys.float_info.min <= var and math.isfinite(2.0 * var)):
+        raise ValueError(f"sigma {sigma!r} has a variance that is not a finite positive normal double")
 
 
 @lru_cache(maxsize=8)
@@ -127,18 +112,21 @@ def _power(signal: np.ndarray, projected: bool) -> float:
     return float(np.mean((project_z(arr) if projected else arr).ravel() ** 2))
 
 
-def snr_of(signal: np.ndarray, noise: NoiseModel, projected: bool = False) -> float:
+def snr_of(signal: np.ndarray, sigma: float, projected: bool = False) -> float:
     """Mean clean-signal power per coordinate divided by sigma^2."""
-    if noise.sigma == 0:
+    if sigma == 0:
         raise ZeroNoiseError("SNR is undefined when sigma = 0")
-    return _power(signal, projected) / noise.sigma**2
+    return _power(signal, projected) / sigma**2
 
 
 def sigma_for_snr(signal: np.ndarray, snr: float, projected: bool = False) -> float:
     """Invert :func:`snr_of` for a target SNR."""
     if snr <= 0:
         raise ValueError("target SNR must be positive")
-    return float(np.sqrt(_power(signal, projected) / snr))
+    power = _power(signal, projected)
+    if power == 0:
+        raise ValueError("the signal has zero power, so no sigma gives a positive SNR")
+    return float(np.sqrt(power / snr))
 
 
 def signal_scale(signal: np.ndarray, projected: bool = False) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -41,14 +42,15 @@ class ReconstructionConfig:
     rel_tol: float = 1e-4
 
     def __post_init__(self):
+        """The one rule for the EM settings; an integer too large for a double
+        is not a finite ``rel_tol``."""
         if self.assignment not in ASSIGNMENTS:
-            raise ValueError(f"unknown assignment mode: {self.assignment!r}")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0 < self.rel_tol <= sys.float_info.max:  # an integer too large for a double is not finite
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+            raise ValueError(f"assignment mode must be one of {list(ASSIGNMENTS)}, got {self.assignment!r}")
+        iters, tol = self.max_iters, self.rel_tol
+        if isinstance(iters, bool) or not (isinstance(iters, (int, np.integer)) and iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {iters!r}")
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0 < tol <= sys.float_info.max):
+            raise ValueError(f"rel_tol must be a finite number > 0, got {tol!r}")
 
 
 def pcc(a: np.ndarray, b: np.ndarray) -> float:
@@ -156,11 +158,11 @@ class Rotations(_Group):
 
 
 class Batch:
-    """M fixed observations of a structure of ``shape`` under one noise
-    model: the (M, d) matrix ``ys``, the same rows shaped like the structure
-    (``shaped``), and what scoring reads, the rows whitened by
-    :func:`estimators.whitening`, their squared norms ``y_sq`` and the
-    variance ``var`` of the whitened scores.
+    """M fixed observations of a structure of ``shape`` under white Gaussian
+    noise of level ``sigma`` (see :func:`forward.check_sigma`): the (M, d)
+    matrix ``ys``, the same rows shaped like the structure (``shaped``), their
+    squared norms ``y_sq`` and the variance ``var`` = sigma^2 they are scored
+    under.
 
     Every mode, step and iteration on one batch reads these.  The batch also
     keeps the scores of the first template it scores, the starting template
@@ -168,7 +170,8 @@ class Batch:
     against that group again.  A batch is used by one thread at a time.
     """
 
-    def __init__(self, obs, shape, noise):
+    def __init__(self, obs, shape, sigma):
+        forward.check_sigma(sigma)
         self.shape = tuple(shape)
         self.ys = np.atleast_2d(np.asarray(obs, dtype=float))
         if self.ys.ndim != 2 or self.ys.shape[1] != math.prod(self.shape):
@@ -176,16 +179,15 @@ class Batch:
                 f"observations of shape {self.ys.shape} are not rows of a {self.shape} structure"
             )
         self.shaped = self.ys.reshape(-1, *self.shape)
-        self._whiten, self.var = estimators.whitening(noise.effective_variance(self.ys.shape[1]))
-        self._scored = self._whiten(self.ys)
-        self.y_sq = np.einsum("md,md->m", self._scored, self._scored)
+        self.var = sigma**2
+        self.y_sq = np.einsum("md,md->m", self.ys, self.ys)
         self._start = None  # (group, template bytes, scores)
 
     def __len__(self) -> int:
         return len(self.ys)
 
     def scores(self, v: np.ndarray, group) -> estimators.Scores:
-        """The whitened scores of v's templates under ``group``; the (L, d)
+        """The scores of v's templates under ``group``; the (L, d)
         templates are dropped as soon as their product with the rows is taken."""
         v = np.asarray(v, dtype=float)
         if v.shape != self.shape:
@@ -193,7 +195,7 @@ class Batch:
         key = v.tobytes()
         if self._start is not None and self._start[0] is group and self._start[1] == key:
             return self._start[2]
-        scores = estimators.Scores.of(self._scored, self._whiten(group.templates(v)), self.y_sq)
+        scores = estimators.Scores.of(self.ys, group.templates(v), self.y_sq)
         if self._start is None:
             self._start = (group, key, scores)
         return scores
@@ -220,8 +222,8 @@ def em_step_mmse(batch: Batch, v_t, group) -> np.ndarray:
 def hard_step(batch: Batch, v_t, group) -> np.ndarray:
     """One hard-assignment update: back-align each observation by its MAP
     element against v_t, then average.  This is the soft update with
-    one-hot weights, so only the assigned elements are back-acted; on the
-    whitened scores the MAP element is the least-squares one."""
+    one-hot weights, so only the assigned elements are back-acted; the MAP
+    element is the least-squares one, so it needs no variance."""
     return group.assigned_average(batch.shaped, batch.scores(v_t, group).map_indices())
 
 
@@ -259,10 +261,8 @@ def run_reconstruction(
 
 
 def _safe_pcc(a, b):
-    if b is None:
-        return None
     try:
-        return pcc(a, b)
+        return None if b is None else pcc(a, b)
     except ZeroVarianceError:
         return None
 

@@ -25,7 +25,7 @@ def geodesic_distance(g1: np.ndarray, g2: np.ndarray) -> float:
 
 
 def direct_log_weights(ys, x, var) -> np.ndarray:
-    """-1/2 sum_i (y_i - x_li)^2 / var_i for every row y and template x_l,
+    """-1/2 sum_i (y_i - x_li)^2 / var for every row y and template x_l,
     one residual at a time, normalized per row; (M, L)."""
     log_w = -0.5 * np.sum((ys[:, None, :] - x[None, :, :]) ** 2 / var, axis=2)
     return log_w - logsumexp(log_w, axis=1, keepdims=True)

@@ -1,4 +1,11 @@
-"""A valid, fast config of every experiment, and of each einstein_noise geometry."""
+"""A valid, fast config of every experiment, and of each einstein_noise
+geometry; and the bad inputs that exit 2."""
+
+import json
+
+import numpy as np
+
+from orient_bayes import forward
 
 SMALL = {
     "snr_sweep": {
@@ -69,3 +76,44 @@ SMALL = {
         "max_iters": 2,
     },
 }
+
+# Bad inputs that exit 2; each ran, or stopped with a traceback, before its
+# check.  "<name.obv>" stands for the volume file VOLUME_FILES[name].
+BAD_INPUTS = {
+    "loaded-file-malformed": {"phantom": {"kind": "loaded", "path": "<bad.obv>"}},
+    "loaded-file-too-small": {"phantom": {"kind": "loaded", "path": "<n2.obv>"}},
+    "loaded-file-not-finite": {"phantom": {"kind": "loaded", "path": "<nan.obv>"}},
+    "loaded-with-n": {"phantom": {"kind": "loaded", "path": "<n12.obv>", "n": 64}},
+    "loaded-with-seed": {"phantom": {"kind": "loaded", "path": "<n12.obv>", "seed": 1}},
+    "recover3d-phantom-sizes-differ": {"experiment": "recover3d", "phantom": {"kind": "gaussian_blobs", "n": 12}},
+    "recover3d-loaded-size-differs": {"experiment": "recover3d", "phantom": {"kind": "loaded", "path": "<n12.obv>"}},
+    "sigma-variance-overflows": {"sigmas": [1e300]},
+    "sigma-variance-underflows": {"sigmas": [1e-300]},
+    "sigma-too-large-for-a-double": {"sigmas": [10**400]},
+    "snr-sigma-variance-overflows": {"sigmas": None, "snrs": [5e-324]},
+    # a zero signal gives sigma 0 for every SNR, where the SNR is undefined
+    "snr-of-a-zero-signal": {"sigmas": None, "snrs": [1.0], "phantom": {"kind": "loaded", "path": "<zero.obv>"}},
+    "sigmas-and-snrs": {"snrs": [1.0, 0.01]},
+    "einstein-noise-empty-sigmas": {"experiment": "einstein_noise", "sigmas": []},
+    "eta-below-floor": {
+        "experiment": "prior_mismatch", "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1e-5}]
+    },
+}
+VOLUME_FILES = {
+    "bad.obv": lambda path: path.write_bytes(b"OBV2" + bytes(12)),
+    "n2.obv": lambda path: forward.write_obv(path, np.ones((2, 2, 2))),
+    "nan.obv": lambda path: forward.write_obv(path, np.full((8, 8, 8), np.nan)),
+    "zero.obv": lambda path: forward.write_obv(path, np.zeros((8, 8, 8))),
+    "n12.obv": lambda path: forward.write_obv(path, forward.make_phantom("gaussian_blobs", 12, seed=1)),
+}
+
+
+def bad_input_config(case: str, directory) -> dict:
+    """The config of BAD_INPUTS[case]: the small config of its experiment with
+    the case's fields, its volume files written to ``directory`` (a Path)."""
+    overrides = BAD_INPUTS[case]
+    text = json.dumps(dict(SMALL[overrides.get("experiment", "snr_sweep")], **overrides))
+    for name, write in VOLUME_FILES.items():
+        write(directory / name)
+        text = text.replace(f'"<{name}>"', json.dumps(str(directory / name)))
+    return json.loads(text)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from small_configs import SMALL
+from small_configs import BAD_INPUTS, SMALL, bad_input_config
 
 from orient_bayes import bench, cli, forward, so3
 
@@ -37,32 +37,6 @@ NON_DEFAULT = {
     "method": "tricubic",
     "geometry": "volume",
     "noise_seeds": 3,
-}
-# Bad inputs that exit 2; each ran, or stopped with a traceback, before its
-# check.  "<name.obv>" stands for the volume file VOLUME_FILES[name].
-BAD_INPUTS = {
-    "loaded-file-malformed": {"phantom": {"kind": "loaded", "path": "<bad.obv>"}},
-    "loaded-file-too-small": {"phantom": {"kind": "loaded", "path": "<n2.obv>"}},
-    "loaded-file-not-finite": {"phantom": {"kind": "loaded", "path": "<nan.obv>"}},
-    "loaded-with-n": {"phantom": {"kind": "loaded", "path": "<n12.obv>", "n": 64}},
-    "loaded-with-seed": {"phantom": {"kind": "loaded", "path": "<n12.obv>", "seed": 1}},
-    "recover3d-phantom-sizes-differ": {"experiment": "recover3d", "phantom": {"kind": "gaussian_blobs", "n": 12}},
-    "recover3d-loaded-size-differs": {"experiment": "recover3d", "phantom": {"kind": "loaded", "path": "<n12.obv>"}},
-    "sigma-variance-overflows": {"sigmas": [1e300]},
-    "sigma-variance-underflows": {"sigmas": [1e-300]},
-    "sigma-too-large-for-a-double": {"sigmas": [10**400]},
-    "snr-sigma-variance-overflows": {"sigmas": None, "snrs": [5e-324]},
-    "sigmas-and-snrs": {"snrs": [1.0, 0.01]},
-    "einstein-noise-empty-sigmas": {"experiment": "einstein_noise", "sigmas": []},
-    "eta-below-floor": {
-        "experiment": "prior_mismatch", "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1e-5}]
-    },
-}
-VOLUME_FILES = {
-    "bad.obv": lambda path: path.write_bytes(b"OBV2" + bytes(12)),
-    "n2.obv": lambda path: forward.write_obv(path, np.ones((2, 2, 2))),
-    "nan.obv": lambda path: forward.write_obv(path, np.full((8, 8, 8), np.nan)),
-    "n12.obv": lambda path: forward.write_obv(path, forward.make_phantom("gaussian_blobs", 12, seed=1)),
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -218,7 +192,7 @@ class TestSweeps:
         cfg = small_snr_config()
         vbar = forward.make_phantom("gaussian_blobs", 12, seed=1)
         for r in bench.run_snr_sweep(cfg).records:
-            expected = forward.snr_of(vbar, forward.NoiseModel(sigma=r.sigma))
+            expected = forward.snr_of(vbar, r.sigma)
             assert abs(r.snr - expected) <= 1e-9 * max(1.0, expected)
 
     def test_snr_list_round_trips(self):
@@ -537,14 +511,9 @@ class TestCli:
 
     @pytest.mark.parametrize("case", BAD_INPUTS)
     def test_bad_input_exits_2_without_traceback(self, tmp_path, case):
-        overrides = BAD_INPUTS[case]
-        raw = dict(SMALL[overrides.get("experiment", "snr_sweep")], **overrides)
-        text = json.dumps(raw)
-        for name, write in VOLUME_FILES.items():
-            write(tmp_path / name)
-            text = text.replace(f'"<{name}>"', json.dumps(str(tmp_path / name)))
+        raw = bad_input_config(case, tmp_path)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(text)
+        cfg_path.write_text(json.dumps(raw))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         argv = [sys.executable, "-m", "orient_bayes.cli", raw["experiment"], "--config", str(cfg_path),
                 "--out", str(tmp_path / "out")]

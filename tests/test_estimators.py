@@ -15,19 +15,18 @@ def make_cands(rotations, templates):
     )
 
 
-def weights(y, cands, noise):
+def weights(y, cands, sigma):
     # posterior weights of one observation: a one-row batch of normalized_log_weights
-    var = noise.effective_variance(cands.templates.shape[1])
-    return np.exp(estimators.normalized_log_weights(np.ravel(y)[None], cands.templates, var))[0]
+    return np.exp(estimators.normalized_log_weights(np.ravel(y)[None], cands.templates, sigma**2))[0]
 
 
 def map_index(y, cands):
     return int(estimators.Scores.of(np.ravel(y)[None], cands.templates).map_indices()[0])
 
 
-def mmse(y, cands, noise):
+def mmse(y, cands, sigma):
     # the rounded posterior mean of one observation, its nonunique and degenerate flags
-    rotations, nonunique, degenerate = estimators.mmse_rotations(weights(y, cands, noise), cands.rotations)
+    rotations, nonunique, degenerate = estimators.mmse_rotations(weights(y, cands, sigma), cands.rotations)
     return rotations[0], nonunique[0], degenerate[0]
 
 
@@ -44,18 +43,18 @@ class TestPosteriorWeights:
     def test_hand_example_two_templates(self):
         # y = 0 against templates 0 and 1 at sigma = 1: (1, e^{-1/2}) normalized
         cands = make_cands([np.eye(3), rot_z(1.0)], [[0.0], [1.0]])
-        w = weights([0.0], cands, forward.NoiseModel(sigma=1.0))
+        w = weights([0.0], cands, 1.0)
         assert w[0] == pytest.approx(0.62246, abs=1e-5)
         assert w[1] == pytest.approx(0.37754, abs=1e-5)
 
     def test_equal_residuals_split_evenly(self):
         cands = make_cands([np.eye(3), rot_z(1.0)], [[1.0, 0.0], [0.0, 1.0]])
-        w = weights([0.0, 0.0], cands, forward.NoiseModel(sigma=0.7))
+        w = weights([0.0, 0.0], cands, 0.7)
         assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_flat_likelihood_limit(self, volume_setup):
         vbar, cands = volume_setup
-        w = weights(vbar.ravel(), cands, forward.NoiseModel(sigma=1e12))
+        w = weights(vbar.ravel(), cands, 1e12)
         assert np.max(np.abs(w - 1.0 / len(cands.rotations))) <= 1e-9
 
     @pytest.mark.parametrize("sigma", [1e-8, 1e-4, 1.0, 1e4, 1e8])
@@ -70,37 +69,22 @@ class TestPosteriorWeights:
     def test_monotone_likelihood(self):
         # pulling one template closer to y strictly raises its weight
         y = np.array([1.0, 0.0])
-        noise = forward.NoiseModel(sigma=1.0)
+        sigma = 1.0
         far = make_cands([np.eye(3), rot_z(1.0)], [[0.0, 0.0], [0.0, 1.0]])
         near = make_cands([np.eye(3), rot_z(1.0)], [[0.5, 0.0], [0.0, 1.0]])
-        w_far = weights(y, far, noise)
-        w_near = weights(y, near, noise)
+        w_far = weights(y, far, sigma)
+        w_near = weights(y, near, sigma)
         assert w_near[0] > w_far[0]
-
-    def test_diagonal_tau_matches_scalar(self, volume_setup):
-        vbar, cands = volume_setup
-        y = vbar.ravel()
-        scalar = weights(y, cands, forward.NoiseModel(sigma=0.5))
-        vector = weights(y, cands, forward.NoiseModel(sigma=0.3, tau=np.full(y.size, 0.4)))
-        assert np.allclose(scalar, vector, atol=1e-10)
 
     def test_dimension_mismatch(self, volume_setup):
         _, cands = volume_setup
         with pytest.raises(estimators.DimensionMismatchError):
-            weights(np.zeros(3), cands, forward.NoiseModel(sigma=1.0))
+            weights(np.zeros(3), cands, 1.0)
 
     def test_zero_variance_rejected(self):
         cands = make_cands([np.eye(3)], [[0.0, 1.0]])
         with pytest.raises(estimators.ZeroVarianceError):
-            weights([0.0, 0.0], cands, forward.NoiseModel(sigma=0.0))
-
-    def test_partly_zero_variance_rejected(self):
-        # one zero coordinate variance makes that coordinate's residual
-        # infinitely informative: the weights would be nan, not a posterior
-        cands = make_cands([np.eye(3), rot_z(1.0)], [[0.0, 1.0], [1.0, 0.0]])
-        noise = forward.NoiseModel(sigma=0.0, tau=np.array([0.0, 1.0]))
-        with pytest.raises(estimators.ZeroVarianceError):
-            weights([0.0, 0.0], cands, noise)
+            weights([0.0, 0.0], cands, 0.0)
 
 
 class TestMapEstimate:
@@ -123,33 +107,33 @@ class TestMapEstimate:
             dists = [np.sum((y - x) ** 2) for x in cands.templates]
             assert map_index(y, cands) == int(np.argmin(dists))
 
-    def test_tau_scaling_leaves_argmax(self, volume_setup):
+    def test_sigma_scaling_leaves_argmax(self, volume_setup):
         vbar, cands = volume_setup
         y = vbar.ravel() + np.random.default_rng(22).normal(size=vbar.size)
         idx = map_index(y, cands)
         for scale in (1e-3, 1.0, 1e3):
-            assert int(np.argmax(weights(y, cands, forward.NoiseModel(sigma=scale)))) == idx
+            assert int(np.argmax(weights(y, cands, scale))) == idx
 
 
 class TestMmseEstimate:
     def test_single_candidate(self):
         g = rot_z(0.9)
         cands = make_cands([g], [[1.0, 2.0]])
-        rotation, _, _ = mmse([1.0, 2.0], cands, forward.NoiseModel(sigma=1.0))
+        rotation, _, _ = mmse([1.0, 2.0], cands, 1.0)
         assert np.allclose(rotation, g, atol=1e-12)
 
     def test_symmetric_pair_averages_to_identity(self):
         cands = make_cands(
             [rot_z(0.2), rot_z(-0.2)], [[1.0, 0.0], [-1.0, 0.0]]
         )
-        rotation, _, _ = mmse([0.0, 0.0], cands, forward.NoiseModel(sigma=1.0))
+        rotation, _, _ = mmse([0.0, 0.0], cands, 1.0)
         assert np.allclose(rotation, np.eye(3), atol=1e-10)
 
     def test_collapses_to_map_at_low_noise(self, volume_setup):
         vbar, cands = volume_setup
         y = cands.templates[5]
         sigma = 1e-6 * forward.signal_scale(vbar)
-        rotation, _, _ = mmse(y, cands, forward.NoiseModel(sigma=sigma))
+        rotation, _, _ = mmse(y, cands, sigma)
         assert geodesic_distance(rotation, cands.rotations[map_index(y, cands)]) <= 1e-6
 
     def test_sigma_decade_collapse_nonincreasing(self, volume_setup):
@@ -160,7 +144,7 @@ class TestMmseEstimate:
         y = cands.templates[11] + 1e-3 * scale * rng.normal(size=vbar.size)
         g_map = cands.rotations[map_index(y, cands)]
         gaps = [
-            geodesic_distance(mmse(y, cands, forward.NoiseModel(sigma=scale * 10.0**-k))[0], g_map)
+            geodesic_distance(mmse(y, cands, scale * 10.0**-k)[0], g_map)
             for k in range(1, 7)
         ]
         assert gaps[-1] <= 1e-6
@@ -175,25 +159,25 @@ class TestMmseEstimate:
             np.diag([-1.0, -1.0, 1.0]),
         ]
         cands = make_cands(half_turns, np.zeros((4, 2)))
-        rotation, _, degenerate = mmse([0.0, 0.0], cands, forward.NoiseModel(sigma=1.0))
+        rotation, _, degenerate = mmse([0.0, 0.0], cands, 1.0)
         assert degenerate
         assert so3.is_rotation(rotation)
 
     def test_reports_clean_flags(self, volume_setup):
         vbar, cands = volume_setup
         y = vbar.ravel() + 0.2 * np.random.default_rng(32).normal(size=vbar.size)
-        _, nonunique, degenerate = mmse(y, cands, forward.NoiseModel(sigma=0.5))
+        _, nonunique, degenerate = mmse(y, cands, 0.5)
         assert not nonunique and not degenerate
 
     def test_batch_matches_scalar(self, volume_setup):
         vbar, cands = volume_setup
         rng = np.random.default_rng(31)
         ys = cands.templates[:4] + 0.1 * rng.normal(size=(4, vbar.size))
-        noise = forward.NoiseModel(sigma=0.5)
-        w = np.exp(estimators.Scores.of(ys, cands.templates).log_weights(noise.effective_variance()))
+        sigma = 0.5
+        w = np.exp(estimators.Scores.of(ys, cands.templates).log_weights(sigma**2))
         batch, _, _ = estimators.mmse_rotations(w, cands.rotations)
         for y, g in zip(ys, batch):
-            assert np.allclose(mmse(y, cands, noise)[0], g, atol=1e-9)
+            assert np.allclose(mmse(y, cands, sigma)[0], g, atol=1e-9)
 
 
 class TestSharedScores:
@@ -205,7 +189,7 @@ class TestSharedScores:
         rng = np.random.default_rng(5)
         picked = cands.templates[rng.integers(len(cands.rotations), size=25)]
         ys = picked + 0.3 * rng.normal(size=(25, picked.shape[1]))
-        return ys, cands, forward.NoiseModel(sigma=0.3)
+        return ys, cands, 0.3
 
     def test_map_indices_match_per_call_path(self, batch):
         ys, cands, _ = batch
@@ -213,11 +197,11 @@ class TestSharedScores:
         assert np.array_equal(shared, [map_index(y, cands) for y in ys])
 
     def test_mmse_rotations_match_per_call_path(self, batch):
-        ys, cands, noise = batch
-        w = np.exp(estimators.Scores.of(ys, cands.templates).log_weights(noise.effective_variance()))
+        ys, cands, sigma = batch
+        w = np.exp(estimators.Scores.of(ys, cands.templates).log_weights(sigma**2))
         shared, _, _ = estimators.mmse_rotations(w, cands.rotations)
         # the per-call path: its own log-weights, posterior average, Procrustes rounding
-        w = np.exp(estimators.normalized_log_weights(ys, cands.templates, noise.effective_variance()))
+        w = np.exp(estimators.normalized_log_weights(ys, cands.templates, sigma**2))
         avg = w @ cands.rotations.reshape(len(cands.rotations), 9)
         per_call = so3.procrustes_project(avg.reshape(-1, 3, 3)).rotation
         assert np.array_equal(shared, per_call)
@@ -310,9 +294,9 @@ class TestPermutationEquivariance:
             templates=cands.templates[perm],
             prior=cands.prior,
         )
-        noise = forward.NoiseModel(sigma=0.5)
-        assert np.allclose(weights(y, permuted, noise), weights(y, cands, noise)[perm], atol=1e-12)
-        assert np.allclose(mmse(y, cands, noise)[0], mmse(y, permuted, noise)[0], atol=1e-10)
+        sigma = 0.5
+        assert np.allclose(weights(y, permuted, sigma), weights(y, cands, sigma)[perm], atol=1e-12)
+        assert np.allclose(mmse(y, cands, sigma)[0], mmse(y, permuted, sigma)[0], atol=1e-10)
         assert np.allclose(
             cands.rotations[map_index(y, cands)], permuted.rotations[map_index(y, permuted)], atol=1e-12
         )

@@ -116,31 +116,26 @@ class TestSynthesizeObservation:
         expected = forward.project_z(forward.rotate_volume(blob_phantom, g[0])).ravel()
         assert np.array_equal(obs[0], expected)
 
-    def test_structural_tau(self):
-        noise = forward.NoiseModel(sigma=0.6, tau=0.8)
-        assert noise.effective_variance() == pytest.approx(1.0)
-
 
 class TestNoiseModel:
+    """The noise is white Gaussian of one level sigma; check_sigma is its rule."""
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         # a NaN sigma used to give NaN posterior weights without an error
         with pytest.raises(ValueError):
-            forward.NoiseModel(sigma=sigma)
+            forward.check_sigma(sigma)
 
-    @pytest.mark.parametrize("tau", [np.nan, np.inf, np.array([0.5, np.nan]), np.array([np.inf, 0.5])])
-    def test_non_finite_tau_rejected(self, tau):
+    @pytest.mark.parametrize("sigma", [-1.0, 1e-160, 1e300, 10**400, True, "1.0", None, [1.0], np.array([1.0, 2.0])])
+    def test_unusable_sigma_rejected(self, sigma):
+        # 1e-160 squares to a subnormal and 1e300 overflows: the weights
+        # would be NaN, or the variance an OverflowError
         with pytest.raises(ValueError):
-            forward.NoiseModel(sigma=1.0, tau=tau)
+            forward.check_sigma(sigma)
 
-    def test_tau_of_more_than_one_dimension_rejected(self):
-        # a (2, 3) tau used to pass effective_variance(6) as a (2, 3) variance
-        with pytest.raises(ValueError):
-            forward.NoiseModel(sigma=1.0, tau=np.ones((2, 3)))
-
-    def test_vector_tau_accepted(self):
-        noise = forward.NoiseModel(sigma=0.6, tau=np.full(4, 0.8))
-        assert np.allclose(noise.effective_variance(4), 1.0)
+    @pytest.mark.parametrize("sigma", [0, 0.0, 1.5e-154, 1e-3, 1.0, 7, 9e153, np.float64(0.5), np.int64(2)])
+    def test_usable_sigma_accepted(self, sigma):
+        forward.check_sigma(sigma)
 
 
 class TestRotatePolar:
@@ -164,17 +159,22 @@ class TestRotatePolar:
 class TestSnr:
     def test_unit_signal(self):
         sig = np.ones((4, 4, 4))
-        assert forward.snr_of(sig, forward.NoiseModel(sigma=1.0)) == pytest.approx(1.0)
-        assert forward.snr_of(sig, forward.NoiseModel(sigma=10.0)) == pytest.approx(0.01)
+        assert forward.snr_of(sig, 1.0) == pytest.approx(1.0)
+        assert forward.snr_of(sig, 10.0) == pytest.approx(0.01)
 
     def test_round_trip(self, blob_phantom):
         sigma = forward.sigma_for_snr(blob_phantom, 1e-2)
-        snr = forward.snr_of(blob_phantom, forward.NoiseModel(sigma=sigma))
+        snr = forward.snr_of(blob_phantom, sigma)
         assert snr == pytest.approx(1e-2, abs=1e-12)
 
     def test_zero_noise_rejected(self, blob_phantom):
         with pytest.raises(forward.ZeroNoiseError):
-            forward.snr_of(blob_phantom, forward.NoiseModel(sigma=0.0))
+            forward.snr_of(blob_phantom, 0.0)
+
+    def test_zero_signal_has_no_sigma(self):
+        # every sigma gives a zero-power signal SNR 0, so sigma 0 must not stand in
+        with pytest.raises(ValueError):
+            forward.sigma_for_snr(np.zeros((8, 8, 8)), 1.0)
 
 
 class TestPhantoms:
