@@ -11,9 +11,12 @@ through numpy seed sequences, so results do not depend on worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import os
 import sys
+import threading
 import typing
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -275,14 +278,73 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, n)
 
 
+# The thread-count calls of an OpenBLAS: numpy's and scipy's wheels rename
+# them (scipy_openblas_..., with 64_ for 64-bit integers), other builds do not.
+_BLAS_THREAD_CALLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+)
+
+
+@functools.cache
+def _blas_thread_calls() -> list:
+    """(get, set) of the thread count of every OpenBLAS this process has
+    loaded; none where no OpenBLAS is loaded or /proc/self/maps is absent."""
+    maps = Path("/proc/self/maps")
+    lines = maps.read_text().splitlines() if maps.exists() else []
+    paths = sorted({line.split(None, 5)[-1] for line in lines if "openblas" in line})
+    libs = [ctypes.CDLL(path) for path in paths if Path(path).is_file()]
+    calls = [
+        (getattr(lib, get), getattr(lib, set_)) for lib in libs for get, set_ in _BLAS_THREAD_CALLS if hasattr(lib, set_)
+    ]
+    for get, set_ in calls:
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+    return calls
+
+
+class _OneBlasThread:
+    """A scope in which every loaded OpenBLAS runs on one thread.  The count is
+    process-wide, so open scopes are counted: the first to open saves the
+    counts and sets them to 1, and the last to close restores them."""
+
+    _lock = threading.Lock()
+    _open = 0
+    _saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if not self._open:
+                self._saved = [(set_, get()) for get, set_ in _blas_thread_calls()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._open += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._open -= 1
+            if not self._open:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def parallel_map(fn, items, threads: int | None = None):
-    """Order-preserving map; results are identical to sequential execution."""
+    """Order-preserving map; results are identical to sequential execution.
+
+    The workers are the one level of parallelism: BLAS runs on one thread
+    while the map runs, with one worker too, so a task's bytes depend neither
+    on the worker count nor on the BLAS thread count."""
     n = worker_count(threads)
     items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    with _ONE_BLAS_THREAD:
+        if n == 1 or len(items) <= 1:
+            return [fn(x) for x in items]
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            return list(pool.map(fn, items))
 
 
 def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
@@ -433,6 +495,15 @@ def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) 
     )
 
 
+def _check_not_constant(name: str, phantom: np.ndarray) -> None:
+    """Checked before any EM work: a run scores its estimates against
+    ``phantom`` by PCC, which a constant phantom leaves undefined."""
+    try:
+        reconstruct.pcc(phantom, phantom)
+    except estimators.ZeroVarianceError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _template_and_group(cfg: ExperimentConfig, geometry: str, map=map):
     """The EM starting template and its group: exact shifts of a polar image,
     or rotations of a volume by uniform candidates run through ``map`` (only
@@ -453,6 +524,8 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
     """EM recovery of truth from template over ``group`` at every noise level;
     observe(si, sigma) gives the observations of level si, one batch that
     every mode reads.  Volumes are kept for 3-D finals only."""
+    for name, phantom in (("phantom", truth), ("template_phantom", template)):
+        _check_not_constant(name, phantom)
     modes = cfg.assignment_modes or DEFAULT_MODES
     records, traces, volumes = [], {}, {}
     for si, sigma in enumerate(_sigma_list(cfg, truth)):
@@ -500,6 +573,7 @@ def run_einstein_noise(cfg: ExperimentConfig):
     modes = cfg.assignment_modes or DEFAULT_MODES
     sigma = float((cfg.sigmas or [1.0])[0])
     template, group = _template_and_group(cfg, cfg.geometry)  # builtin map: the seeds run on the pool
+    _check_not_constant("template_phantom", template)
     dim = template.size
     records, traces = [], {}
 

@@ -3,7 +3,7 @@
     orient-bayes <experiment> --config <path.json> [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 config validation failure, 3 I/O failure.
-OB_THREADS caps the worker count.
+OB_THREADS caps the worker count; pooled work runs BLAS on one thread.
 """
 
 from __future__ import annotations

@@ -93,6 +93,13 @@ BAD_INPUTS = {
     "snr-sigma-variance-overflows": {"sigmas": None, "snrs": [5e-324]},
     # a zero signal gives sigma 0 for every SNR, where the SNR is undefined
     "snr-of-a-zero-signal": {"sigmas": None, "snrs": [1.0], "phantom": {"kind": "loaded", "path": "<zero.obv>"}},
+    # an EM run scores its estimates by PCC against the truth and the template,
+    # which a constant phantom leaves undefined; a sweep takes no PCC and runs
+    "recover3d-constant-phantom": {"experiment": "recover3d", "phantom": {"kind": "loaded", "path": "<zero.obv>"}},
+    "einstein-noise-constant-template": {
+        "experiment": "einstein_noise", "geometry": "volume", "polar": None,
+        "template_phantom": {"kind": "loaded", "path": "<zero.obv>"},
+    },
     "sigmas-and-snrs": {"snrs": [1.0, 0.01]},
     "einstein-noise-empty-sigmas": {"experiment": "einstein_noise", "sigmas": []},
     "eta-below-floor": {
@@ -103,7 +110,7 @@ VOLUME_FILES = {
     "bad.obv": lambda path: path.write_bytes(b"OBV2" + bytes(12)),
     "n2.obv": lambda path: forward.write_obv(path, np.ones((2, 2, 2))),
     "nan.obv": lambda path: forward.write_obv(path, np.full((8, 8, 8), np.nan)),
-    "zero.obv": lambda path: forward.write_obv(path, np.zeros((8, 8, 8))),
+    "zero.obv": lambda path: forward.write_obv(path, np.zeros((10, 10, 10))),
     "n12.obv": lambda path: forward.write_obv(path, forward.make_phantom("gaussian_blobs", 12, seed=1)),
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from small_configs import BAD_INPUTS, SMALL, bad_input_config
+from small_configs import BAD_INPUTS, SMALL, VOLUME_FILES, bad_input_config
 
 from orient_bayes import bench, cli, forward, so3
 
@@ -325,6 +326,45 @@ class TestMemory:
         assert len(built) == 2
 
 
+class TestParallelMapBlas:
+    """While parallel_map runs, every loaded OpenBLAS runs on one thread."""
+
+    @pytest.fixture
+    def counts(self):
+        calls = bench._blas_thread_calls()
+        if not calls:
+            pytest.skip("no OpenBLAS thread-count call found")
+        before = [get() for get, _ in calls]
+        for _, set_ in calls:
+            set_(2)  # the caller's count, which each map must give back
+        yield lambda _=None: [get() for get, _ in calls]
+        for (_, set_), count in zip(calls, before):
+            set_(count)
+
+    @pytest.mark.parametrize("threads, items", [(1, 3), (2, 1), (2, 3)], ids=["serial", "one-item", "pool"])
+    def test_tasks_run_blas_on_one_thread(self, counts, threads, items):
+        inside = bench.parallel_map(counts, range(items), threads)
+        assert inside == [[1] * len(counts())] * items
+        assert counts() == [2] * len(counts())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_raising_task_gives_the_count_back(self, counts, threads):
+        def fail(x):
+            raise ZeroDivisionError(x)
+
+        with pytest.raises(ZeroDivisionError):
+            bench.parallel_map(fail, range(3), threads)
+        assert counts() == [2] * len(counts())
+
+    def test_a_nested_map_leaves_the_outer_scope_at_one(self, counts):
+        def task(x):
+            bench.parallel_map(abs, range(3), 2)
+            return counts()
+
+        assert bench.parallel_map(task, range(4), 2) == [[1] * len(counts())] * 4
+        assert counts() == [2] * len(counts())
+
+
 class TestCli:
     def write_config(self, tmp_path, raw):
         path = tmp_path / "cfg.json"
@@ -592,6 +632,41 @@ class TestCli:
             "max_iters": 2,
         }
         self.assert_thread_count_invariant(tmp_path, monkeypatch, raw, 2 + 2 * 3)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS and the pool run one thread anyway")
+    def test_einstein_noise_bytes_do_not_depend_on_either_thread_count(self, tmp_path):
+        # the noise seeds run on the pool, and each seed's soft step sums its
+        # rows in one BLAS matmul, whose rounding depends on BLAS's thread count
+        raw = {
+            "experiment": "einstein_noise",
+            "seed": 3,
+            "M": 400,
+            "sigmas": [1.0],
+            "polar": {"d_radial": 40, "l_angular": 12},
+            "noise_seeds": 2,
+            "max_iters": 2,
+            "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
+        }
+        cfg_path = self.write_config(tmp_path, raw)
+        pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        digests = {}
+        for blas in ("1", "2"):
+            for workers in ("1", "2"):
+                out = tmp_path / f"out-blas{blas}-ob{workers}"
+                env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=blas, OB_THREADS=workers)
+                argv = [sys.executable, "-m", "orient_bayes.cli", "einstein_noise", "--config", str(cfg_path),
+                        "--out", str(out)]
+                subprocess.run(argv, env=env, check=True, timeout=120)
+                files = [out / "results.csv", *sorted((out / "traces").iterdir())]
+                digests[blas, workers] = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+        assert len(set(digests.values())) == 1, digests
+
+    def test_sweep_of_a_constant_phantom_runs(self, tmp_path):
+        # a sweep takes no PCC, so only an EM run rejects a constant phantom
+        VOLUME_FILES["zero.obv"](tmp_path / "zero.obv")
+        raw = {**self.small_raw(), "phantom": {"kind": "loaded", "path": str(tmp_path / "zero.obv")}}
+        cfg_path = self.write_config(tmp_path, raw)
+        assert cli.main(["snr_sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
     def test_recover3d_outputs_volumes(self, tmp_path):
         cfg_path = self.write_config(

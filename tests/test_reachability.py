@@ -49,9 +49,9 @@ ALLOWED_LINES = {
     ("bench.parallel_map", "return list(pool.map(fn, items))"):
         "the pool: the probe runs one worker, and the thread-count tests run it",
     ("reconstruct._safe_pcc", "except ZeroVarianceError:"):
-        "a constant estimate or truth, which no shipped config gives",
+        "a constant estimate, which no shipped config gives (a constant truth or template exits 2 first)",
     ("reconstruct._safe_pcc", "return None"):
-        "a constant estimate or truth, which no shipped config gives",
+        "a constant estimate, which no shipped config gives (a constant truth or template exits 2 first)",
     ("forward.rotate_volume", "return vol.copy()"):
         "the documented bit-exact identity, which tricubic interpolation misses; no run rotates by exactly it",
     ("so3.ig_sample", "table = build_inverse_cdf(eta)"):
