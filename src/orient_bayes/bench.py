@@ -135,7 +135,10 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} takes the noise level once, in sigmas or snrs; got {levels}")
         if self.experiment == "einstein_noise" and len(self.sigmas or []) > 1:
             raise ConfigError("einstein_noise takes at most one entry in sigmas")
-        _check_choice("method", self.method, forward.INTERPOLATION_ORDERS)
+        try:
+            forward.interpolation_order(self.method)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not isinstance(self.projected, bool):
             raise ConfigError(f"projected must be true or false, got {self.projected!r}")
         for name in ("phantom", "template_phantom"):
@@ -410,14 +413,15 @@ def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> 
     """Geodesic-error records at every sigma of each (cands, labels) entry; a
     label is "map" or "mmse", optionally followed by ":<detail>".  Each sigma
     scores its noisy batch once per candidate set, and MAP and MMSE both read
-    those scores."""
+    those scores; the templates' squared norms are taken once per set."""
     records = []
+    x_sqs = [estimators.squared_norms(cands.templates) for cands, _ in estimates]
     for si, sigma in enumerate(_sigma_list(cfg, vbar)):
         ys = None  # release the last sigma's batch before drawing the next
         ys = _noisy(clean, sigma, [cfg.seed, _K_NOISE, si])
         snr = forward.snr_of(vbar, sigma, projected=cfg.projected)
-        for cands, labels in estimates:
-            scores = estimators.Scores.of(ys, cands.templates)
+        for (cands, labels), x_sq in zip(estimates, x_sqs):
+            scores = estimators.Scores.of(ys, cands.templates, x_sq=x_sq)
             for label in labels:
                 if label.startswith("mmse"):
                     w = np.exp(scores.log_weights(sigma**2))

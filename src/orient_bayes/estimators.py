@@ -68,6 +68,11 @@ def _batch(ys, x: np.ndarray) -> np.ndarray:
     return ys
 
 
+def squared_norms(a: np.ndarray) -> np.ndarray:
+    """||a_i||^2 of every row of a 2-D array."""
+    return np.einsum("id,id->i", a, a)
+
+
 def _normalized(log_w: np.ndarray) -> np.ndarray:
     # max-subtracted before exponentiation so the weights stay finite for any sigma
     log_w -= log_w.max(axis=1, keepdims=True)
@@ -88,12 +93,18 @@ class Scores:
     cross: np.ndarray  # (M, L), ys @ x.T
 
     @classmethod
-    def of(cls, ys: np.ndarray, x: np.ndarray, y_sq: np.ndarray | None = None) -> "Scores":
-        """``y_sq`` is ||y_m||^2 when the caller already holds it for this batch."""
+    def of(
+        cls, ys: np.ndarray, x: np.ndarray, y_sq: np.ndarray | None = None, x_sq: np.ndarray | None = None
+    ) -> "Scores":
+        """``y_sq`` and ``x_sq`` are the :func:`squared_norms` of ``ys`` and ``x``
+        when the caller already holds them (a batch holds its rows', a sweep
+        its fixed templates')."""
         ys = _batch(ys, x)
         if y_sq is None:
-            y_sq = np.einsum("md,md->m", ys, ys)
-        return cls(y_sq=y_sq, x_sq=np.einsum("ld,ld->l", x, x), cross=ys @ x.T)
+            y_sq = squared_norms(ys)
+        if x_sq is None:
+            x_sq = squared_norms(x)
+        return cls(y_sq=y_sq, x_sq=x_sq, cross=ys @ x.T)
 
     def map_indices(self) -> np.ndarray:
         """Argmin_l ||y - x_l||^2 per observation; ties resolve to the lowest index."""

@@ -3,6 +3,10 @@
 Volumes are (n, n, n) float arrays indexed [x, y, z] with coordinates
 centered at the grid midpoint; polar images are (d_radial, l_angular)
 arrays whose angular axis wraps around.
+
+scipy.ndimage loads at the first volume rotation or ``asymmetric_L``
+phantom, not at import: polar runs, config errors and ``--help`` load
+numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 
 class FileFormatError(ValueError):
@@ -57,6 +60,14 @@ PHANTOM_KINDS = ("gaussian_blobs", "asymmetric_L", "loaded")
 MIN_PHANTOM_N = 8
 
 
+def interpolation_order(method) -> int:
+    """The spline order of ``method``; ValueError unless it is the string name
+    of an INTERPOLATION_ORDERS entry."""
+    if not (isinstance(method, str) and method in INTERPOLATION_ORDERS):
+        raise ValueError(f"method must be one of {list(INTERPOLATION_ORDERS)}, got {method!r}")
+    return INTERPOLATION_ORDERS[method]
+
+
 def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> np.ndarray:
     """Apply the inverse-rotation action: output(x) = vol(g x).
 
@@ -69,11 +80,11 @@ def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> 
     if vol.shape != (n, n, n):
         raise ValueError("volume must be cubic")
     g = np.asarray(g, dtype=float)
-    order = INTERPOLATION_ORDERS.get(method)
-    if order is None:
-        raise ValueError(f"unknown interpolation method: {method!r}")
+    order = interpolation_order(method)
     if np.array_equal(g, np.eye(3)):
         return vol.copy()
+    from scipy import ndimage
+
     c = (n - 1) / 2.0
     coords = g @ _centered_grid(n) + c
     out = ndimage.map_coordinates(vol, coords, order=order, mode="constant", cval=0.0)
@@ -181,6 +192,8 @@ def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> n
         vol[arm_x] += 1.0
         vol[arm_y] += 0.8
         vol[arm_z] += 0.6
+        from scipy import ndimage
+
         vol = ndimage.gaussian_filter(vol, sigma=n / 32.0)
     else:
         raise ValueError(f"unknown phantom kind: {kind!r}")

@@ -180,7 +180,7 @@ class Batch:
             )
         self.shaped = self.ys.reshape(-1, *self.shape)
         self.var = sigma**2
-        self.y_sq = np.einsum("md,md->m", self.ys, self.ys)
+        self.y_sq = estimators.squared_norms(self.ys)
         self._start = None  # (group, template bytes, scores)
 
     def __len__(self) -> int:

@@ -82,6 +82,42 @@ def test_criterion_2_snr_sweep_ordering(phantom):
     report(2, ok, "; ".join(details) + f", {elapsed:.0f}s")
 
 
+def test_mmse_bayes_risk_below_map_on_grid_truth():
+    # With each truth drawn uniformly from the candidate grid, the posterior
+    # over the grid is exact, and the Procrustes-rounded posterior mean
+    # minimizes the posterior expected chordal loss ||R_hat - R||_F^2 over
+    # SO(3), so its mean error is at most MAP's in expectation.  Criterion 2
+    # draws off-grid truth, where MMSE is not the exact Bayes estimator.
+    # The paired difference must clear margin_se standard errors at every
+    # (seed, noise level); seeds and levels were fixed before the first run.
+    margin_se = 3.0
+    t0 = time.time()
+    vbar = forward.make_phantom("gaussian_blobs", 12, seed=0)
+    scale = forward.signal_scale(vbar)
+    L, trials = 60, 2000
+    details, ok = [], True
+    for seed in (0, 1, 2):
+        cands = estimators.CandidateSet.build(vbar, so3.RotationPrior.uniform(), L, seed=seed)
+        for k in (6.0, 12.0):
+            sigma = k * scale
+            rng = np.random.default_rng([seed, 0xB4E5])
+            idx = rng.integers(L, size=trials)
+            ys = cands.templates[idx] + sigma * rng.normal(size=(trials, vbar.size))
+            scores = estimators.Scores.of(ys, cands.templates)
+            g_map = cands.rotations[scores.map_indices()]
+            g_mmse, _, _ = estimators.mmse_rotations(np.exp(scores.log_weights(sigma**2)), cands.rotations)
+            truth = cands.rotations[idx]
+            diff = np.sum((g_map - truth) ** 2, axis=(1, 2)) - np.sum((g_mmse - truth) ** 2, axis=(1, 2))
+            z = diff.mean() / (diff.std(ddof=1) / np.sqrt(trials))
+            ok = ok and z >= margin_se
+            details.append(f"seed {seed} sigma {k:g}x: MAP-MMSE {diff.mean():.3f} ({z:.1f} SE)")
+    elapsed = time.time() - t0
+    ok = ok and elapsed < 10
+    print(f"[bayes risk  ] {'PASS' if ok else 'FAIL'}: margin >= {margin_se:g} SE; " + "; ".join(details)
+          + f", {elapsed:.1f}s")
+    assert ok, details
+
+
 def test_criterion_3_prior_mismatch_ordering(phantom):
     t0 = time.time()
     scale = forward.signal_scale(phantom)

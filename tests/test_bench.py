@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from small_configs import BAD_INPUTS, SMALL, VOLUME_FILES, bad_input_config
 
-from orient_bayes import bench, cli, forward, so3
+from orient_bayes import bench, cli, estimators, forward, so3
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -213,6 +213,27 @@ class TestSweeps:
             monkeypatch.setenv("OB_THREADS", "4")
             b = run(cfg)
             assert a == b, cfg.experiment
+
+    def test_sweeps_take_template_norms_once_per_candidate_set(self, monkeypatch):
+        # every sigma scores against the same templates, so their norms are taken once
+        sizes = []
+        norms = estimators.squared_norms
+
+        def counted(a):
+            sizes.append(len(a))
+            return norms(a)
+
+        monkeypatch.setattr(estimators, "squared_norms", counted)
+        sweeps = [
+            (bench.run_snr_sweep, small_snr_config(sigmas=[0.01, 0.1, 0.3]), 1),
+            (bench.run_prior_mismatch, replace(small_prior_mismatch_config(), sigmas=(0.05, 0.2, 0.5)), 3),
+            (bench.run_grid_sweep, replace(small_grid_config(), sigmas=(0.02, 0.2, 0.5)), 2),
+        ]
+        for run, cfg, sets in sweeps:
+            sizes.clear()
+            run(cfg)
+            # the rest are the batches' row norms, one per sigma and set
+            assert len(sizes) - sizes.count(cfg.trials) == sets, cfg.experiment
 
     @pytest.mark.parametrize(
         "rows, threads",
@@ -688,6 +709,38 @@ class TestCli:
         assert vols == ["recover3d_s0_hard_map.obv", "recover3d_s0_mmse_align.obv"]
         vol = forward.read_obv(out / "volumes" / vols[0])
         assert vol.shape == (10, 10, 10)
+
+    def test_polar_runs_and_config_errors_never_load_scipy(self, tmp_path):
+        # a fresh interpreter: the test modules themselves import scipy
+        runs = []
+        for name, raw in [("recover2d", SMALL["recover2d"]), ("einstein_noise", SMALL["einstein_noise"]),
+                          ("bad", {**SMALL["recover2d"], "method": "bicubic"})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(raw))
+            runs.append([raw["experiment"], "--config", str(path), "--out", str(tmp_path / name)])
+        script = """
+import contextlib, io, json, sys
+import numpy as np
+import orient_bayes
+from orient_bayes import cli, forward
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--help"])
+except SystemExit as exc:
+    codes.append(exc.code)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+forward.rotate_volume(np.zeros((8, 8, 8)), np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+print(json.dumps({"codes": codes, "loaded": loaded, "after_rotation": "scipy.ndimage" in sys.modules}))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0, 2, 0]
+        assert result["loaded"] == []
+        assert result["after_rotation"]
 
     def test_einstein_noise_runs(self, tmp_path):
         cfg_path = self.write_config(

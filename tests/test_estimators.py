@@ -206,6 +206,15 @@ class TestSharedScores:
         per_call = so3.procrustes_project(avg.reshape(-1, 3, 3)).rotation
         assert np.array_equal(shared, per_call)
 
+    def test_precomputed_norms_give_the_same_scores(self, batch):
+        ys, cands, sigma = batch
+        plain = estimators.Scores.of(ys, cands.templates)
+        norms = estimators.squared_norms(ys), estimators.squared_norms(cands.templates)
+        given = estimators.Scores.of(ys, cands.templates, *norms)
+        for name in ("y_sq", "x_sq", "cross"):
+            assert np.array_equal(getattr(given, name), getattr(plain, name)), name
+        assert np.array_equal(given.log_weights(sigma**2), plain.log_weights(sigma**2))
+
     def test_zero_variance_rejected(self, batch):
         ys, cands, _ = batch
         with pytest.raises(estimators.ZeroVarianceError):

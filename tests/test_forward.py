@@ -57,9 +57,14 @@ class TestRotateVolume:
             grid[0, 0] = 1.0
         assert grid[0, 0] == -4.0
 
-    def test_unknown_method(self, blob_phantom):
-        with pytest.raises(ValueError):
-            forward.rotate_volume(blob_phantom, np.eye(3), method="nearest")
+    @pytest.mark.parametrize("method", ["nearest", ["trilinear"], {"a": 1}, None, 1])
+    def test_unknown_method(self, blob_phantom, method):
+        # one rule for the config and the library: a ValueError naming method, not a TypeError
+        with pytest.raises(ValueError, match="method must be one of"):
+            forward.rotate_volume(blob_phantom, np.eye(3), method=method)
+
+    def test_interpolation_orders(self):
+        assert [forward.interpolation_order(m) for m in ("trilinear", "tricubic")] == [1, 3]
 
 
 class TestProjectZ:

@@ -3,12 +3,12 @@
 The probe traces the CLI over a small config of every experiment and
 geometry, the variants a config can select (a projected sweep, a recovery set
 by SNRs with all three EM modes, a loaded phantom, an isotropic-Gaussian prior
-with eta >= 1, a ``--seed`` override), every BAD_INPUTS case, three more
-config errors (not JSON, a boolean ``rel_tol``, an experiment mismatch), an
-I/O error, and the README's quick example.  A function that none of them
-reaches fails the test, named, unless ALLOWED lists it with its reason; so
-does a line of a reached function, or of a lambda or comprehension in one,
-unless ALLOWED_LINES lists it.  ``raise`` lines are exempt as a class: most
+with eta >= 1, a ``--seed`` override), every BAD_INPUTS case, four more
+config errors (not JSON, a boolean ``rel_tol``, an unknown ``method``, an
+experiment mismatch), an I/O error, and the README's quick example.  A
+function that none of them reaches fails the test, named, unless ALLOWED
+lists it with its reason; so does a line of a reached function, or of a
+lambda or comprehension in one, unless ALLOWED_LINES lists it.  ``raise`` lines are exempt as a class: most
 guard inputs no shipped run gives.  Worker threads are not traced, so the
 runs use one thread (OB_THREADS=1).
 """
@@ -163,6 +163,7 @@ def probe(tmp_path_factory):
     runs += [
         (2, "{", "snr_sweep", []),  # not JSON
         (2, json.dumps({**SMALL["recover2d"], "rel_tol": True}), "recover2d", []),
+        (2, json.dumps({**SMALL["snr_sweep"], "method": "bicubic"}), "snr_sweep", []),
         (2, json.dumps(SMALL["recover2d"]), "snr_sweep", []),  # the config names another experiment
         (3, json.dumps(SMALL["snr_sweep"]), "snr_sweep", ["--out", str(blocker / "out")]),
     ]
