@@ -68,12 +68,16 @@ def interpolation_order(method) -> int:
     return INTERPOLATION_ORDERS[method]
 
 
-def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> np.ndarray:
+def rotate_volume(
+    vol: np.ndarray, g: np.ndarray, method: str = "trilinear", out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply the inverse-rotation action: output(x) = vol(g x).
 
     Samples outside the source grid read as zero.  The identity is returned
     bit-exactly; axis-aligned quarter turns land on grid points and are exact
-    under trilinear interpolation.
+    under trilinear interpolation.  ``out``, a flat array of vol.size
+    doubles, receives the result in place; the return value is an (n, n, n)
+    view of it.
     """
     vol = np.asarray(vol, dtype=float)
     n = vol.shape[0]
@@ -81,26 +85,32 @@ def rotate_volume(vol: np.ndarray, g: np.ndarray, method: str = "trilinear") -> 
         raise ValueError("volume must be cubic")
     g = np.asarray(g, dtype=float)
     order = interpolation_order(method)
+    if out is None:
+        out = np.empty(vol.size)
     if np.array_equal(g, np.eye(3)):
-        return vol.copy()
-    from scipy import ndimage
+        out[:] = vol.ravel()
+    else:
+        from scipy import ndimage
 
-    c = (n - 1) / 2.0
-    coords = g @ _centered_grid(n) + c
-    out = ndimage.map_coordinates(vol, coords, order=order, mode="constant", cval=0.0)
+        coords = g @ _centered_grid(n)
+        coords += (n - 1) / 2.0
+        ndimage.map_coordinates(vol, coords, output=out, order=order, mode="constant", cval=0.0)
     return out.reshape(n, n, n)
 
 
 def rotated_stack(vol, rotations, method: str = "trilinear", projected: bool = False, map=map) -> np.ndarray:
     """Row i is g_i^-1 . vol, projected by :func:`project_z` if ``projected``,
     flattened.  ``map`` is an order-preserving map over row indices; each call
-    fills its own preallocated row, so any map gives the same bytes."""
+    fills its own preallocated row (an unprojected rotation writes into it
+    directly), so any map gives the same bytes."""
     vol = np.asarray(vol, dtype=float)
     out = np.empty((len(rotations), vol.shape[0] ** 2 if projected else vol.size))
 
     def fill(i):
-        clean = rotate_volume(vol, rotations[i], method=method)
-        out[i] = (project_z(clean) if projected else clean).ravel()
+        if projected:
+            out[i] = project_z(rotate_volume(vol, rotations[i], method=method)).ravel()
+        else:
+            rotate_volume(vol, rotations[i], method=method, out=out[i])
 
     for _ in map(fill, range(len(rotations))):
         pass

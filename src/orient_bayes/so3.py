@@ -36,6 +36,15 @@ def check_eta(eta) -> None:
         raise ValueError(f"eta must be a finite number >= {MIN_ETA}, got {eta!r}")
 
 
+def check_prior(kind, eta=None) -> None:
+    """Raise ValueError unless kind is the string name of a PRIOR_KINDS entry
+    and, for an isotropic Gaussian, eta passes :func:`check_eta`."""
+    if not (isinstance(kind, str) and kind in PRIOR_KINDS):
+        raise ValueError(f"kind must be one of {list(PRIOR_KINDS)}, got {kind!r}")
+    if kind == "isotropic_gaussian":
+        check_eta(eta)
+
+
 # Near-degenerate Procrustes detection thresholds.
 _TIE_TOL = 1e-9
 _RANK_TOL = 1e-12
@@ -229,10 +238,7 @@ class RotationPrior:
     _table: InverseCdfTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior kind: {self.kind!r}")
-        if self.kind == "isotropic_gaussian":
-            check_eta(self.eta)
+        check_prior(self.kind, self.eta)
 
     @classmethod
     def uniform(cls) -> "RotationPrior":

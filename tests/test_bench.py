@@ -232,7 +232,7 @@ class TestSweeps:
         for run, cfg, sets in sweeps:
             sizes.clear()
             run(cfg)
-            # the rest are the batches' row norms, one per sigma and set
+            # the rest are the blocks' row norms, one per block, sigma and set
             assert len(sizes) - sizes.count(cfg.trials) == sets, cfg.experiment
 
     @pytest.mark.parametrize(
@@ -244,22 +244,38 @@ class TestSweeps:
         monkeypatch.delenv("OB_THREADS", raising=False)
         # bench looks parallel_map up when it runs, so this forces the worker count
         monkeypatch.setattr(bench, "parallel_map", partial(bench.parallel_map, threads=threads))
-        rng = np.random.default_rng(3)
-        clean = rng.normal(size=(29, 300))  # more rows than threads
-        key = [7, bench._K_NOISE, 2]
-        serial = np.empty_like(clean)
         if rows == "noise":
-            for t in range(clean.shape[0]):
-                serial[t] = clean[t] + np.random.default_rng(key + [t]).normal(size=clean.shape[1]) * 0.4
-            draw = partial(bench._noisy, clean, 0.4, key)
+            # a sweep's pooled blocks of 4 rows: each draws its rows with the batch's row keys
+            monkeypatch.setattr(bench, "SWEEP_BLOCK", 4)
+            cfg = small_snr_config(trials=29, sigmas=[0.4])  # more blocks than threads
+            clean = bench._sweep_inputs(cfg)[2]
+            key = [cfg.seed, bench._K_NOISE, 0]
+            blocks, noisy = {}, bench._noisy
+
+            def recorded(block, sigma, key, first):
+                blocks[first] = noisy(block, sigma, key, first)
+                return blocks[first]
+
+            monkeypatch.setattr(bench, "_noisy", recorded)
+
+            def draw():
+                bench.run_snr_sweep(cfg)
+                return np.concatenate([blocks[first] for first in sorted(blocks)])
+
         else:
             # recover2d's rows: each draws its shift, then its noise, from its own generator
+            clean = np.random.default_rng(3).normal(size=(29, 300))  # more rows than threads
+            key = [7, bench._K_NOISE, 2]
             truth = clean[0].reshape(30, 10)
-            for t in range(clean.shape[0]):
-                rng = np.random.default_rng(key + [t])
-                serial[t] = forward.rotate_polar(truth, -int(rng.integers(10))).ravel() + rng.normal(size=300) * 0.4
             cfg = bench.ExperimentConfig.from_dict({"experiment": "recover2d", "sigmas": [0.4], "M": 29})
             draw = partial(bench._polar_observations, cfg, truth, 0.4, key)
+        serial = np.empty_like(clean)
+        for t in range(clean.shape[0]):
+            rng = np.random.default_rng(key + [t])
+            if rows == "noise":
+                serial[t] = clean[t] + rng.normal(size=clean.shape[1]) * 0.4
+            else:
+                serial[t] = forward.rotate_polar(truth, -int(rng.integers(10))).ravel() + rng.normal(size=300) * 0.4
         interval = sys.getswitchinterval()
         if threads == 8:
             sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -331,6 +347,15 @@ class TestMemory:
         # the clean stack and one sigma's noisy batch, never two noisy batches
         cfg = small_snr_config(trials=64, sigmas=[0.01, 0.1, 1.0])
         assert peak_rows(bench.run_snr_sweep, cfg, 12**3) < 2.5 * cfg.trials
+
+    def test_pooled_sweep_holds_two_blocks_of_noisy_rows(self, monkeypatch):
+        # two workers each draw and score one block at a time: the clean stack,
+        # the templates and at most two blocks of noisy rows, never a level's batch
+        monkeypatch.setenv("OB_THREADS", "2")
+        cfg = small_snr_config(trials=3 * bench.SWEEP_BLOCK + 12, sigmas=[0.01, 0.1, 1.0])
+        bound = cfg.trials + cfg.L + 2 * bench.SWEEP_BLOCK + 32  # 32 rows of temporaries
+        assert bound < 2 * cfg.trials + cfg.L
+        assert peak_rows(bench.run_snr_sweep, cfg, 12**3) < bound
 
     def test_grid_sweep_releases_each_candidate_set(self, monkeypatch):
         built = []
@@ -654,6 +679,23 @@ class TestCli:
         }
         self.assert_thread_count_invariant(tmp_path, monkeypatch, raw, 2 + 2 * 3)
 
+    def digests_over_thread_counts(self, tmp_path, raw) -> dict:
+        """(OPENBLAS_NUM_THREADS, OB_THREADS) -> digest of results.csv and the
+        traces, each run in a fresh interpreter, over {1, 2} x {1, 2}."""
+        cfg_path = self.write_config(tmp_path, raw)
+        pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        digests = {}
+        for blas in ("1", "2"):
+            for workers in ("1", "2"):
+                out = tmp_path / f"out-blas{blas}-ob{workers}"
+                env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=blas, OB_THREADS=workers)
+                argv = [sys.executable, "-m", "orient_bayes.cli", raw["experiment"], "--config", str(cfg_path),
+                        "--out", str(out)]
+                subprocess.run(argv, env=env, check=True, timeout=120)
+                files = [out / "results.csv", *sorted(out.glob("traces/*"))]
+                digests[blas, workers] = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+        return digests
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS and the pool run one thread anyway")
     def test_einstein_noise_bytes_do_not_depend_on_either_thread_count(self, tmp_path):
         # the noise seeds run on the pool, and each seed's soft step sums its
@@ -668,18 +710,28 @@ class TestCli:
             "max_iters": 2,
             "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
         }
-        cfg_path = self.write_config(tmp_path, raw)
-        pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-        digests = {}
-        for blas in ("1", "2"):
-            for workers in ("1", "2"):
-                out = tmp_path / f"out-blas{blas}-ob{workers}"
-                env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=blas, OB_THREADS=workers)
-                argv = [sys.executable, "-m", "orient_bayes.cli", "einstein_noise", "--config", str(cfg_path),
-                        "--out", str(out)]
-                subprocess.run(argv, env=env, check=True, timeout=120)
-                files = [out / "results.csv", *sorted((out / "traces").iterdir())]
-                digests[blas, workers] = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+        digests = self.digests_over_thread_counts(tmp_path, raw)
+        assert len(set(digests.values())) == 1, digests
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS and the pool run one thread anyway")
+    def test_sweep_bytes_do_not_depend_on_either_thread_count(self, tmp_path):
+        # each pooled block is scored, and its MMSE averages summed, by BLAS
+        # matmuls on one thread; on the calling thread their rounding followed
+        # BLAS's thread count.  The SMALL sweeps are too small to show it.
+        raw = {
+            "experiment": "prior_mismatch",
+            "seed": 0,
+            "L": 300,
+            "trials": 100,
+            "sigmas": [0.07, 0.3, 1.2],
+            "truth_prior": {"kind": "isotropic_gaussian", "eta": 0.1},
+            "estimation_priors": [
+                {"kind": "isotropic_gaussian", "eta": 0.5},
+                {"kind": "isotropic_gaussian", "eta": 0.1},
+            ],
+            "phantom": {"kind": "asymmetric_L", "n": 16, "seed": 0},
+        }
+        digests = self.digests_over_thread_counts(tmp_path, raw)
         assert len(set(digests.values())) == 1, digests
 
     def test_sweep_of_a_constant_phantom_runs(self, tmp_path):

@@ -49,19 +49,29 @@ def test_tracer_counts_the_scoring_function(monkeypatch):
     assert [s.name for s in tracer.spans].count("estimators.log_weights") == 1
 
 
-# What each task of an observation fill calls, of the traced functions: a
-# sweep adds noise to its clean stack, recover3d rotates the truth and adds
-# noise in one task.
-ROW_CALLS = {"snr_sweep": [], "recover3d": ["forward.rotate_volume"]}
+# What each task of a pooled map that the run opens itself calls, of the
+# traced functions: a sweep task draws a block of noisy rows, scores it once
+# (its rows' norms) and reads MAP and MMSE from the scores; a recover3d task
+# rotates the truth and adds noise to one row.
+TASK_CALLS = {
+    "snr_sweep": ["estimators.squared_norms", "so3.geodesic", "estimators.mmse_rotations", "so3.geodesic"],
+    "recover3d": ["forward.rotate_volume"],
+}
 
 
-@pytest.mark.parametrize("name", sorted(ROW_CALLS))
+@pytest.mark.parametrize("name", sorted(TASK_CALLS))
 def test_tracer_sees_every_pooled_fill(monkeypatch, tmp_path, name):
     # bench must look parallel_map up when it runs: bound as a default
     # argument, the tracer's patched bench.parallel_map would miss the fills
     tracing = load_tracing(monkeypatch)
     monkeypatch.setenv("OB_THREADS", "2")
     raw = SMALL[name]
+    if name == "snr_sweep":
+        # one map over (sigma, block) tasks; blocks of 4 split each sigma's 6 rows in two
+        monkeypatch.setattr(orient_bayes.bench, "SWEEP_BLOCK", 4)
+        maps = [2 * len(raw["sigmas"])]
+    else:
+        maps = [raw["M"]] * len(raw["sigmas"])  # one fill per sigma, one task per row
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     argv = [raw["experiment"], "--config", str(cfg_path), "--out", str(tmp_path / "out")]
@@ -83,9 +93,7 @@ def test_tracer_sees_every_pooled_fill(monkeypatch, tmp_path, name):
 
     rotations = [s for s in tracer.spans if s.name == "forward.rotate_volume"]
     assert rotations and all("bench.task" in ancestors(s) for s in rotations)
-    # an observation fill: a pooled map the run opens itself, one per sigma, one task per row
     fills = [s for s in tracer.spans if s.name == "bench.parallel_map" and by_id[s.parent].name == "bench.run"]
-    rows = raw.get("trials", raw.get("M"))
     tasks = [[c for c in children[s.id] if c.name == "bench.task"] for s in fills]
-    assert [len(t) for t in tasks] == [rows] * len(raw["sigmas"])
-    assert all([c.name for c in children[task.id]] == ROW_CALLS[name] for t in tasks for task in t)
+    assert [len(t) for t in tasks] == maps
+    assert all([c.name for c in children[task.id]] == TASK_CALLS[name] for t in tasks for task in t)
