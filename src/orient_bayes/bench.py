@@ -31,10 +31,12 @@ from . import estimators, forward, reconstruct, so3
 DEFAULT_MODES = ("mmse_align", "hard_map")
 # The edge length of a generated phantom that gives no n.
 DEFAULT_PHANTOM_N = 32
-# Rows of a sweep task: two workers hold two blocks of noisy rows, not a
-# level's batch.  A multiple of 24 rows scores each row bit-equal to one
-# one-thread product of the whole batch on OpenBLAS 0.3.31.
-SWEEP_BLOCK = 96
+# Rows of a sweep task, one scoring block: two workers hold two blocks of
+# noisy rows, not a level's batch.
+SWEEP_BLOCK = estimators.SCORE_BLOCK
+# Rows of a task that draws observation rows: each row has its own
+# generator, so the block sets the number of tasks, not the bytes.
+ROW_BLOCK = 16
 
 # Key-space tags so different random streams derived from one master seed
 # never collide.
@@ -368,30 +370,45 @@ def _sigma_for_snr(cfg: ExperimentConfig, vbar: np.ndarray, snr) -> float:
 
 
 def _rows(key: list[int], shape: tuple, draw, map, first: int = 0) -> np.ndarray:
-    """A new array of ``shape`` whose row t is draw(t, rng) with its own
-    generator, seeded by key + [first + t], so the rows can be drawn in any
-    order and the result does not depend on batching or on the
-    order-preserving ``map`` that runs them: the block of a batch that starts
-    at row ``first`` gets the batch's rows."""
+    """A new array of ``shape`` whose row t is filled in place by
+    draw(t, rng, row) with its own generator, seeded by key + [first + t], so
+    the rows can be drawn in any order and the result does not depend on
+    batching or on the order-preserving ``map`` that runs blocks of
+    ROW_BLOCK rows: the block of a batch that starts at row ``first`` gets
+    the batch's rows."""
     out = np.empty(shape)
 
-    def row(t):
-        out[t] = draw(t, np.random.default_rng(key + [first + t]))
+    def fill(start):
+        for t in range(start, min(start + ROW_BLOCK, shape[0])):
+            draw(t, np.random.default_rng(key + [first + t]), out[t])
 
-    for _ in map(row, range(shape[0])):
+    for _ in map(fill, range(0, shape[0], ROW_BLOCK)):
         pass
     return out
 
 
+def _noise(rng, row: np.ndarray, sigma: float) -> None:
+    """Fill ``row`` with white Gaussian noise of level sigma, in place: the
+    bytes of rng.normal(size=row.size) * sigma, without a temporary.  Adding a
+    clean row afterwards gives the bytes of clean + noise too."""
+    rng.standard_normal(out=row)
+    row *= sigma
+
+
 def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int) -> np.ndarray:
     # the builtin map: the prior builds its sampling table on first use
-    return _rows([cfg.seed, _K_TRUTH], (count, 3, 3), lambda t, rng: prior.sample(rng, 1)[0], map)
+    return _rows([cfg.seed, _K_TRUTH], (count, 3, 3), lambda t, rng, row: np.copyto(row, prior.sample(rng, 1)[0]), map)
 
 
 def _noisy(clean: np.ndarray, sigma: float, key: list[int], first: int = 0) -> np.ndarray:
     """clean plus noise of scale sigma, drawn row by row; ``clean`` holds the
     rows of a batch from row ``first`` on."""
-    return _rows(key, clean.shape, lambda t, rng: clean[t] + rng.normal(size=clean.shape[1]) * sigma, map, first)
+
+    def draw(t, rng, row):
+        _noise(rng, row, sigma)
+        row += clean[t]
+
+    return _rows(key, clean.shape, draw, map, first)
 
 
 def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
@@ -499,9 +516,10 @@ def run_grid_sweep(cfg: ExperimentConfig):
 def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[int]) -> np.ndarray:
     """Row t: truth shifted by a random element plus noise; its generator draws the shift first."""
 
-    def draw(t, rng):
+    def draw(t, rng, row):
         shift = int(rng.integers(truth.shape[1]))
-        return forward.rotate_polar(truth, -shift).ravel() + rng.normal(size=truth.size) * sigma
+        _noise(rng, row, sigma)
+        row += forward.rotate_polar(truth, -shift).ravel()
 
     return _rows(key, (cfg.M, truth.size), draw, parallel_map)
 
@@ -510,8 +528,9 @@ def _volume_observations(cfg: ExperimentConfig, truth, rotations, sigma: float, 
     """Row t: truth rotated by rotations[t] plus noise, rotated and drawn in one
     task, so no clean stack is held beside the batch."""
 
-    def draw(t, rng):
-        return forward.rotate_volume(truth, rotations[t], cfg.method).ravel() + rng.normal(size=truth.size) * sigma
+    def draw(t, rng, row):
+        _noise(rng, row, sigma)
+        row += forward.rotate_volume(truth, rotations[t], cfg.method).ravel()
 
     return _rows(key, (cfg.M, truth.size), draw, parallel_map)
 
@@ -532,15 +551,16 @@ def _check_not_constant(name: str, phantom: np.ndarray) -> None:
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _template_and_group(cfg: ExperimentConfig, geometry: str, map=map):
-    """The EM starting template and its group: exact shifts of a polar image,
-    or rotations of a volume by uniform candidates run through ``map`` (only
-    rotations: reconstruction and registration read no candidate templates)."""
+def _template_and_group(cfg: ExperimentConfig, geometry: str):
+    """The EM starting template and its group, which runs its work through
+    ``parallel_map``: exact shifts of a polar image, or rotations of a volume
+    by uniform candidates (only rotations: reconstruction and registration
+    read no candidate templates)."""
     if geometry == "polar":
         template = _polar_phantom(cfg, cfg.template_phantom, 2)
-        return template, reconstruct.Shifts(template.shape[1])
+        return template, reconstruct.Shifts(template.shape[1], parallel_map)
     cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
-    return _phantom_from_spec(cfg.template_phantom), reconstruct.Rotations(cands, cfg.method, map=map)
+    return _phantom_from_spec(cfg.template_phantom), reconstruct.Rotations(cands, cfg.method, parallel_map)
 
 
 def _reconstruct(cfg: ExperimentConfig, mode: str, batch, template, group, truth=None):
@@ -551,25 +571,27 @@ def _reconstruct(cfg: ExperimentConfig, mode: str, batch, template, group, truth
 def _recover(cfg: ExperimentConfig, truth, template, group, observe):
     """EM recovery of truth from template over ``group`` at every noise level;
     observe(si, sigma) gives the observations of level si, one batch that
-    every mode reads.  Volumes are kept for 3-D finals only."""
+    every mode reads.  Volumes are kept for 3-D finals only.  BLAS runs on
+    one thread throughout, the calling thread's products included."""
     for name, phantom in (("phantom", truth), ("template_phantom", template)):
         _check_not_constant(name, phantom)
     modes = cfg.assignment_modes or DEFAULT_MODES
     records, traces, volumes = [], {}, {}
-    for si, sigma in enumerate(_sigma_list(cfg, truth)):
-        batch = None  # release the last level's batch before drawing the next
-        batch = reconstruct.Batch(observe(si, sigma), template.shape, sigma)
-        snr = forward.snr_of(truth, sigma)
-        for mode in modes:
-            final, trace = _reconstruct(cfg, mode, batch, template, group, truth=truth)
-            key = f"{cfg.experiment}_s{si}_{mode}"
-            traces[key] = trace
-            if final.ndim == 3:
-                volumes[key] = final
-            registered = reconstruct.registered_pcc(final, truth, group)
-            records.append(_error_records(cfg, sigma, snr, group.size, mode, [registered]))
-            template_pcc = reconstruct.pcc(final, template)
-            records.append(_error_records(cfg, sigma, snr, group.size, f"{mode}/template", [template_pcc]))
+    with _ONE_BLAS_THREAD:
+        for si, sigma in enumerate(_sigma_list(cfg, truth)):
+            batch = None  # release the last level's batch before drawing the next
+            batch = reconstruct.Batch(observe(si, sigma), template.shape, sigma)
+            snr = forward.snr_of(truth, sigma)
+            for mode in modes:
+                final, trace = _reconstruct(cfg, mode, batch, template, group, truth=truth)
+                key = f"{cfg.experiment}_s{si}_{mode}"
+                traces[key] = trace
+                if final.ndim == 3:
+                    volumes[key] = final
+                registered = reconstruct.registered_pcc(final, truth, group)
+                records.append(_error_records(cfg, sigma, snr, group.size, mode, [registered]))
+                template_pcc = reconstruct.pcc(final, template)
+                records.append(_error_records(cfg, sigma, snr, group.size, f"{mode}/template", [template_pcc]))
     return Outputs(records, traces, volumes)
 
 
@@ -586,7 +608,7 @@ def run_recover2d(cfg: ExperimentConfig):
 def run_recover3d(cfg: ExperimentConfig):
     """Iterative 3D recovery from rotated noisy copies (no projection)."""
     truth = _phantom_from_spec(cfg.phantom, default_kind="gaussian_blobs")
-    template, group = _template_and_group(cfg, "volume", parallel_map)
+    template, group = _template_and_group(cfg, "volume")
     if template.shape != truth.shape:  # the config has compared the sizes of generated phantoms only
         raise ConfigError(f"phantom is {truth.shape} but template_phantom is {template.shape}")
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
@@ -597,30 +619,28 @@ def run_recover3d(cfg: ExperimentConfig):
 
 
 def run_einstein_noise(cfg: ExperimentConfig):
-    """Template-bias measurement on pure-noise data, averaged over noise seeds."""
+    """Template-bias measurement on pure-noise data, averaged over noise seeds.
+    The seeds run in order, so one batch is held at a time; the group's map
+    runs the work inside each batch, with BLAS on one thread throughout."""
     modes = cfg.assignment_modes or DEFAULT_MODES
     sigma = float((cfg.sigmas or [1.0])[0])
-    template, group = _template_and_group(cfg, cfg.geometry)  # builtin map: the seeds run on the pool
+    template, group = _template_and_group(cfg, cfg.geometry)
     _check_not_constant("template_phantom", template)
-    dim = template.size
-    records, traces = [], {}
+    pccs, traces = {mode: [] for mode in modes}, {}
 
-    def one_seed(k):
-        out = {}
-        # the builtin map: the seeds already run on the pool
-        ys = _rows([cfg.seed, _K_NOISE, k], (cfg.M, dim), lambda t, rng: rng.normal(size=dim) * sigma, map)
-        batch = reconstruct.Batch(ys, template.shape, sigma)
-        for mode in modes:
-            final, trace = _reconstruct(cfg, mode, batch, template, group)
-            out[mode] = (reconstruct.pcc(final, template), trace)
-        return out
+    def draw(t, rng, row):
+        _noise(rng, row, sigma)
 
-    per_seed = parallel_map(one_seed, range(cfg.noise_seeds))
-    for mode in modes:
-        pccs = [res[mode][0] for res in per_seed]
-        for k, res in enumerate(per_seed):
-            traces[f"einstein_s{k}_{mode}"] = res[mode][1]
-        records.append(_error_records(cfg, sigma, 0.0, group.size, f"{mode}/template", pccs))
+    with _ONE_BLAS_THREAD:
+        for k in range(cfg.noise_seeds):
+            batch = None  # release the last seed's batch before drawing the next
+            rows = _rows([cfg.seed, _K_NOISE, k], (cfg.M, template.size), draw, group.map)
+            batch = reconstruct.Batch(rows, template.shape, sigma)
+            del rows  # the batch holds the only reference
+            for mode in modes:
+                final, traces[f"einstein_s{k}_{mode}"] = _reconstruct(cfg, mode, batch, template, group)
+                pccs[mode].append(reconstruct.pcc(final, template))
+    records = [_error_records(cfg, sigma, 0.0, group.size, f"{mode}/template", pccs[mode]) for mode in modes]
     return Outputs(records, traces)
 
 

@@ -3,7 +3,9 @@
     orient-bayes <experiment> --config <path.json> [--seed N] [--out DIR]
 
 Exit codes: 0 success, 2 config validation failure, 3 I/O failure.
-OB_THREADS caps the worker count; pooled work runs BLAS on one thread.
+OB_THREADS caps the worker count.  Pooled work and every EM run BLAS on one
+thread, and einstein_noise runs its noise seeds one after another, so the
+outputs depend neither on OB_THREADS nor on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations

@@ -6,10 +6,14 @@ picks the group: :class:`Shifts`, the exact cyclic shifts of a polar image
 (interpolation-free), or :class:`Rotations`, volume rotation by grid
 interpolation over a rotation grid.
 
-A :class:`Rotations` group may run its rotations through an order-preserving
-``map``, for example on a worker pool.  Every sum is still accumulated on
-the calling thread in the original order, so the result does not depend on
-the map.
+A group runs its work through an order-preserving ``map``, for example on a
+worker pool: the rotations of :class:`Rotations`, a batch's scoring product
+in blocks of ``estimators.SCORE_BLOCK`` rows, and the soft step's weighted
+sum in blocks of SOFT_BLOCK columns.  Each block is written into its part of
+one preallocated output, and every other sum is accumulated on the calling
+thread in the original order, so the result does not depend on the map.
+The blocks are fixed, so with BLAS on one thread (as ``bench`` runs every
+EM) the bytes do not depend on BLAS's thread count either.
 
 The observations are a :class:`Batch`, fixed across iterations and modes:
 only the templates change between steps, so the batch's terms are computed
@@ -33,6 +37,9 @@ ASSIGNMENTS = ("soft_em", "mmse_align", "hard_map")
 
 # Rotations handed to the map at once: bounds the volumes held in memory.
 CHUNK = 32
+# Columns of one product of the soft step's weighted sum; a fixed width keeps
+# each column bit-equal to one one-thread product on OpenBLAS 0.3.31.
+SOFT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,11 @@ class _Group:
 
 class Shifts(_Group):
     """The exact cyclic shifts of a polar image with ``size`` angular samples:
-    element s shifts the angular axis by s samples, and element 0 is the identity."""
+    element s shifts the angular axis by s samples, and element 0 is the
+    identity.  ``map`` is an order-preserving map (the builtin by default)
+    that runs the batch products' blocks."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, map=map):
         super().__init__(int(size), map)
 
     def act(self, ell: int, v: np.ndarray) -> np.ndarray:
@@ -118,6 +127,14 @@ class Shifts(_Group):
 
     def templates(self, v: np.ndarray) -> np.ndarray:
         return np.stack([self.act(ell, v).ravel() for ell in range(self.size)])
+
+    def summed(self, fn, items) -> np.ndarray:
+        """sum of fn over items, added in item order on the calling thread
+        without the map: a shift is one copy, cheaper than a task."""
+        out = 0.0
+        for item in items:
+            out += fn(item)
+        return out
 
     def back(self, ell: int, u: np.ndarray) -> np.ndarray:
         return forward.rotate_polar(u, ell)
@@ -133,7 +150,8 @@ class Shifts(_Group):
 class Rotations(_Group):
     """Volume rotation by grid interpolation over an (L, 3, 3) array of
     rotations.  ``map`` is an order-preserving map (the builtin by default)
-    that runs the rotations, for example on a worker pool."""
+    that runs the rotations and the batch products' blocks, for example on a
+    worker pool."""
 
     def __init__(self, rotations: np.ndarray, method: str = "trilinear", map=map):
         rotations = np.asarray(rotations, dtype=float)
@@ -195,7 +213,7 @@ class Batch:
         key = v.tobytes()
         if self._start is not None and self._start[0] is group and self._start[1] == key:
             return self._start[2]
-        scores = estimators.Scores.of(self.ys, group.templates(v), self.y_sq)
+        scores = estimators.Scores.of(self.ys, group.templates(v), self.y_sq, map=group.map)
         if self._start is None:
             self._start = (group, key, scores)
         return scores
@@ -209,7 +227,16 @@ def em_step_soft(batch: Batch, v_t, group) -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
     # the action is linear, so the weighted observation sum per element is
     # back-acted once per element instead of once per observation
-    colsum = (batch.weights(v_t, group).T @ batch.ys).reshape(-1, *batch.shape)
+    w = batch.weights(v_t, group)
+    colsum = np.empty((group.size, batch.ys.shape[1]))
+
+    def block(first):
+        cols = slice(first, first + SOFT_BLOCK)
+        np.matmul(w.T, batch.ys[:, cols], out=colsum[:, cols])
+
+    for _ in group.map(block, range(0, colsum.shape[1], SOFT_BLOCK)):
+        pass
+    colsum = colsum.reshape(-1, *batch.shape)
     return group.summed(lambda ell: group.back(ell, colsum[ell]), range(group.size)) / len(batch)
 
 

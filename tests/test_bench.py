@@ -244,6 +244,7 @@ class TestSweeps:
         monkeypatch.delenv("OB_THREADS", raising=False)
         # bench looks parallel_map up when it runs, so this forces the worker count
         monkeypatch.setattr(bench, "parallel_map", partial(bench.parallel_map, threads=threads))
+        monkeypatch.setattr(bench, "ROW_BLOCK", 4)  # a pooled fill of 29 rows runs 8 tasks
         if rows == "noise":
             # a sweep's pooled blocks of 4 rows: each draws its rows with the batch's row keys
             monkeypatch.setattr(bench, "SWEEP_BLOCK", 4)
@@ -356,6 +357,20 @@ class TestMemory:
         bound = cfg.trials + cfg.L + 2 * bench.SWEEP_BLOCK + 32  # 32 rows of temporaries
         assert bound < 2 * cfg.trials + cfg.L
         assert peak_rows(bench.run_snr_sweep, cfg, 12**3) < bound
+
+    def test_einstein_noise_holds_one_batch(self, monkeypatch):
+        # the seeds run in order and the two workers work inside each batch:
+        # one batch of noise rows, the templates and temporaries, never one
+        # batch per worker
+        monkeypatch.setenv("OB_THREADS", "2")
+        raw = {**SMALL["einstein_noise"], "M": 240, "noise_seeds": 3, "max_iters": 1,
+               "polar": {"d_radial": 40, "l_angular": 12}, "assignment_modes": ["soft_em", "mmse_align", "hard_map"]}
+        cfg = bench.ExperimentConfig.from_dict(raw)
+        d, size = 40 * 12, 12
+        # the templates and the soft sum, (L, d) each, and ten (M, L) temporaries
+        bound = cfg.M + 2 * size + 10 * cfg.M * size / d
+        assert bound < 2 * cfg.M
+        assert peak_rows(bench.run_einstein_noise, cfg, d) < bound
 
     def test_grid_sweep_releases_each_candidate_set(self, monkeypatch):
         built = []
@@ -664,7 +679,8 @@ class TestCli:
         self.assert_thread_count_invariant(tmp_path, monkeypatch, raw, 2 + 2 * 3)
 
     def test_einstein_noise_volume_thread_count_invariance(self, tmp_path, monkeypatch):
-        # the noise seeds run on the pool and each volume group on the builtin map
+        # the noise seeds run in order; each batch's noise rows, scoring and
+        # soft sums and the group's rotations run on the pool
         raw = {
             "experiment": "einstein_noise",
             "seed": 3,
@@ -698,8 +714,9 @@ class TestCli:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS and the pool run one thread anyway")
     def test_einstein_noise_bytes_do_not_depend_on_either_thread_count(self, tmp_path):
-        # the noise seeds run on the pool, and each seed's soft step sums its
-        # rows in one BLAS matmul, whose rounding depends on BLAS's thread count
+        # the noise seeds run in order, and each seed's scoring and soft sums
+        # run in fixed blocks on the pool; as one calling-thread matmul, a soft
+        # sum's rounding would follow BLAS's thread count
         raw = {
             "experiment": "einstein_noise",
             "seed": 3,
@@ -708,6 +725,22 @@ class TestCli:
             "polar": {"d_radial": 40, "l_angular": 12},
             "noise_seeds": 2,
             "max_iters": 2,
+            "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
+        }
+        digests = self.digests_over_thread_counts(tmp_path, raw)
+        assert len(set(digests.values())) == 1, digests
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: BLAS and the pool run one thread anyway")
+    def test_recover2d_bytes_do_not_depend_on_either_thread_count(self, tmp_path):
+        # the soft step sums each element's rows in fixed column blocks on the
+        # pool; as one calling-thread matmul its rounding followed BLAS's thread count
+        raw = {
+            "experiment": "recover2d",
+            "seed": 3,
+            "M": 400,
+            "sigmas": [1.0],
+            "polar": {"d_radial": 40, "l_angular": 12},
+            "max_iters": 3,
             "assignment_modes": ["soft_em", "mmse_align", "hard_map"],
         }
         digests = self.digests_over_thread_counts(tmp_path, raw)

@@ -105,7 +105,8 @@ def map_inputs(draw):
 )
 def test_row_result_does_not_depend_on_its_batch(inputs, seed, sigma):
     # each row's MAP index, rounded MMSE rotation and flags are those of the
-    # row scored alone, and the MAP index is the least-squares candidate
+    # row scored alone, bit for bit, and the MAP index is the least-squares
+    # candidate
     ys, x = inputs
     rotations = so3.sample_uniform(np.random.default_rng(seed), x.shape[0])
 
@@ -118,7 +119,7 @@ def test_row_result_does_not_depend_on_its_batch(inputs, seed, sigma):
     for m, y in enumerate(ys):
         (idx,), (mmse,), (nonunique,), (degenerate,) = estimate(y[None])
         assert idx == batch_map[m] == np.argmin(np.sum((y - x) ** 2, axis=1))  # exact residuals
-        assert np.allclose(mmse, batch_mmse[m], rtol=0.0, atol=1e-12)
+        assert np.array_equal(mmse, batch_mmse[m])
         assert (nonunique, degenerate) == (batch_nonunique[m], batch_degenerate[m])
 
 

@@ -407,7 +407,14 @@ def pooled_setup():
 
 
 class TestWorkerMap:
-    """Any order-preserving map gives the bytes of the builtin map."""
+    """With BLAS on one thread, as bench runs every EM, any order-preserving
+    map gives the bytes of the builtin map."""
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self):
+        # the builtin map runs the batch products' blocks on the calling thread
+        with bench._ONE_BLAS_THREAD:
+            yield
 
     @pytest.mark.parametrize("step", [reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step])
     def test_steps(self, pooled_setup, step):
@@ -415,6 +422,36 @@ class TestWorkerMap:
         serial = step(batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations))
         pooled = step(batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations, map=two_threads))
         assert np.array_equal(pooled, serial)
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_batch_products_in_blocks(self, threads):
+        # the scoring rows and the soft sum's columns span two full blocks and
+        # a short one, and each block is written into its own part of one
+        # output by whichever worker runs it; eight workers switch often
+        angular, radial = 12, 2 * reconstruct.SOFT_BLOCK // 12 + 5
+        m = 2 * estimators.SCORE_BLOCK + 7
+        assert (radial * angular) % reconstruct.SOFT_BLOCK and m % estimators.SCORE_BLOCK
+        v = forward.make_polar_phantom(radial, angular, seed=4)
+        rng = np.random.default_rng(8)
+        ys = noiseless_polar_obs(v, rng.integers(angular, size=m)) + 0.5 * rng.normal(size=(m, v.size))
+        serial = reconstruct.Shifts(angular)
+        pooled = reconstruct.Shifts(angular, map=lambda fn, xs: bench.parallel_map(fn, xs, threads))
+        cross = batch(ys, v, 0.5).scores(v, serial).cross
+        step = reconstruct.em_step_soft(batch(ys, v, 0.5), v, serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if threads > 2 else interval)
+        try:
+            pooled_cross = batch(ys, v, 0.5).scores(v, pooled).cross
+            pooled_step = reconstruct.em_step_soft(batch(ys, v, 0.5), v, pooled)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled_cross, cross)
+        assert np.array_equal(pooled_step, step)
+        # one product each, up to rounding
+        assert np.allclose(cross, ys @ polar_templates(v).T, rtol=1e-12, atol=1e-9)
+        colsum = batch(ys, v, 0.5).weights(v, serial).T @ ys
+        oracle = sum(forward.rotate_polar(u.reshape(v.shape), s) for s, u in enumerate(colsum)) / m
+        assert np.allclose(step, oracle, rtol=1e-12, atol=1e-12)
 
     def test_registered_pcc(self, pooled_setup):
         vbar, rotations, ys, _ = pooled_setup

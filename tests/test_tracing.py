@@ -71,6 +71,7 @@ def test_tracer_sees_every_pooled_fill(monkeypatch, tmp_path, name):
         monkeypatch.setattr(orient_bayes.bench, "SWEEP_BLOCK", 4)
         maps = [2 * len(raw["sigmas"])]
     else:
+        monkeypatch.setattr(orient_bayes.bench, "ROW_BLOCK", 1)
         maps = [raw["M"]] * len(raw["sigmas"])  # one fill per sigma, one task per row
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
