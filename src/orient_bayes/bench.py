@@ -11,21 +11,19 @@ through numpy seed sequences, so results do not depend on worker count.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import json
 import os
 import sys
 import threading
 import typing
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import estimators, forward, reconstruct, so3
+from . import blas, estimators, forward, reconstruct, so3
 
 # The reconstruction modes run when a config lists no assignment_modes.
 DEFAULT_MODES = ("mmse_align", "hard_map")
@@ -35,7 +33,10 @@ DEFAULT_PHANTOM_N = 32
 # noisy rows, not a level's batch.
 SWEEP_BLOCK = estimators.SCORE_BLOCK
 # Rows of a task that draws observation rows: each row has its own
-# generator, so the block sets the number of tasks, not the bytes.
+# generator, so the block sets the number of tasks, not the bytes.  On two
+# workers (2-vCPU x86-64) blocks of 1, 16 and 96 rows drew em_polar's 2000
+# noise rows of 9000 in 128, 110 and 112 ms, and em_volume's 500 rotated
+# rows of 32^3 in 414, 407 and 463 ms: 96 rows leave one worker idle.
 ROW_BLOCK = 16
 
 # Key-space tags so different random streams derived from one master seed
@@ -285,58 +286,11 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, n)
 
 
-# The thread-count calls of an OpenBLAS: numpy's and scipy's wheels rename
-# them (scipy_openblas_..., with 64_ for 64-bit integers), other builds do not.
-_BLAS_THREAD_CALLS = tuple(
-    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-    for prefix in ("scipy_openblas_", "openblas_")
-    for suffix in ("64_", "")
-)
-
-
-@functools.cache
-def _blas_thread_calls() -> list:
-    """(get, set) of the thread count of every OpenBLAS this process has
-    loaded; none where no OpenBLAS is loaded or /proc/self/maps is absent."""
-    maps = Path("/proc/self/maps")
-    lines = maps.read_text().splitlines() if maps.exists() else []
-    paths = sorted({line.split(None, 5)[-1] for line in lines if "openblas" in line})
-    libs = [ctypes.CDLL(path) for path in paths if Path(path).is_file()]
-    calls = [
-        (getattr(lib, get), getattr(lib, set_)) for lib in libs for get, set_ in _BLAS_THREAD_CALLS if hasattr(lib, set_)
-    ]
-    for get, set_ in calls:
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-    return calls
-
-
-class _OneBlasThread:
-    """A scope in which every loaded OpenBLAS runs on one thread.  The count is
-    process-wide, so open scopes are counted: the first to open saves the
-    counts and sets them to 1, and the last to close restores them."""
-
-    _lock = threading.Lock()
-    _open = 0
-    _saved = []
-
-    def __enter__(self):
-        with self._lock:
-            if not self._open:
-                self._saved = [(set_, get()) for get, set_ in _blas_thread_calls()]
-                for set_, _ in self._saved:
-                    set_(1)
-            self._open += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._open -= 1
-            if not self._open:
-                for set_, count in self._saved:
-                    set_(count)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
+# parallel_map's pools by worker count, and the name of their threads.  A
+# pool is reused, so a map pays no thread start-up; its workers start on
+# first use and wait idle between maps.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOL_THREAD = "orient_bayes.pool"
 
 
 def parallel_map(fn, items, threads: int | None = None):
@@ -344,14 +298,19 @@ def parallel_map(fn, items, threads: int | None = None):
 
     The workers are the one level of parallelism: BLAS runs on one thread
     while the map runs, with one worker too, so a task's bytes depend neither
-    on the worker count nor on the BLAS thread count."""
+    on the worker count nor on the BLAS thread count.  A map called from a
+    task runs in order on its worker, which could otherwise wait on tasks
+    queued behind its own.  Every task has ended when the map returns or
+    raises."""
     n = worker_count(threads)
     items = list(items)
-    with _ONE_BLAS_THREAD:
-        if n == 1 or len(items) <= 1:
+    with blas.ONE_THREAD:
+        if n == 1 or len(items) <= 1 or threading.current_thread().name.startswith(_POOL_THREAD):
             return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
+        pool = _POOLS.get(n) or _POOLS.setdefault(n, ThreadPoolExecutor(n, thread_name_prefix=_POOL_THREAD))
+        futures = [pool.submit(fn, x) for x in items]
+        wait(futures)
+        return [f.result() for f in futures]
 
 
 def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
@@ -577,7 +536,7 @@ def _recover(cfg: ExperimentConfig, truth, template, group, observe):
         _check_not_constant(name, phantom)
     modes = cfg.assignment_modes or DEFAULT_MODES
     records, traces, volumes = [], {}, {}
-    with _ONE_BLAS_THREAD:
+    with blas.ONE_THREAD:
         for si, sigma in enumerate(_sigma_list(cfg, truth)):
             batch = None  # release the last level's batch before drawing the next
             batch = reconstruct.Batch(observe(si, sigma), template.shape, sigma)
@@ -631,7 +590,7 @@ def run_einstein_noise(cfg: ExperimentConfig):
     def draw(t, rng, row):
         _noise(rng, row, sigma)
 
-    with _ONE_BLAS_THREAD:
+    with blas.ONE_THREAD:
         for k in range(cfg.noise_seeds):
             batch = None  # release the last seed's batch before drawing the next
             rows = _rows([cfg.seed, _K_NOISE, k], (cfg.M, template.size), draw, group.map)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forward, so3
+from . import blas, forward, so3
 
 # Below this norm a posterior-averaged matrix (or SO(2) resultant) has no
 # usable direction and its rounding is essentially arbitrary.
@@ -103,8 +103,9 @@ class Scores:
         """``y_sq`` and ``x_sq`` are the :func:`squared_norms` of ``ys`` and ``x``
         when the caller already holds them (a batch holds its rows', a sweep
         its fixed templates').  The product runs in blocks of SCORE_BLOCK rows
-        through the order-preserving ``map``, each written into its rows of
-        ``cross``, so any map gives the same bytes."""
+        through the order-preserving ``map``, with BLAS on one thread, each
+        written into its rows of ``cross``, so any map gives the same bytes
+        whatever BLAS's thread count."""
         ys = _batch(ys, x)
         if y_sq is None:
             y_sq = squared_norms(ys)
@@ -116,8 +117,9 @@ class Scores:
             rows = slice(first, first + SCORE_BLOCK)
             np.matmul(ys[rows], x.T, out=cross[rows])
 
-        for _ in map(block, range(0, len(ys), SCORE_BLOCK)):
-            pass
+        with blas.ONE_THREAD:
+            for _ in map(block, range(0, len(ys), SCORE_BLOCK)):
+                pass
         return cls(y_sq=y_sq, x_sq=x_sq, cross=cross)
 
     def map_indices(self) -> np.ndarray:

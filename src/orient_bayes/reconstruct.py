@@ -7,13 +7,14 @@ picks the group: :class:`Shifts`, the exact cyclic shifts of a polar image
 interpolation over a rotation grid.
 
 A group runs its work through an order-preserving ``map``, for example on a
-worker pool: the rotations of :class:`Rotations`, a batch's scoring product
+worker pool: its elements' actions, a batch's scoring product
 in blocks of ``estimators.SCORE_BLOCK`` rows, and the soft step's weighted
 sum in blocks of SOFT_BLOCK columns.  Each block is written into its part of
 one preallocated output, and every other sum is accumulated on the calling
 thread in the original order, so the result does not depend on the map.
-The blocks are fixed, so with BLAS on one thread (as ``bench`` runs every
-EM) the bytes do not depend on BLAS's thread count either.
+The blocks are fixed and their products run with BLAS on one thread
+(``blas.ONE_THREAD``) whatever the map, so their bytes do not depend on
+BLAS's thread count either.
 
 The observations are a :class:`Batch`, fixed across iterations and modes:
 only the templates change between steps, so the batch's terms are computed
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators, forward
+from . import blas, estimators, forward
 from .estimators import ZeroVarianceError
 
 ASSIGNMENTS = ("soft_em", "mmse_align", "hard_map")
@@ -115,7 +116,7 @@ class Shifts(_Group):
     """The exact cyclic shifts of a polar image with ``size`` angular samples:
     element s shifts the angular axis by s samples, and element 0 is the
     identity.  ``map`` is an order-preserving map (the builtin by default)
-    that runs the batch products' blocks."""
+    that runs the back-shifts and the batch products' blocks."""
 
     def __init__(self, size: int, map=map):
         super().__init__(int(size), map)
@@ -127,14 +128,6 @@ class Shifts(_Group):
 
     def templates(self, v: np.ndarray) -> np.ndarray:
         return np.stack([self.act(ell, v).ravel() for ell in range(self.size)])
-
-    def summed(self, fn, items) -> np.ndarray:
-        """sum of fn over items, added in item order on the calling thread
-        without the map: a shift is one copy, cheaper than a task."""
-        out = 0.0
-        for item in items:
-            out += fn(item)
-        return out
 
     def back(self, ell: int, u: np.ndarray) -> np.ndarray:
         return forward.rotate_polar(u, ell)
@@ -234,8 +227,9 @@ def em_step_soft(batch: Batch, v_t, group) -> np.ndarray:
         cols = slice(first, first + SOFT_BLOCK)
         np.matmul(w.T, batch.ys[:, cols], out=colsum[:, cols])
 
-    for _ in group.map(block, range(0, colsum.shape[1], SOFT_BLOCK)):
-        pass
+    with blas.ONE_THREAD:
+        for _ in group.map(block, range(0, colsum.shape[1], SOFT_BLOCK)):
+            pass
     colsum = colsum.reshape(-1, *batch.shape)
     return group.summed(lambda ell: group.back(ell, colsum[ell]), range(group.size)) / len(batch)
 

@@ -1,16 +1,36 @@
 """Helpers shared by the tests: closed-form rotations and angles, a scoring
 oracle that does not go through the code under test, and the README's
-quick example."""
+quick example, and a scope that sets BLAS's thread count."""
 
+import contextlib
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import logsumexp
 
-from orient_bayes import so3
+from orient_bayes import blas, so3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@contextlib.contextmanager
+def blas_at_two_threads():
+    """Every loaded OpenBLAS at two threads, as a caller might set it; gives a
+    function that reads the counts, and restores the counts before on exit.
+    Skips where no OpenBLAS thread-count call is found."""
+    calls = blas.thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS thread-count call found")
+    before = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(2)
+    try:
+        yield lambda _=None: [get() for get, _ in calls]
+    finally:
+        for (_, set_), count in zip(calls, before):
+            set_(count)
 
 
 def rot_z(theta: float) -> np.ndarray:

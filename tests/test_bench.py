@@ -3,14 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import blas_at_two_threads
 from small_configs import BAD_INPUTS, SMALL, VOLUME_FILES, bad_input_config
 
 from orient_bayes import bench, cli, estimators, forward, so3
@@ -392,15 +396,8 @@ class TestParallelMapBlas:
 
     @pytest.fixture
     def counts(self):
-        calls = bench._blas_thread_calls()
-        if not calls:
-            pytest.skip("no OpenBLAS thread-count call found")
-        before = [get() for get, _ in calls]
-        for _, set_ in calls:
-            set_(2)  # the caller's count, which each map must give back
-        yield lambda _=None: [get() for get, _ in calls]
-        for (_, set_), count in zip(calls, before):
-            set_(count)
+        with blas_at_two_threads() as counts:  # the caller's count, which each map must give back
+            yield counts
 
     @pytest.mark.parametrize("threads, items", [(1, 3), (2, 1), (2, 3)], ids=["serial", "one-item", "pool"])
     def test_tasks_run_blas_on_one_thread(self, counts, threads, items):
@@ -424,6 +421,52 @@ class TestParallelMapBlas:
 
         assert bench.parallel_map(task, range(4), 2) == [[1] * len(counts())] * 4
         assert counts() == [2] * len(counts())
+
+
+class TestParallelMapPool:
+    """parallel_map reuses one pool per worker count."""
+
+    @staticmethod
+    def thread(_=None):
+        time.sleep(0.001)  # long enough that every worker takes tasks
+        return threading.current_thread()
+
+    def test_maps_share_their_workers(self):
+        seen = set(bench.parallel_map(self.thread, range(8), 2)) | set(bench.parallel_map(self.thread, range(8), 2))
+        assert len(seen) <= 2 and threading.current_thread() not in seen
+
+    def test_a_nested_map_runs_in_order_on_its_worker(self):
+        # four tasks on two workers, each waiting on a nested map: queued on
+        # the same pool, the nested tasks would wait behind the outer ones
+        def task(x):
+            return set(bench.parallel_map(self.thread, range(3), 2)) == {threading.current_thread()}
+
+        assert bench.parallel_map(task, range(4), 2) == [True] * 4
+
+    def test_concurrent_callers(self):
+        # sixteen maps from eight threads that are not pool workers, the first
+        # of them racing to start the three-worker pool
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as callers:
+                maps = list(callers.map(lambda k: bench.parallel_map(lambda x: x * k, range(20), 3), range(16)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert maps == [[x * k for x in range(20)] for k in range(16)]
+
+    def test_a_raising_map_ends_every_task(self):
+        ended = []
+
+        def task(x):
+            if x == 0:
+                raise ZeroDivisionError(x)
+            time.sleep(0.05)
+            ended.append(x)
+
+        with pytest.raises(ZeroDivisionError):
+            bench.parallel_map(task, range(3), 2)
+        assert sorted(ended) == [1, 2]
 
 
 class TestCli:

@@ -28,7 +28,7 @@ from helpers import readme_quick_example
 from small_configs import BAD_INPUTS, SMALL, bad_input_config
 
 import orient_bayes
-from orient_bayes import bench, cli, estimators, forward, reconstruct, so3
+from orient_bayes import bench, blas, cli, estimators, forward, reconstruct, so3
 
 PACKAGE = Path(orient_bayes.__file__).resolve().parent
 
@@ -44,9 +44,17 @@ ALLOWED = {
 # Lines of reached functions that no shipped path runs, by function and
 # source text (stripped), so an edit elsewhere in the file keeps the key.
 ALLOWED_LINES = {
-    ("bench.parallel_map", "with ThreadPoolExecutor(max_workers=n) as pool:"):
+    ("bench.parallel_map", "pool = _POOLS.get(n) or _POOLS.setdefault(n, ThreadPoolExecutor(n, thread_name_prefix=_POOL_THREAD))"):
         "the pool: the probe runs one worker, and the thread-count tests run it",
-    ("bench.parallel_map", "return list(pool.map(fn, items))"):
+    ("bench.parallel_map", "futures = [pool.submit(fn, x) for x in items]"):
+        "the pool: the probe runs one worker, and the thread-count tests run it",
+    ("bench.parallel_map.<locals>.<listcomp>", "futures = [pool.submit(fn, x) for x in items]"):
+        "the pool: the probe runs one worker, and the thread-count tests run it",
+    ("bench.parallel_map.<locals>.<listcomp>", "return [f.result() for f in futures]"):
+        "the pool: the probe runs one worker, and the thread-count tests run it",
+    ("bench.parallel_map", "wait(futures)"):
+        "the pool: the probe runs one worker, and the thread-count tests run it",
+    ("bench.parallel_map", "return [f.result() for f in futures]"):
         "the pool: the probe runs one worker, and the thread-count tests run it",
     ("reconstruct._safe_pcc", "except ZeroVarianceError:"):
         "a constant estimate, which no shipped config gives (a constant truth or template exits 2 first)",
@@ -147,7 +155,7 @@ def probe(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("probe")
     patch = pytest.MonkeyPatch()
     patch.setenv("OB_THREADS", "1")
-    for module in (bench, estimators, forward, reconstruct, so3):
+    for module in (blas, bench, estimators, forward, reconstruct, so3):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()  # a cached call made by an earlier test would not run again

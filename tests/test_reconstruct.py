@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from helpers import blas_at_two_threads
 from scipy.special import logsumexp
 
 from orient_bayes import bench, estimators, forward, reconstruct, so3
@@ -407,14 +408,7 @@ def pooled_setup():
 
 
 class TestWorkerMap:
-    """With BLAS on one thread, as bench runs every EM, any order-preserving
-    map gives the bytes of the builtin map."""
-
-    @pytest.fixture(autouse=True)
-    def one_blas_thread(self):
-        # the builtin map runs the batch products' blocks on the calling thread
-        with bench._ONE_BLAS_THREAD:
-            yield
+    """Any order-preserving map gives the bytes of the builtin map."""
 
     @pytest.mark.parametrize("step", [reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step])
     def test_steps(self, pooled_setup, step):
@@ -452,6 +446,28 @@ class TestWorkerMap:
         colsum = batch(ys, v, 0.5).weights(v, serial).T @ ys
         oracle = sum(forward.rotate_polar(u.reshape(v.shape), s) for s, u in enumerate(colsum)) / m
         assert np.allclose(step, oracle, rtol=1e-12, atol=1e-12)
+
+    def test_builtin_map_runs_the_blocks_on_one_blas_thread(self):
+        # a caller's BLAS at two threads: the blocks still run on one, as a
+        # pool's tasks do, and the caller's count is back afterwards
+        angular, m = 12, estimators.SCORE_BLOCK + 7
+        v = forward.make_polar_phantom(reconstruct.SOFT_BLOCK // angular + 5, angular, seed=4)
+        ys = np.random.default_rng(8).normal(size=(m, v.size))
+        with blas_at_two_threads() as counts:
+            seen = []
+
+            def recording(fn, xs):
+                for x in xs:
+                    seen.append(counts())
+                    yield fn(x)
+
+            group = reconstruct.Shifts(angular, map=recording)
+            reconstruct.em_step_soft(batch(ys, v, 0.5), v, group)
+            # two scoring blocks and two soft blocks, then the back-shifts,
+            # copies that call no BLAS
+            assert len(seen) == 4 + angular
+            assert seen[:4] == [[1] * len(counts())] * 4
+            assert counts() == [2] * len(counts())
 
     def test_registered_pcc(self, pooled_setup):
         vbar, rotations, ys, _ = pooled_setup
