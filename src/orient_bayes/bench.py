@@ -133,19 +133,13 @@ class ExperimentConfig:
         for name in ("sigmas", "snrs"):
             _check_levels(name, getattr(self, name))
         for sigma in self.sigmas or []:
-            try:
-                forward.check_sigma(sigma)
-            except ValueError as exc:
-                raise ConfigError(f"sigmas: {exc}") from None
+            _apply_rule("sigmas: ", forward.check_sigma, sigma)
         levels = [name for name in ("sigmas", "snrs") if getattr(self, name) is not None]
         if len(levels) > 1 or not (levels or self.experiment == "einstein_noise"):
             raise ConfigError(f"{self.experiment} takes the noise level once, in sigmas or snrs; got {levels}")
         if self.experiment == "einstein_noise" and len(self.sigmas or []) > 1:
             raise ConfigError("einstein_noise takes at most one entry in sigmas")
-        try:
-            forward.interpolation_order(self.method)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        _apply_rule("", forward.interpolation_order, self.method)
         if not isinstance(self.projected, bool):
             raise ConfigError(f"projected must be true or false, got {self.projected!r}")
         for name in ("phantom", "template_phantom"):
@@ -180,10 +174,7 @@ class ExperimentConfig:
         if modes is not None and not (isinstance(modes, (list, tuple)) and modes):
             raise ConfigError(f"assignment_modes must be a non-empty list, got {modes!r}")
         for mode in modes or DEFAULT_MODES:  # the EM settings of every mode the run reconstructs with
-            try:
-                reconstruct.ReconstructionConfig(mode, self.max_iters, self.rel_tol)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            _apply_rule("", reconstruct.ReconstructionConfig, mode, self.max_iters, self.rel_tol)
         if modes is not None and len(set(modes)) < len(modes):
             raise ConfigError(f"assignment_modes lists a mode twice: {modes!r}")
         # lists are stored as tuples, so a checked config cannot change; json writes them as arrays
@@ -222,6 +213,14 @@ def _check_levels(name: str, values) -> None:
             raise ConfigError(f"every entry of {name} must be finite and positive, got {v!r}")
 
 
+def _apply_rule(prefix: str, rule, *args) -> None:
+    """Apply a library rule to config values; its ValueError becomes a ConfigError."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def _check_keys(name: str, spec, allowed) -> None:
     """``spec`` must be an object whose keys are all in ``allowed``."""
     if not isinstance(spec, dict):
@@ -234,10 +233,7 @@ def _check_keys(name: str, spec, allowed) -> None:
 def _check_prior(name: str, spec) -> None:
     kind = spec.get("kind", "uniform") if isinstance(spec, dict) else None
     _check_keys(name, spec, ("kind", "eta") if kind == "isotropic_gaussian" else ("kind",))
-    try:
-        so3.check_prior(kind, spec.get("eta"))
-    except ValueError as exc:
-        raise ConfigError(f"{name} {exc}") from None
+    _apply_rule(f"{name} ", so3.check_prior, kind, spec.get("eta"))
 
 
 def _check_phantom(name: str, spec, polar: bool) -> None:
@@ -245,17 +241,11 @@ def _check_phantom(name: str, spec, polar: bool) -> None:
     size n and seed or, for kind 'loaded' only, a file path."""
     if spec is None:
         return
-    loaded = isinstance(spec, dict) and spec.get("kind") == "loaded"
-    _check_keys(name, spec, ("seed",) if polar else ("kind", "path") if loaded else ("kind", "n", "seed"))
-    if "kind" in spec:
-        _check_choice(f"{name} kind", spec["kind"], forward.PHANTOM_KINDS)
-    if loaded and "path" not in spec:
-        raise ConfigError(f"{name} of kind 'loaded' requires a path")
-    if "path" in spec and not (isinstance(spec["path"], str) and spec["path"]):
-        raise ConfigError(f"{name} path must be a non-empty string, got {spec['path']!r}")
-    for key, low in (("n", forward.MIN_PHANTOM_N), ("seed", 0)):
-        if key in spec:
-            _check_int(f"{name} {key}", spec[key], low)
+    kind = spec.get("kind", "asymmetric_L") if isinstance(spec, dict) else None  # both default kinds are generated
+    _check_keys(name, spec, ("seed",) if polar else ("kind", "path") if kind == "loaded" else ("kind", "n", "seed"))
+    _apply_rule(f"{name} ", forward.check_phantom, kind, spec.get("n", DEFAULT_PHANTOM_N), spec.get("path"))
+    if "seed" in spec:
+        _check_int(f"{name} seed", spec["seed"], 0)
 
 
 def _prior_from_spec(spec: dict | None) -> so3.RotationPrior:
@@ -266,13 +256,8 @@ def _prior_from_spec(spec: dict | None) -> so3.RotationPrior:
 
 
 def _phantom_from_spec(spec: dict | None, default_kind="asymmetric_L") -> np.ndarray:
-    spec = spec or {}
-    return forward.make_phantom(
-        spec.get("kind", default_kind),
-        int(spec.get("n", DEFAULT_PHANTOM_N)),
-        seed=int(spec.get("seed", 0)),
-        path=spec.get("path"),
-    )
+    # the config has checked the spec, whose keys are make_phantom's parameters
+    return forward.make_phantom(**{"kind": default_kind, "n": DEFAULT_PHANTOM_N, **(spec or {})})
 
 
 def worker_count(requested: int | None = None) -> int:

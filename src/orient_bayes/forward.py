@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
 import sys
 from functools import lru_cache
@@ -68,6 +69,34 @@ def interpolation_order(method) -> int:
     return INTERPOLATION_ORDERS[method]
 
 
+def _trilinear_reads(vol: np.ndarray, coords: np.ndarray) -> np.ndarray | None:
+    """The indices of the sample points in ``coords`` (3, N) that can read a
+    nonzero voxel of ``vol`` under trilinear interpolation; None when the
+    nonzero box, grown by one voxel, covers the grid, so that nearly every
+    point can.
+
+    The box holds every voxel whose bits are not zero (so -0.0 and NaN count).
+    A point reads the voxels floor(p) and floor(p) + 1 on each axis with
+    weights >= 0, and map_coordinates in constant mode writes +0.0 at a point
+    whose reads are all +0.0 or outside the grid.  So a point outside
+    lo - 1 <= p <= hi + 1 on some axis (lo, hi the box's first and last
+    index) takes +0.0.  The upper bound is closed because at p = n - 1 scipy
+    also reads voxel n - 2, with weight 0.  An all-zero volume keeps no point.
+    """
+    bits = vol.view(np.int64)
+    faces = (bits[:2], bits[-2:], bits[:, :2], bits[:, -2:], bits[:, :, :2], bits[:, :, -2:])
+    if all(map(np.count_nonzero, faces)):
+        return None
+    yz = np.bitwise_or.reduce(bits, axis=0)  # the OR along x: fast over a leading axis, where any() is slow
+    occupied = (bits.reshape(len(bits), -1).any(axis=1), yz.any(axis=1), yz.any(axis=0))
+    keep = np.ones(coords.shape[1], dtype=bool)
+    for p, along in zip(coords, occupied):
+        box = np.flatnonzero(along)
+        keep &= p >= box.min(initial=len(along)) - 1
+        keep &= p <= box.max(initial=-1) + 1
+    return np.flatnonzero(keep)
+
+
 def rotate_volume(
     vol: np.ndarray, g: np.ndarray, method: str = "trilinear", out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -75,9 +104,11 @@ def rotate_volume(
 
     Samples outside the source grid read as zero.  The identity is returned
     bit-exactly; axis-aligned quarter turns land on grid points and are exact
-    under trilinear interpolation.  ``out``, a flat array of vol.size
-    doubles, receives the result in place; the return value is an (n, n, n)
-    view of it.
+    under trilinear interpolation.  A trilinear rotation interpolates only
+    the sample points that can read the volume's nonzero box and writes +0.0
+    at the rest, the bytes one map_coordinates call over every point gives.
+    ``out``, a flat array of vol.size doubles, receives the result in place;
+    the return value is an (n, n, n) view of it.
     """
     vol = np.asarray(vol, dtype=float)
     n = vol.shape[0]
@@ -94,7 +125,14 @@ def rotate_volume(
 
         coords = g @ _centered_grid(n)
         coords += (n - 1) / 2.0
-        ndimage.map_coordinates(vol, coords, output=out, order=order, mode="constant", cval=0.0)
+        # tricubic's spline prefilter spreads any support over the whole grid
+        keep = _trilinear_reads(vol, coords) if order == 1 else None
+        if keep is None:
+            ndimage.map_coordinates(vol, coords, output=out, order=order, mode="constant", cval=0.0)
+        else:
+            out[:] = 0.0
+            kept = coords.take(keep, axis=1)
+            out[keep] = ndimage.map_coordinates(vol, kept, order=order, mode="constant", cval=0.0)
     return out.reshape(n, n, n)
 
 
@@ -161,6 +199,17 @@ def _inscribed_sphere_mask(n: int) -> np.ndarray:
     return (np.linalg.norm(r, axis=0) <= 0.95 * c).reshape(n, n, n)
 
 
+def check_phantom(kind, n, path=None) -> None:
+    """Raise ValueError unless kind names a PHANTOM_KINDS entry and, for 'loaded',
+    path is a path or a non-empty string, else n is an int, not a bool, >= MIN_PHANTOM_N."""
+    if not (isinstance(kind, str) and kind in PHANTOM_KINDS):
+        raise ValueError(f"kind must be one of {list(PHANTOM_KINDS)}, got {kind!r}")
+    if kind == "loaded" and not (isinstance(path, os.PathLike) or isinstance(path, str) and path):
+        raise ValueError(f"path must be a non-empty string for kind 'loaded', got {path!r}")
+    if kind != "loaded" and (isinstance(n, bool) or not (isinstance(n, int) and n >= MIN_PHANTOM_N)):
+        raise ValueError(f"n must be an integer >= {MIN_PHANTOM_N}, got {n!r}")
+
+
 def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> np.ndarray:
     """Deterministic test volumes with support inside the inscribed sphere.
 
@@ -169,15 +218,12 @@ def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> n
     three-arm solid, so the true rotation is identifiable; ``loaded`` reads
     a volume file (see :func:`read_obv`), whose edge length replaces n.
     """
+    check_phantom(kind, n, path)
     if kind == "loaded":
-        if path is None:
-            raise ValueError("loaded phantom requires a path")
         vol = read_obv(path)
         if vol.shape[0] < MIN_PHANTOM_N or not np.all(np.isfinite(vol)):
             raise FileFormatError(f"{path}: a phantom needs an edge length >= {MIN_PHANTOM_N} and finite voxels")
         return vol
-    if n < MIN_PHANTOM_N:
-        raise ValueError(f"n must be >= {MIN_PHANTOM_N}")
     c = (n - 1) / 2.0
     coords = _centered_grid(n).reshape(3, n, n, n)
     if kind == "gaussian_blobs":
@@ -189,7 +235,7 @@ def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> n
             amp = rng.uniform(0.5, 1.5)
             d2 = sum(((coords[i] - center[i]) / width[i]) ** 2 for i in range(3))
             vol += amp * np.exp(-0.5 * d2)
-    elif kind == "asymmetric_L":
+    else:  # asymmetric_L
         vol = np.zeros((n, n, n))
         u = (np.arange(n) - c) / c  # normalized [-1, 1] coordinate
         ux, uy, uz = np.meshgrid(u, u, u, indexing="ij")
@@ -205,8 +251,6 @@ def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> n
         from scipy import ndimage
 
         vol = ndimage.gaussian_filter(vol, sigma=n / 32.0)
-    else:
-        raise ValueError(f"unknown phantom kind: {kind!r}")
     vol *= _inscribed_sphere_mask(n)
     return vol
 

@@ -1,6 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers import geodesic_distance, rot_z
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from orient_bayes import bench, forward, so3
 
@@ -69,6 +75,111 @@ class TestRotateVolume:
 
     def test_interpolation_orders(self):
         assert [forward.interpolation_order(m) for m in ("trilinear", "tricubic")] == [1, 3]
+
+
+SIGNED_PERMUTATIONS = [
+    np.diag(signs) @ np.array(perm)
+    for perm in itertools.permutations(np.eye(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+]
+# the 24 axis quarter turns, the identity among them
+QUARTER_TURNS = [m for m in SIGNED_PERMUTATIONS if np.linalg.det(m) > 0]
+rotations = st.sampled_from(QUARTER_TURNS) | st.integers(0, 2**32 - 1).map(
+    lambda seed: so3.sample_uniform(np.random.default_rng(seed), 1)[0]
+)
+# finite values of both signs, signed zeros, and the non-finite values a
+# nonzero-bits box counts too
+voxels = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def one_call(vol, g, method):
+    """The oracle: one map_coordinates call over every sample point, or for
+    the identity a copy."""
+    n = vol.shape[0]
+    if np.array_equal(g, np.eye(3)):
+        return vol.copy()
+    coords = g @ forward._centered_grid(n)
+    coords += (n - 1) / 2.0
+    order = forward.interpolation_order(method)
+    return ndimage.map_coordinates(vol, coords, order=order, mode="constant", cval=0.0).reshape(n, n, n)
+
+
+def assert_same_bytes(a, b):
+    assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def boxed(n, lo, hi, values):
+    """An (n, n, n) volume of +0.0 holding ``values`` in the box lo..hi (inclusive)."""
+    vol = np.zeros((n, n, n))
+    vol[tuple(slice(a, b + 1) for a, b in zip(lo, hi))] = values
+    return vol
+
+
+@st.composite
+def boxed_volumes(draw):
+    """A cube whose nonzero bits sit in a random sub-box, which may touch a
+    face or be one voxel; or the all-zero cube."""
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        return np.zeros((n, n, n))
+    lo = [draw(st.integers(0, n - 1)) for _ in range(3)]
+    hi = [draw(st.integers(a, n - 1)) for a in lo]
+    shape = tuple(b - a + 1 for a, b in zip(lo, hi))
+    return boxed(n, lo, hi, draw(hnp.arrays(np.float64, shape, elements=voxels)))
+
+
+class TestSupportRestrictedRotation:
+    """A trilinear rotation interpolates only where the nonzero box can be
+    read; its bytes are those of one unrestricted map_coordinates call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vol=boxed_volumes(), g=rotations, method=st.sampled_from(list(forward.INTERPOLATION_ORDERS)))
+    def test_bytes_are_one_unrestricted_call(self, vol, g, method):
+        assert_same_bytes(forward.rotate_volume(vol, g, method=method), one_call(vol, g, method))
+
+    # corners, and voxels one layer in from a face: at p = n - 1 scipy also
+    # reads voxel n - 2, with weight 0, which a NaN or an infinity turns into NaN
+    @pytest.mark.parametrize("voxel", [(0, 0, 0), (7, 7, 7), (0, 7, 0), (6, 3, 3), (1, 6, 6)])
+    @pytest.mark.parametrize("value", [1.5, -2.0, -0.0, np.nan, np.inf])
+    def test_one_voxel_at_a_corner_or_a_face(self, voxel, value):
+        vol = boxed(8, voxel, voxel, value)
+        for g in [*QUARTER_TURNS, *so3.sample_uniform(np.random.default_rng(3), 8)]:
+            assert_same_bytes(forward.rotate_volume(vol, g), one_call(vol, g, "trilinear"))
+
+    @pytest.mark.parametrize("projected", [False, True], ids=["volume", "projected"])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["builtin-map", "parallel_map"])
+    def test_rotated_stack_rows(self, chiral_phantom, monkeypatch, projected, pooled):
+        monkeypatch.setenv("OB_THREADS", "2")
+        gs = np.concatenate([QUARTER_TURNS[:6], so3.sample_uniform(np.random.default_rng(8), 10)])
+        rows = forward.rotated_stack(chiral_phantom, gs, projected=projected, map=bench.parallel_map if pooled else map)
+        for row, g in zip(rows, gs):
+            vol = one_call(chiral_phantom, g, "trilinear")
+            assert_same_bytes(row, forward.project_z(vol).ravel() if projected else vol.ravel())
+
+    @pytest.mark.parametrize(
+        "kind, shift, method, restricted",
+        [
+            ("asymmetric_L", 0, "trilinear", True),
+            ("asymmetric_L", -9, "trilinear", True),
+            ("gaussian_blobs", 0, "trilinear", False),
+            ("asymmetric_L", 0, "tricubic", False),
+        ],
+    )
+    def test_only_a_sparse_trilinear_rotation_is_restricted(self, monkeypatch, kind, shift, method, restricted):
+        # asymmetric_L's nonzero box is x 9..29, y 8..26, z 9..24 of the 32^3
+        # grid, and a shift by -9 along x makes it touch one face;
+        # gaussian_blobs reaches the second layer of every face; a tricubic
+        # prefilter spreads any support
+        points, sample = [], ndimage.map_coordinates
+
+        def counted(vol, coords, **kwargs):
+            points.append(coords.shape[1])
+            return sample(vol, coords, **kwargs)
+
+        monkeypatch.setattr(ndimage, "map_coordinates", counted)
+        vol = np.roll(forward.make_phantom(kind, 32, seed=0), shift, axis=0)
+        forward.rotate_volume(vol, so3.sample_uniform(np.random.default_rng(1), 1)[0], method=method)
+        assert (points[0] < 0.5 * 32**3) if restricted else points == [32**3]
 
 
 class TestProjectZ:
@@ -220,6 +331,24 @@ class TestPhantoms:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             forward.make_phantom("cube", 16)
+
+    @pytest.mark.parametrize(
+        "kind, n, path, match",
+        [
+            (["loaded"], 16, None, "kind must be one of"),
+            ("loaded", 16, None, "path must be a non-empty string"),
+            ("loaded", 16, "", "path must be a non-empty string"),
+            ("gaussian_blobs", 4, None, "n must be an integer >= 8"),
+            ("asymmetric_L", 12.0, None, "n must be an integer >= 8"),
+            ("asymmetric_L", True, None, "n must be an integer >= 8"),
+        ],
+    )
+    def test_phantom_rule(self, kind, n, path, match):
+        # check_phantom is the one rule; the experiment config applies it too
+        with pytest.raises(ValueError, match=match):
+            forward.check_phantom(kind, n, path)
+        with pytest.raises(ValueError, match=match):
+            forward.make_phantom(kind, n, path=path)
 
 
 class TestObvFormat:

@@ -1,7 +1,9 @@
 """Every function and every line in the package runs on a shipped path.
 
 The probe traces the CLI over a small config of every experiment and
-geometry, the variants a config can select (a projected sweep, a recovery set
+geometry, the variants a config can select (a projected sweep of an
+``asymmetric_L`` phantom, whose sparse support takes the support-restricted
+trilinear rotation while the EM iterates take the full one, a recovery set
 by SNRs with all three EM modes, a loaded phantom, an isotropic-Gaussian prior
 with eta >= 1, a ``--seed`` override), every BAD_INPUTS case, four more
 config errors (not JSON, a boolean ``rel_tol``, an unknown ``method``, an
@@ -141,7 +143,7 @@ def shipped_runs(tmp_path) -> list[dict]:
     recover2d = {key: value for key, value in SMALL["recover2d"].items() if key != "sigmas"}
     return [
         *SMALL.values(),
-        {**SMALL["snr_sweep"], "projected": True},
+        {**SMALL["snr_sweep"], "projected": True, "phantom": {"kind": "asymmetric_L", "n": 12, "seed": 1}},
         {**recover2d, "snrs": [1.0], "assignment_modes": list(reconstruct.ASSIGNMENTS)},
         {**SMALL["snr_sweep"], "phantom": {"kind": "loaded", "path": str(loaded)}},
         {**SMALL["prior_mismatch"], "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1.5}]},
