@@ -2,7 +2,8 @@
 
     orient-bayes <experiment> --config <path.json> [--seed N] [--out DIR]
 
-Exit codes: 0 success, 2 config validation failure, 3 I/O failure.
+Exit codes: 0 success, 2 config validation failure (a run too large to
+allocate included), 3 I/O failure.
 OB_THREADS caps the worker count.  Pooled work and every EM run BLAS on one
 thread, and einstein_noise runs its noise seeds one after another, so the
 outputs depend neither on OB_THREADS nor on OPENBLAS_NUM_THREADS.
@@ -45,6 +46,10 @@ def main(argv=None) -> int:
     except (bench.ConfigError, forward.FileFormatError) as exc:
         # what only the run can check: a phantom file's contents and size, a noise level set by an SNR
         print(f"orient-bayes: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # sizes the config allows but the machine cannot hold
+        print(f"orient-bayes: config error: the run is too large for this machine's memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"orient-bayes: I/O error: {exc}", file=sys.stderr)

@@ -59,6 +59,8 @@ def _centered_grid(n: int) -> np.ndarray:
 INTERPOLATION_ORDERS = {"trilinear": 1, "tricubic": 3}
 PHANTOM_KINDS = ("gaussian_blobs", "asymmetric_L", "loaded")
 MIN_PHANTOM_N = 8
+# A generated phantom's largest edge: one 512^3 volume is 1 GiB of doubles.
+MAX_PHANTOM_N = 512
 
 
 def interpolation_order(method) -> int:
@@ -201,13 +203,14 @@ def _inscribed_sphere_mask(n: int) -> np.ndarray:
 
 def check_phantom(kind, n, path=None) -> None:
     """Raise ValueError unless kind names a PHANTOM_KINDS entry and, for 'loaded',
-    path is a path or a non-empty string, else n is an int, not a bool, >= MIN_PHANTOM_N."""
+    path is a path or a non-empty string, else n is an int, not a bool, from
+    MIN_PHANTOM_N to MAX_PHANTOM_N."""
     if not (isinstance(kind, str) and kind in PHANTOM_KINDS):
         raise ValueError(f"kind must be one of {list(PHANTOM_KINDS)}, got {kind!r}")
     if kind == "loaded" and not (isinstance(path, os.PathLike) or isinstance(path, str) and path):
         raise ValueError(f"path must be a non-empty string for kind 'loaded', got {path!r}")
-    if kind != "loaded" and (isinstance(n, bool) or not (isinstance(n, int) and n >= MIN_PHANTOM_N)):
-        raise ValueError(f"n must be an integer >= {MIN_PHANTOM_N}, got {n!r}")
+    if kind != "loaded" and (isinstance(n, bool) or not (isinstance(n, int) and MIN_PHANTOM_N <= n <= MAX_PHANTOM_N)):
+        raise ValueError(f"n must be an integer >= {MIN_PHANTOM_N} and <= {MAX_PHANTOM_N}, got {n!r}")
 
 
 def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> np.ndarray:

@@ -16,6 +16,13 @@ The blocks are fixed and their products run with BLAS on one thread
 (``blas.ONE_THREAD``) whatever the map, so their bytes do not depend on
 BLAS's thread count either.
 
+No step and no registration holds more than one window of CHUNK group
+elements as structures: the scoring, the soft step's weighted sum and its
+back-actions, and registration each take the elements one window at a
+time.  A run holds the batch and about two windows of structures, not one
+per element.  A group of at most CHUNK elements, such as the 30 shifts of
+a shipped polar config, is one window.
+
 The observations are a :class:`Batch`, fixed across iterations and modes:
 only the templates change between steps, so the batch's terms are computed
 once.
@@ -36,8 +43,15 @@ from .estimators import ZeroVarianceError
 
 ASSIGNMENTS = ("soft_em", "mmse_align", "hard_map")
 
-# Rotations handed to the map at once: bounds the volumes held in memory.
-CHUNK = 32
+# Group elements (or observations) handed to the map at once, and the window
+# of elements scored, soft-summed and registered at a time: bounds the
+# structures held in memory.  On em_volume (n = 32, L = 300, M = 500, 2-vCPU
+# x86-64) windows of 48 and 64 peaked at 221 and 230 MB against 280 MB for
+# the whole stack; a scoring's products took 0.110 and 0.104 s against 0.083 s
+# as one product, since each window reads the whole batch once.  On OpenBLAS
+# 0.3.31 a multiple of 8 scores every candidate bit-equal to one product of
+# all L, except at most the last L mod 8.
+CHUNK = 48
 # Columns of one product of the soft step's weighted sum; a fixed width keeps
 # each column bit-equal to one one-thread product on OpenBLAS 0.3.31.
 SOFT_BLOCK = 512
@@ -77,20 +91,26 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
 
 class _Group:
     """L group elements acting on a structure.  Subclasses give
-    ``templates`` (the (L, d) array whose row l is g_l^-1 . v, the candidate
-    template of v for element l), ``back`` (g_l . u, the adjoint of element
-    l's action) and ``mmse_average``, their MMSE-rounded update."""
+    ``templates(v, window)`` (the array whose rows are g_l^-1 . v, the
+    candidate templates of v, for the elements l of a slice), ``back``
+    (g_l . u, the adjoint of element l's action) and ``mmse_average``, their
+    MMSE-rounded update.  Callers take the elements one window of
+    :meth:`windows` at a time, so no more than CHUNK templates are held."""
 
     def __init__(self, size: int, map):
         self.size = size
         self.map = map
 
-    def summed(self, fn, items) -> np.ndarray:
-        """sum of fn over items, run through the map CHUNK items at a time and
-        added in item order on the calling thread; it starts from 0.0, so it
-        takes the shape of the terms."""
+    def windows(self) -> list[slice]:
+        """The elements in order, as slices of at most CHUNK elements."""
+        return [slice(start, min(start + CHUNK, self.size)) for start in range(0, self.size, CHUNK)]
+
+    def summed(self, fn, items, out=0.0) -> np.ndarray:
+        """``out`` plus the sum of fn over items, run through the map CHUNK
+        items at a time and added in item order on the calling thread.  From
+        the default 0.0 it takes the shape of the terms; a sum carried on from
+        an earlier call adds its terms after that call's."""
         items = list(items)
-        out = 0.0
         for start in range(0, len(items), CHUNK):
             for u in self.map(fn, items[start : start + CHUNK]):
                 out += u
@@ -126,8 +146,8 @@ class Shifts(_Group):
             raise estimators.DimensionMismatchError(f"polar image {v.shape} lacks {self.size} angular samples")
         return forward.rotate_polar(v, -ell)
 
-    def templates(self, v: np.ndarray) -> np.ndarray:
-        return np.stack([self.act(ell, v).ravel() for ell in range(self.size)])
+    def templates(self, v: np.ndarray, window: slice = slice(None)) -> np.ndarray:
+        return np.stack([self.act(ell, v).ravel() for ell in range(self.size)[window]])
 
     def back(self, ell: int, u: np.ndarray) -> np.ndarray:
         return forward.rotate_polar(u, ell)
@@ -154,8 +174,8 @@ class Rotations(_Group):
         self.rotations = rotations
         self.method = method
 
-    def templates(self, v: np.ndarray) -> np.ndarray:
-        return forward.rotated_stack(v, self.rotations, self.method, map=self.map)
+    def templates(self, v: np.ndarray, window: slice = slice(None)) -> np.ndarray:
+        return forward.rotated_stack(v, self.rotations[window], self.method, map=self.map)
 
     def back(self, ell: int, u: np.ndarray) -> np.ndarray:
         return forward.rotate_volume(u, self.rotations[ell].T, method=self.method)
@@ -198,15 +218,23 @@ class Batch:
         return len(self.ys)
 
     def scores(self, v: np.ndarray, group) -> estimators.Scores:
-        """The scores of v's templates under ``group``; the (L, d)
-        templates are dropped as soon as their product with the rows is taken."""
+        """The scores of v's templates under ``group``, one window of
+        elements at a time: each window's templates are scored by one
+        :meth:`Scores.of <estimators.Scores.of>` and dropped before the next
+        window's are made, and the windows' columns are joined in element
+        order.  A group of one window is scored by that one product."""
         v = np.asarray(v, dtype=float)
         if v.shape != self.shape:
             raise estimators.DimensionMismatchError(f"structure {v.shape} != batch structure {self.shape}")
         key = v.tobytes()
         if self._start is not None and self._start[0] is group and self._start[1] == key:
             return self._start[2]
-        scores = estimators.Scores.of(self.ys, group.templates(v), self.y_sq, map=group.map)
+        parts = [
+            estimators.Scores.of(self.ys, group.templates(v, window), self.y_sq, map=group.map)
+            for window in group.windows()
+        ]
+        x_sq = np.concatenate([part.x_sq for part in parts])
+        scores = estimators.Scores(self.y_sq, x_sq, np.concatenate([part.cross for part in parts], axis=1))
         if self._start is None:
             self._start = (group, key, scores)
         return scores
@@ -217,21 +245,30 @@ class Batch:
 
 
 def em_step_soft(batch: Batch, v_t, group) -> np.ndarray:
-    """One soft-assignment (EM) update: weight-averaged back-aligned copies."""
-    # the action is linear, so the weighted observation sum per element is
-    # back-acted once per element instead of once per observation
+    """One soft-assignment (EM) update: weight-averaged back-aligned copies.
+
+    The action is linear, so the weighted observation sum per element is
+    back-acted once per element instead of once per observation.  The sums
+    are formed and back-acted one window of elements at a time, in one
+    buffer of a window's rows that every window reuses, and added in element
+    order, so one window's sums and back-actions are held at once."""
     w = batch.weights(v_t, group)
-    colsum = np.empty((group.size, batch.ys.shape[1]))
+    colsum = np.empty((min(CHUNK, group.size), batch.ys.shape[1]))
+    out = 0.0
+    for window in group.windows():
+        elements = range(group.size)[window]
+        sums = colsum[: len(elements)]
 
-    def block(first):
-        cols = slice(first, first + SOFT_BLOCK)
-        np.matmul(w.T, batch.ys[:, cols], out=colsum[:, cols])
+        def block(first):
+            cols = slice(first, first + SOFT_BLOCK)
+            np.matmul(w[:, window].T, batch.ys[:, cols], out=sums[:, cols])
 
-    with blas.ONE_THREAD:
-        for _ in group.map(block, range(0, colsum.shape[1], SOFT_BLOCK)):
-            pass
-    colsum = colsum.reshape(-1, *batch.shape)
-    return group.summed(lambda ell: group.back(ell, colsum[ell]), range(group.size)) / len(batch)
+        with blas.ONE_THREAD:
+            for _ in group.map(block, range(0, sums.shape[1], SOFT_BLOCK)):
+                pass
+        shaped = sums.reshape(-1, *batch.shape)
+        out = group.summed(lambda ell: group.back(ell, shaped[ell - window.start]), elements, out)
+    return out / len(batch)
 
 
 def em_step_mmse(batch: Batch, v_t, group) -> np.ndarray:
@@ -294,12 +331,14 @@ def registered_pcc(final: np.ndarray, truth: np.ndarray, group) -> float:
     The reconstruction frame is set by the initial template, so the estimate
     recovers the truth only up to a global group element; fidelity is
     measured after registration.  The identity is always scored, since a
-    rotation grid need not contain it.  Every element acts first, in one
-    ``templates`` fill through the group's map, and the rows are scored
-    afterwards on the calling thread, so no scoring runs between rotations.
+    rotation grid need not contain it.  The elements act one window at a
+    time, each window in one ``templates`` fill through the group's map,
+    and that window's rows are scored on the calling thread before the next
+    window acts, so one window of structures is held at a time.
     """
     scores = [pcc(final, truth)]
-    scores += [pcc(u, truth) for u in group.templates(final)]
+    for window in group.windows():
+        scores += [pcc(u, truth) for u in group.templates(final, window)]
     return max(scores)
 
 

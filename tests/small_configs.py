@@ -105,6 +105,12 @@ BAD_INPUTS = {
     "eta-below-floor": {
         "experiment": "prior_mismatch", "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1e-5}]
     },
+    # (n - 1) / 2.0 overflows a double before any voxel is allocated
+    "phantom-n-too-large-for-a-double": {"phantom": {"kind": "asymmetric_L", "n": 10**400}},
+    # runs too large to allocate: numpy refuses petabytes at once, more than
+    # any address space holds, so nothing is allocated
+    "snr-sweep-trials-too-many-to-allocate": {"trials": 10**15},
+    "recover2d-M-too-many-to-allocate": {"experiment": "recover2d", "M": 10**12},
 }
 VOLUME_FILES = {
     "bad.obv": lambda path: path.write_bytes(b"OBV2" + bytes(12)),

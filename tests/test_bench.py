@@ -17,7 +17,7 @@ import pytest
 from helpers import blas_at_two_threads
 from small_configs import BAD_INPUTS, SMALL, VOLUME_FILES, bad_input_config
 
-from orient_bayes import bench, cli, estimators, forward, so3
+from orient_bayes import bench, cli, estimators, forward, reconstruct, so3
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -341,12 +341,27 @@ class TestMemory:
 
     def test_recover3d_holds_one_batch(self):
         # no clean stack beside the batch, and each level's batch is released
-        # before the next is drawn: the batch, L templates and temporaries
+        # before the next is drawn: the batch, the L = 16 templates (one
+        # window) and temporaries
         raw = {**SMALL["recover3d"], "L": 16, "M": 64, "sigmas": [0.05, 0.5], "max_iters": 1}
         raw["phantom"] = {**raw["phantom"], "n": 16}
         raw["template_phantom"] = {**raw["template_phantom"], "n": 16}
         cfg = bench.ExperimentConfig.from_dict(raw)
         assert peak_rows(bench.run_recover3d, cfg, 16**3) < 2 * cfg.M
+
+    def test_recover3d_holds_no_candidate_stack(self):
+        # every mode scores, soft-sums and back-acts, and registration scores,
+        # one window of CHUNK elements at a time: the batch, about two windows
+        # of volumes and temporaries, never L templates or L soft sums
+        window = reconstruct.CHUNK
+        raw = {**SMALL["recover3d"], "L": 4 * window + 8, "M": 64, "sigmas": [0.5], "max_iters": 1,
+               "assignment_modes": list(reconstruct.ASSIGNMENTS)}
+        raw["phantom"] = {**raw["phantom"], "n": 16}
+        raw["template_phantom"] = {**raw["template_phantom"], "n": 16}
+        cfg = bench.ExperimentConfig.from_dict(raw)
+        bound = cfg.M + 3 * window
+        assert bound < cfg.M + cfg.L
+        assert peak_rows(bench.run_recover3d, cfg, 16**3) < bound
 
     def test_snr_sweep_holds_one_noisy_batch(self):
         # the clean stack and one sigma's noisy batch, never two noisy batches
@@ -371,7 +386,8 @@ class TestMemory:
                "polar": {"d_radial": 40, "l_angular": 12}, "assignment_modes": ["soft_em", "mmse_align", "hard_map"]}
         cfg = bench.ExperimentConfig.from_dict(raw)
         d, size = 40 * 12, 12
-        # the templates and the soft sum, (L, d) each, and ten (M, L) temporaries
+        # the templates and the soft sum, (L, d) each (L = 12 is one window),
+        # and ten (M, L) temporaries
         bound = cfg.M + 2 * size + 10 * cfg.M * size / d
         assert bound < 2 * cfg.M
         assert peak_rows(bench.run_einstein_noise, cfg, d) < bound

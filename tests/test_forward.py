@@ -350,6 +350,14 @@ class TestPhantoms:
         with pytest.raises(ValueError, match=match):
             forward.make_phantom(kind, n, path=path)
 
+    @pytest.mark.parametrize("n", [513, 10**400], ids=["513", "10**400"])
+    def test_phantom_n_has_an_upper_bound(self, n):
+        # rejected before any voxel is allocated; 10**400 is too large for a double
+        with pytest.raises(ValueError, match="<= 512"):
+            forward.check_phantom("asymmetric_L", n)
+        with pytest.raises(ValueError, match="<= 512"):
+            forward.make_phantom("gaussian_blobs", n)
+
 
 class TestObvFormat:
     def test_round_trip(self, tmp_path, blob_phantom):

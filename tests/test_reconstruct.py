@@ -306,13 +306,14 @@ class TestBatch:
 
 
 def counted_templates(group):
-    """Record a copy of every structure ``group.templates`` expands."""
+    """Record a copy of every structure ``group.templates`` expands, once per
+    window of elements."""
     calls = []
     templates = group.templates
 
-    def counting(v):
+    def counting(v, *window):
         calls.append(np.array(v, copy=True))
-        return templates(v)
+        return templates(v, *window)
 
     group.templates = counting
     return calls
@@ -388,6 +389,38 @@ class TestRegisteredPcc:
         group = reconstruct.Rotations(cands.rotations, "trilinear")
         assert reconstruct.registered_pcc(final, vbar, group) == oracle
         assert oracle > reconstruct.pcc(final, vbar)
+
+
+class TestWindowedScores:
+    """A candidate's scores do not depend on the other candidates: a batch
+    scores its group one window of CHUNK elements at a time."""
+
+    def test_each_window_scores_as_a_group_of_its_own(self):
+        count = 2 * reconstruct.CHUNK + 11
+        vbar = forward.make_phantom("gaussian_blobs", 10, seed=3)
+        rotations = estimators.candidate_rotations(so3.RotationPrior.uniform(), count, seed=5)
+        ys = np.random.default_rng(6).normal(size=(estimators.SCORE_BLOCK + 7, vbar.size))
+        group = reconstruct.Rotations(rotations)
+        windows = group.windows()
+        assert len(windows) == 3
+        assert np.array_equal(np.concatenate([np.arange(count)[w] for w in windows]), np.arange(count))
+        scores = batch(ys, vbar, 1.0).scores(vbar, group)
+        assert np.array_equal(scores.y_sq, estimators.squared_norms(ys))
+        for window in windows:
+            assert window.stop - window.start <= reconstruct.CHUNK
+            alone = batch(ys, vbar, 1.0).scores(vbar, reconstruct.Rotations(rotations[window]))
+            assert np.array_equal(scores.cross[:, window], alone.cross)
+            assert np.array_equal(scores.x_sq[window], alone.x_sq)
+
+    def test_a_shift_group_is_one_product(self, polar_truth):
+        # a group of at most CHUNK shifts is one window: one Scores.of product
+        rng = np.random.default_rng(3)
+        ys = noiseless_polar_obs(polar_truth, rng.integers(8, size=30)) + 0.5 * rng.normal(size=(30, polar_truth.size))
+        assert len(SHIFTS.windows()) == 1
+        scores = batch(ys, polar_truth, 0.5).scores(polar_truth, SHIFTS)
+        oracle = estimators.Scores.of(ys, polar_templates(polar_truth))
+        assert np.array_equal(scores.cross, oracle.cross)
+        assert np.array_equal(scores.x_sq, oracle.x_sq)
 
 
 def two_threads(fn, items):
