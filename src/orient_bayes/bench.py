@@ -213,10 +213,11 @@ def _check_levels(name: str, values) -> None:
             raise ConfigError(f"every entry of {name} must be finite and positive, got {v!r}")
 
 
-def _apply_rule(prefix: str, rule, *args) -> None:
-    """Apply a library rule to config values; its ValueError becomes a ConfigError."""
+def _apply_rule(prefix: str, rule, *args):
+    """Apply a library rule to config values and return its result; its
+    ValueError becomes a ConfigError."""
     try:
-        rule(*args)
+        return rule(*args)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
@@ -305,11 +306,8 @@ def _sigma_list(cfg: ExperimentConfig, vbar: np.ndarray) -> list[float]:
 
 
 def _sigma_for_snr(cfg: ExperimentConfig, vbar: np.ndarray, snr) -> float:
-    try:
-        sigma = forward.sigma_for_snr(vbar, float(snr), projected=cfg.projected)
-        forward.check_sigma(sigma)
-    except ValueError as exc:
-        raise ConfigError(f"snr {snr!r}: {exc}") from None
+    sigma = _apply_rule(f"snr {snr!r}: ", forward.sigma_for_snr, vbar, float(snr), cfg.projected)
+    _apply_rule(f"snr {snr!r}: ", forward.check_sigma, sigma)
     return sigma
 
 
@@ -340,7 +338,7 @@ def _noise(rng, row: np.ndarray, sigma: float) -> None:
 
 
 def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int) -> np.ndarray:
-    # the builtin map: the prior builds its sampling table on first use
+    # the builtin map: a row draws one rotation, too little work for the pool
     return _rows([cfg.seed, _K_TRUTH], (count, 3, 3), lambda t, rng, row: np.copyto(row, prior.sample(rng, 1)[0]), map)
 
 
@@ -400,7 +398,7 @@ def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> 
             for label in labels:
                 if label.startswith("mmse"):
                     w = np.exp(scores.log_weights(sigmas[si] ** 2))
-                    estimate, _, _ = estimators.mmse_rotations(w, cands.rotations)
+                    estimate = estimators.mmse_rotations(w, cands.rotations)
                 else:
                     estimate = cands.rotations[scores.map_indices()]
                 errors.append(so3.geodesic_distances(rotations[rows], estimate))
@@ -489,10 +487,7 @@ def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) 
 def _check_not_constant(name: str, phantom: np.ndarray) -> None:
     """Checked before any EM work: a run scores its estimates against
     ``phantom`` by PCC, which a constant phantom leaves undefined."""
-    try:
-        reconstruct.pcc(phantom, phantom)
-    except estimators.ZeroVarianceError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    _apply_rule(f"{name}: ", reconstruct.pcc, phantom, phantom)
 
 
 def _template_and_group(cfg: ExperimentConfig, geometry: str):

@@ -8,9 +8,6 @@ import numpy as np
 
 from . import blas, forward, so3
 
-# Below this norm a posterior-averaged matrix (or SO(2) resultant) has no
-# usable direction and its rounding is essentially arbitrary.
-DEGENERATE_NORM = 1e-9
 # Rows of one scoring product.  A multiple of 24 rows scores each row
 # bit-equal to one one-thread product of the whole batch on OpenBLAS 0.3.31.
 SCORE_BLOCK = 96
@@ -147,24 +144,22 @@ def _posterior_means(w: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.einsum("ml,lk->mk", w, values)
 
 
-def mmse_rotations(w: np.ndarray, rotations: np.ndarray):
+def mmse_rotations(w: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """Procrustes-rounded posterior mean of rotations (L, 3, 3) under each row of
-    weights w (M, L): the (M, 3, 3) rotations, their ``nonunique`` flags, and
-    flags for averages too close to zero to have a direction."""
+    weights w (M, L): the (M, 3, 3) rotations."""
     w = np.atleast_2d(w)
     if w.shape[1] != rotations.shape[0]:
         raise DimensionMismatchError("weight length does not match candidate count")
     avg = _posterior_means(w, rotations.reshape(-1, 9)).reshape(-1, 3, 3)
-    proj = so3.procrustes_project(avg)
-    return proj.rotation, proj.nonunique, np.linalg.norm(avg, axis=(1, 2)) < DEGENERATE_NORM
+    return so3.procrustes_project(avg)
 
 
-def mmse_angles(w: np.ndarray, angles: np.ndarray):
+def mmse_angles(w: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Circular mean of angles (L,) under each row of weights w (M, L), the exact
-    SO(2) Procrustes rounding, with flags for near-zero resultants."""
+    SO(2) Procrustes rounding: the (M,) angles."""
     w = np.atleast_2d(w)
     if w.shape[1] != angles.shape[0]:
         raise DimensionMismatchError("weights and angles must have equal length")
     s, c = _posterior_means(w, np.stack([np.sin(angles), np.cos(angles)], axis=1)).T
-    return np.arctan2(s, c), np.hypot(s, c) < DEGENERATE_NORM
+    return np.arctan2(s, c)
 

@@ -155,7 +155,7 @@ class Shifts(_Group):
     def mmse_average(self, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Back-shift each observation by its circular-mean angle, rounded to
         the nearest grid shift so the action stays exact, then average."""
-        mean_angle, _ = estimators.mmse_angles(w, 2.0 * np.pi * np.arange(self.size) / self.size)
+        mean_angle = estimators.mmse_angles(w, 2.0 * np.pi * np.arange(self.size) / self.size)
         shifts = np.round(mean_angle * self.size / (2.0 * np.pi)).astype(int) % self.size
         return self.assigned_average(ys, shifts)
 
@@ -183,7 +183,7 @@ class Rotations(_Group):
     def mmse_average(self, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Back-rotate each observation by its Procrustes-rounded posterior-mean
         rotation, then average."""
-        aligned, _, _ = estimators.mmse_rotations(w, self.rotations)
+        aligned = estimators.mmse_rotations(w, self.rotations)
         out = self.summed(lambda i: forward.rotate_volume(ys[i], aligned[i].T, self.method), range(len(ys)))
         return out / len(ys)
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,11 +46,6 @@ def check_prior(kind, eta=None) -> None:
         check_eta(eta)
 
 
-# Near-degenerate Procrustes detection thresholds.
-_TIE_TOL = 1e-9
-_RANK_TOL = 1e-12
-
-
 def is_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
@@ -68,31 +64,22 @@ def geodesic_distances(gs1: np.ndarray, gs2: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class ProcrustesResult:
-    rotation: np.ndarray  # (3, 3), or (N, 3, 3) for a stack
-    nonunique: np.ndarray  # one flag per matrix
-
-
-def procrustes_project(a: np.ndarray) -> ProcrustesResult:
+def procrustes_project(a: np.ndarray) -> np.ndarray:
     """Nearest rotation in Frobenius norm to a 3x3 matrix, or to each matrix
     of an (N, 3, 3) stack.
 
     With SVD a = U S V^T (singular values descending), the minimizer is
     U diag(1, 1, det(UV^T)) V^T.  When the two smallest singular values tie
     and the determinant correction is negative, or the matrix is (near) rank
-    deficient, the minimizer is not unique; a valid one is still returned
-    with that matrix's ``nonunique`` flag set.
+    deficient, the minimizer is not unique; one of them is returned.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2:] != (3, 3) or not np.all(np.isfinite(a)):
         raise ValueError("expected a finite 3x3 matrix or (N, 3, 3) stack")
-    u, s, vt = np.linalg.svd(a)
+    u, _, vt = np.linalg.svd(a)
     d = np.linalg.det(u @ vt)
     u[..., 2] *= np.where(d < 0, -1.0, 1.0)[..., None]
-    tie = (s[..., 1] - s[..., 2] <= _TIE_TOL) & (d < 0)
-    nonunique = tie | (np.sum(s < _RANK_TOL, axis=-1) >= 2)
-    return ProcrustesResult(rotation=u @ vt, nonunique=nonunique)
+    return u @ vt
 
 
 def _quats_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -184,7 +171,6 @@ def ig_density(omega, eta: float):
 class InverseCdfTable:
     """Tabulated angle CDF of the isotropic Gaussian, for inverse sampling."""
 
-    eta: float
     omega_grid: np.ndarray
     cdf_values: np.ndarray
 
@@ -192,8 +178,14 @@ class InverseCdfTable:
         return np.interp(u, self.cdf_values, self.omega_grid)
 
 
+@lru_cache(maxsize=8, typed=True)
 def build_inverse_cdf(eta: float) -> InverseCdfTable:
-    """Trapezoidal cumulative angle CDF on a uniform grid, renormalized to 1."""
+    """Trapezoidal cumulative angle CDF on a uniform grid, renormalized to 1.
+
+    Built once per eta and shared by every sampler, so its arrays are
+    read-only.  The cache keys are typed: True == 1.0, and a cached eta = 1.0
+    table must not let True past :func:`check_eta`.
+    """
     check_eta(eta)
     omega = np.linspace(0.0, np.pi, _CDF_POINTS)
     dens = ig_density(omega, eta)
@@ -201,15 +193,11 @@ def build_inverse_cdf(eta: float) -> InverseCdfTable:
     cdf /= cdf[-1]
     # Guard against flat stretches so interpolation stays invertible.
     cdf = np.maximum.accumulate(cdf)
-    return InverseCdfTable(eta=eta, omega_grid=omega, cdf_values=cdf)
+    omega.flags.writeable = cdf.flags.writeable = False
+    return InverseCdfTable(omega_grid=omega, cdf_values=cdf)
 
 
-def ig_sample(
-    rng: np.random.Generator,
-    eta: float,
-    count: int,
-    table: InverseCdfTable | None = None,
-) -> np.ndarray:
+def ig_sample(rng: np.random.Generator, eta: float, count: int) -> np.ndarray:
     """I.i.d. samples of the isotropic Gaussian on the rotation group.
 
     Axes are uniform on the sphere; the angle is drawn by inverse-CDF
@@ -217,11 +205,9 @@ def ig_sample(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if table is None:
-        table = build_inverse_cdf(eta)
     axes = rng.normal(size=(count, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    omegas = table.inverse(rng.uniform(size=count))
+    omegas = build_inverse_cdf(eta).inverse(rng.uniform(size=count))
     half = omegas / 2.0
     q = np.empty((count, 4))
     q[:, 0] = np.cos(half)
@@ -235,7 +221,6 @@ class RotationPrior:
 
     kind: str  # "uniform" | "isotropic_gaussian"
     eta: float | None = None
-    _table: InverseCdfTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_prior(self.kind, self.eta)
@@ -251,9 +236,7 @@ class RotationPrior:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.kind == "uniform":
             return sample_uniform(rng, count)
-        if self._table is None:
-            self._table = build_inverse_cdf(self.eta)
-        return ig_sample(rng, self.eta, count, table=self._table)
+        return ig_sample(rng, self.eta, count)
 
     def label(self) -> str:
         return "uniform" if self.kind == "uniform" else f"ig(eta={self.eta:g})"

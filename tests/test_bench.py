@@ -439,6 +439,30 @@ class TestParallelMapBlas:
         assert counts() == [2] * len(counts())
 
 
+class TestEmBlas:
+    """Volume EM runs and registrations run BLAS on one thread, the calling
+    thread's products included, and the caller's count is back afterwards."""
+
+    @pytest.mark.parametrize("name, run, recorded", [
+        ("recover3d", bench.run_recover3d, {"run_reconstruction", "registered_pcc"}),
+        ("einstein_noise_volume", bench.run_einstein_noise, {"run_reconstruction"}),
+    ], ids=["recover3d", "einstein_noise_volume"])
+    def test_em_runs_blas_on_one_thread(self, monkeypatch, name, run, recorded):
+        cfg = bench.ExperimentConfig.from_dict(SMALL[name])
+        with blas_at_two_threads() as counts:
+            seen = []
+            for attr in ("run_reconstruction", "registered_pcc"):
+                def recording(*args, _attr=attr, _original=getattr(reconstruct, attr), **kwargs):
+                    seen.append((_attr, counts()))
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(reconstruct, attr, recording)
+            run(cfg)
+            assert {attr for attr, _ in seen} == recorded
+            assert all(inside == [1] * len(counts()) for _, inside in seen)
+            assert counts() == [2] * len(counts())
+
+
 class TestParallelMapPool:
     """parallel_map reuses one pool per worker count."""
 

@@ -80,7 +80,7 @@ def test_whitened_scores_are_the_direct_sum(m, radial, angular, seed, log_scale,
     )
 )
 def test_procrustes_batch_returns_rotations(a):
-    r = so3.procrustes_project(a).rotation
+    r = so3.procrustes_project(a)
     assert r.shape == a.shape
     eye = np.broadcast_to(np.eye(3), r.shape)
     assert np.allclose(np.swapaxes(r, 1, 2) @ r, eye, rtol=0.0, atol=1e-12)
@@ -104,8 +104,8 @@ def map_inputs(draw):
     st.floats(min_value=0.3, max_value=10.0),
 )
 def test_row_result_does_not_depend_on_its_batch(inputs, seed, sigma):
-    # each row's MAP index, rounded MMSE rotation and flags are those of the
-    # row scored alone, bit for bit, and the MAP index is the least-squares
+    # each row's MAP index and rounded MMSE rotation are those of the row
+    # scored alone, bit for bit, and the MAP index is the least-squares
     # candidate
     ys, x = inputs
     rotations = so3.sample_uniform(np.random.default_rng(seed), x.shape[0])
@@ -113,14 +113,13 @@ def test_row_result_does_not_depend_on_its_batch(inputs, seed, sigma):
     def estimate(rows):
         scores = estimators.Scores.of(rows, x)
         w = np.exp(scores.log_weights(sigma**2))
-        return (scores.map_indices(), *estimators.mmse_rotations(w, rotations))
+        return scores.map_indices(), estimators.mmse_rotations(w, rotations)
 
-    batch_map, batch_mmse, batch_nonunique, batch_degenerate = estimate(ys)
+    batch_map, batch_mmse = estimate(ys)
     for m, y in enumerate(ys):
-        (idx,), (mmse,), (nonunique,), (degenerate,) = estimate(y[None])
+        (idx,), (mmse,) = estimate(y[None])
         assert idx == batch_map[m] == np.argmin(np.sum((y - x) ** 2, axis=1))  # exact residuals
         assert np.array_equal(mmse, batch_mmse[m])
-        assert (nonunique, degenerate) == (batch_nonunique[m], batch_degenerate[m])
 
 
 @SETTINGS
@@ -137,7 +136,7 @@ def test_mmse_minimizes_the_posterior_expected_loss(inputs, seed, sigma, prior):
     ys, x = inputs
     rotations = prior.sample(np.random.default_rng(seed), x.shape[0])
     w = np.exp(estimators.normalized_log_weights(ys, x, sigma**2))
-    mmse, _, _ = estimators.mmse_rotations(w, rotations)
+    mmse = estimators.mmse_rotations(w, rotations)
     at_mmse = np.einsum("ml,mlij->m", w, (mmse[:, None] - rotations[None]) ** 2)
     at_candidates = w @ np.sum((rotations[:, None] - rotations[None]) ** 2, axis=(2, 3))  # (M, L)
     # ||Q - R||_F^2 <= 8 on SO(3)

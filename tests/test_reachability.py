@@ -64,8 +64,6 @@ ALLOWED_LINES = {
         "a constant estimate, which no shipped config gives (a constant truth or template exits 2 first)",
     ("forward.rotate_volume", "out[:] = vol.ravel()"):
         "the documented bit-exact identity, which tricubic interpolation misses; no run rotates by exactly it",
-    ("so3.ig_sample", "table = build_inverse_cdf(eta)"):
-        "the tests sample without a RotationPrior, which passes its cached table",
 }
 
 
