@@ -157,8 +157,8 @@ class ExperimentConfig:
         if self.truth_prior is not None:
             _check_prior("truth_prior", self.truth_prior)
         if self.estimation_priors is not None:
-            if not isinstance(self.estimation_priors, (list, tuple)):
-                raise ConfigError(f"estimation_priors must be a list, got {self.estimation_priors!r}")
+            if not (isinstance(self.estimation_priors, (list, tuple)) and self.estimation_priors):
+                raise ConfigError(f"estimation_priors must be a non-empty list, got {self.estimation_priors!r}")
             for spec in self.estimation_priors:
                 _check_prior("estimation_priors entry", spec)
         if self.experiment == "prior_mismatch" and not self.estimation_priors:
@@ -455,28 +455,6 @@ def run_grid_sweep(cfg: ExperimentConfig):
     return Outputs(records, extra={"slopes": slopes})
 
 
-def _polar_observations(cfg: ExperimentConfig, truth, sigma: float, key: list[int]) -> np.ndarray:
-    """Row t: truth shifted by a random element plus noise; its generator draws the shift first."""
-
-    def draw(t, rng, row):
-        shift = int(rng.integers(truth.shape[1]))
-        _noise(rng, row, sigma)
-        row += forward.rotate_polar(truth, -shift).ravel()
-
-    return _rows(key, (cfg.M, truth.size), draw, parallel_map)
-
-
-def _volume_observations(cfg: ExperimentConfig, truth, rotations, sigma: float, key: list[int]) -> np.ndarray:
-    """Row t: truth rotated by rotations[t] plus noise, rotated and drawn in one
-    task, so no clean stack is held beside the batch."""
-
-    def draw(t, rng, row):
-        _noise(rng, row, sigma)
-        row += forward.rotate_volume(truth, rotations[t], cfg.method).ravel()
-
-    return _rows(key, (cfg.M, truth.size), draw, parallel_map)
-
-
 def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) -> np.ndarray:
     polar = cfg.polar or {}
     return forward.make_polar_phantom(
@@ -502,85 +480,89 @@ def _template_and_group(cfg: ExperimentConfig, geometry: str):
     return _phantom_from_spec(cfg.template_phantom), reconstruct.Rotations(cands, cfg.method, parallel_map)
 
 
-def _reconstruct(cfg: ExperimentConfig, mode: str, batch, template, group, truth=None):
-    rcfg = reconstruct.ReconstructionConfig(assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
-    return reconstruct.run_reconstruction(batch, template, group, rcfg, truth=truth)
+def _em(cfg: ExperimentConfig, name: str, template, group, tag: int, clean=None, truth=None, sigmas=None) -> Outputs:
+    """Every mode's EM from ``template`` over ``group`` on batch k of M rows
+    at noise level sigmas[k] (by default the config's levels of ``truth``),
+    one batch after another.  Row t of batch k is clean(t, rng) plus noise,
+    or noise alone without ``clean``, from a generator keyed [seed, tag, k, t]
+    that the clean row draws from first; the group's map draws the rows.  The
+    last batch is released before the next is drawn, and BLAS runs on one
+    thread throughout, the calling thread's products included.
 
-
-def _recover(cfg: ExperimentConfig, truth, template, group, observe):
-    """EM recovery of truth from template over ``group`` at every noise level;
-    observe(si, sigma) gives the observations of level si, one batch that
-    every mode reads.  Volumes are kept for 3-D finals only.  BLAS runs on
-    one thread throughout, the calling thread's products included."""
-    for name, phantom in (("phantom", truth), ("template_phantom", template)):
-        _check_not_constant(name, phantom)
-    modes = cfg.assignment_modes or DEFAULT_MODES
+    Run (k, mode) gives the trace f"{name}_s{k}_{mode}" and a record of its
+    final's PCC to the template.  With a truth, a record of the final's PCC
+    to ``truth`` after registration comes first, and a 3-D final is kept
+    under the trace's name."""
+    for label, phantom in (("phantom", truth), ("template_phantom", template)):
+        if phantom is not None:
+            _check_not_constant(label, phantom)
     records, traces, volumes = [], {}, {}
     with blas.ONE_THREAD:
-        for si, sigma in enumerate(_sigma_list(cfg, truth)):
-            batch = None  # release the last level's batch before drawing the next
-            batch = reconstruct.Batch(observe(si, sigma), template.shape, sigma)
-            snr = forward.snr_of(truth, sigma)
-            for mode in modes:
-                final, trace = _reconstruct(cfg, mode, batch, template, group, truth=truth)
-                key = f"{cfg.experiment}_s{si}_{mode}"
-                traces[key] = trace
-                if final.ndim == 3:
-                    volumes[key] = final
-                registered = reconstruct.registered_pcc(final, truth, group)
-                records.append(_error_records(cfg, sigma, snr, group.size, mode, [registered]))
+        for k, sigma in enumerate(sigmas or _sigma_list(cfg, truth)):
+
+            def draw(t, rng, row):
+                clean_row = None if clean is None else clean(t, rng)
+                _noise(rng, row, sigma)
+                if clean_row is not None:
+                    row += clean_row
+
+            batch = None  # release the last batch before drawing the next
+            rows = _rows([cfg.seed, tag, k], (cfg.M, template.size), draw, group.map)
+            batch = reconstruct.Batch(rows, template.shape, sigma)
+            del rows  # the batch holds the only reference
+            snr = 0.0 if truth is None else forward.snr_of(truth, sigma)
+            for mode in cfg.assignment_modes or DEFAULT_MODES:
+                key = f"{name}_s{k}_{mode}"
+                rcfg = reconstruct.ReconstructionConfig(assignment=mode, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+                final, traces[key] = reconstruct.run_reconstruction(batch, template, group, rcfg, truth=truth)
+                if truth is not None:
+                    registered = reconstruct.registered_pcc(final, truth, group)
+                    records.append(_error_records(cfg, sigma, snr, group.size, mode, [registered]))
+                    if final.ndim == 3:
+                        volumes[key] = final
                 template_pcc = reconstruct.pcc(final, template)
                 records.append(_error_records(cfg, sigma, snr, group.size, f"{mode}/template", [template_pcc]))
     return Outputs(records, traces, volumes)
 
 
 def run_recover2d(cfg: ExperimentConfig):
-    """Iterative polar-image recovery from shifted noisy copies."""
+    """Iterative polar-image recovery from shifted noisy copies; a row's
+    generator draws its shift before its noise."""
     truth = _polar_phantom(cfg, cfg.phantom, 1)
     template, group = _template_and_group(cfg, "polar")
-    return _recover(
-        cfg, truth, template, group,
-        lambda si, sigma: _polar_observations(cfg, truth, sigma, [cfg.seed, _K_SHIFT, si]),
-    )
+
+    def shifted(t, rng):
+        return forward.rotate_polar(truth, -int(rng.integers(truth.shape[1]))).ravel()
+
+    return _em(cfg, cfg.experiment, template, group, _K_SHIFT, shifted, truth)
 
 
 def run_recover3d(cfg: ExperimentConfig):
-    """Iterative 3D recovery from rotated noisy copies (no projection)."""
+    """Iterative 3D recovery from rotated noisy copies (no projection).  A
+    row is rotated and drawn in one task, so no clean stack is held beside
+    the batch."""
     truth = _phantom_from_spec(cfg.phantom, default_kind="gaussian_blobs")
     template, group = _template_and_group(cfg, "volume")
     if template.shape != truth.shape:  # the config has compared the sizes of generated phantoms only
         raise ConfigError(f"phantom is {truth.shape} but template_phantom is {template.shape}")
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
-    return _recover(
-        cfg, truth, template, group,
-        lambda si, sigma: _volume_observations(cfg, truth, rotations, sigma, [cfg.seed, _K_NOISE, si]),
-    )
+
+    def rotated(t, rng):
+        return forward.rotate_volume(truth, rotations[t], cfg.method).ravel()
+
+    return _em(cfg, cfg.experiment, template, group, _K_NOISE, rotated, truth)
 
 
 def run_einstein_noise(cfg: ExperimentConfig):
-    """Template-bias measurement on pure-noise data, averaged over noise seeds.
-    The seeds run in order, so one batch is held at a time; the group's map
-    runs the work inside each batch, with BLAS on one thread throughout."""
-    modes = cfg.assignment_modes or DEFAULT_MODES
+    """Template-bias measurement on pure-noise data, averaged over noise
+    seeds: one batch per seed."""
     sigma = float((cfg.sigmas or [1.0])[0])
     template, group = _template_and_group(cfg, cfg.geometry)
-    _check_not_constant("template_phantom", template)
-    pccs, traces = {mode: [] for mode in modes}, {}
-
-    def draw(t, rng, row):
-        _noise(rng, row, sigma)
-
-    with blas.ONE_THREAD:
-        for k in range(cfg.noise_seeds):
-            batch = None  # release the last seed's batch before drawing the next
-            rows = _rows([cfg.seed, _K_NOISE, k], (cfg.M, template.size), draw, group.map)
-            batch = reconstruct.Batch(rows, template.shape, sigma)
-            del rows  # the batch holds the only reference
-            for mode in modes:
-                final, traces[f"einstein_s{k}_{mode}"] = _reconstruct(cfg, mode, batch, template, group)
-                pccs[mode].append(reconstruct.pcc(final, template))
-    records = [_error_records(cfg, sigma, 0.0, group.size, f"{mode}/template", pccs[mode]) for mode in modes]
-    return Outputs(records, traces)
+    runs = _em(cfg, "einstein", template, group, _K_NOISE, sigmas=[sigma] * cfg.noise_seeds)
+    labels = [f"{mode}/template" for mode in cfg.assignment_modes or DEFAULT_MODES]
+    # each run's record holds its one PCC
+    pccs = {label: [r.metric_mean for r in runs.records if r.estimator == label] for label in labels}
+    return Outputs([_error_records(cfg, sigma, 0.0, group.size, label, pccs[label]) for label in labels], runs.traces)
 
 
 def emit_csv(records, path) -> None:

@@ -5,7 +5,8 @@
 Exit codes: 0 success, 2 config validation failure (a run too large to
 allocate included), 3 I/O failure.
 OB_THREADS caps the worker count.  Pooled work and every EM run BLAS on one
-thread, and einstein_noise runs its noise seeds one after another, so the
+thread, and every EM experiment runs its batches (the noise levels of a
+recovery, the noise seeds of einstein_noise) one after another, so the
 outputs depend neither on OB_THREADS nor on OPENBLAS_NUM_THREADS.
 """
 

@@ -254,7 +254,7 @@ class TestSweeps:
             monkeypatch.setattr(bench, "SWEEP_BLOCK", 4)
             cfg = small_snr_config(trials=29, sigmas=[0.4])  # more blocks than threads
             clean = bench._sweep_inputs(cfg)[2]
-            key = [cfg.seed, bench._K_NOISE, 0]
+            shape, key = clean.shape, [cfg.seed, bench._K_NOISE, 0]
             blocks, noisy = {}, bench._noisy
 
             def recorded(block, sigma, key, first):
@@ -269,16 +269,21 @@ class TestSweeps:
 
         else:
             # recover2d's rows: each draws its shift, then its noise, from its own generator
-            clean = np.random.default_rng(3).normal(size=(29, 300))  # more rows than threads
-            key = [7, bench._K_NOISE, 2]
-            truth = clean[0].reshape(30, 10)
-            cfg = bench.ExperimentConfig.from_dict({"experiment": "recover2d", "sigmas": [0.4], "M": 29})
-            draw = partial(bench._polar_observations, cfg, truth, 0.4, key)
-        serial = np.empty_like(clean)
-        for t in range(clean.shape[0]):
+            raw = {**SMALL["recover2d"], "seed": 7, "M": 29, "sigmas": [0.4], "max_iters": 1,
+                   "polar": {"d_radial": 30, "l_angular": 10}}  # more rows than threads
+            cfg = bench.ExperimentConfig.from_dict(raw)
+            truth = forward.make_polar_phantom(30, 10, seed=1)
+            shape, key = (cfg.M, truth.size), [cfg.seed, bench._K_SHIFT, 0]
+
+            def draw():
+                (batch,) = batch_rows(monkeypatch, bench.run_recover2d, cfg)
+                return batch
+
+        serial = np.empty(shape)
+        for t in range(shape[0]):
             rng = np.random.default_rng(key + [t])
             if rows == "noise":
-                serial[t] = clean[t] + rng.normal(size=clean.shape[1]) * 0.4
+                serial[t] = clean[t] + rng.normal(size=shape[1]) * 0.4
             else:
                 serial[t] = forward.rotate_polar(truth, -int(rng.integers(10))).ravel() + rng.normal(size=300) * 0.4
         interval = sys.getswitchinterval()
@@ -299,12 +304,14 @@ class TestSweeps:
             monkeypatch.delenv("OB_THREADS", raising=False)
         else:
             monkeypatch.setenv("OB_THREADS", threads)
-        cfg = bench.ExperimentConfig.from_dict({**SMALL["recover3d"], "M": 9, "method": method})
+        raw = {**SMALL["recover3d"], "M": 9, "method": method, "sigmas": [0.05, 0.3], "max_iters": 1,
+               "assignment_modes": ["hard_map"]}
+        cfg = bench.ExperimentConfig.from_dict(raw)
         truth = forward.make_phantom("gaussian_blobs", 10, seed=1)
         rotations = bench._true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
         key = [cfg.seed, bench._K_NOISE, 1]
         oracle = bench._noisy(forward.rotated_stack(truth, rotations, method), 0.3, key)
-        assert np.array_equal(bench._volume_observations(cfg, truth, rotations, 0.3, key), oracle)
+        assert np.array_equal(batch_rows(monkeypatch, bench.run_recover3d, cfg)[1], oracle)
 
     def test_prior_mismatch_labels(self):
         labels = {r.estimator for r in bench.run_prior_mismatch(small_prior_mismatch_config()).records}
@@ -315,6 +322,19 @@ class TestSweeps:
         slopes = extra["slopes"]
         assert set(slopes) == {"map", "mmse"}
         assert {r.L for r in records} == {10, 30}
+
+
+def batch_rows(monkeypatch, run, cfg) -> list:
+    """The rows of each observation batch run(cfg) builds, in order."""
+    rows, batch = [], reconstruct.Batch
+
+    def recorded(obs, shape, sigma):
+        rows.append(np.array(obs))
+        return batch(obs, shape, sigma)
+
+    monkeypatch.setattr(reconstruct, "Batch", recorded)
+    run(cfg)
+    return rows
 
 
 def peak_rows(run, cfg, d: int) -> float:
@@ -348,6 +368,14 @@ class TestMemory:
         raw["template_phantom"] = {**raw["template_phantom"], "n": 16}
         cfg = bench.ExperimentConfig.from_dict(raw)
         assert peak_rows(bench.run_recover3d, cfg, 16**3) < 2 * cfg.M
+
+    def test_recover2d_holds_one_batch(self):
+        # each level's batch is released before the next is drawn: the batch,
+        # the templates and temporaries, never two levels' batches
+        raw = {**SMALL["recover2d"], "M": 240, "sigmas": [0.05, 0.1, 0.5], "max_iters": 1,
+               "polar": {"d_radial": 40, "l_angular": 12}, "assignment_modes": list(reconstruct.ASSIGNMENTS)}
+        cfg = bench.ExperimentConfig.from_dict(raw)
+        assert peak_rows(bench.run_recover2d, cfg, 40 * 12) < 2 * cfg.M
 
     def test_recover3d_holds_no_candidate_stack(self):
         # every mode scores, soft-sums and back-acts, and registration scores,
@@ -440,13 +468,15 @@ class TestParallelMapBlas:
 
 
 class TestEmBlas:
-    """Volume EM runs and registrations run BLAS on one thread, the calling
+    """EM runs and registrations run BLAS on one thread, the calling
     thread's products included, and the caller's count is back afterwards."""
 
     @pytest.mark.parametrize("name, run, recorded", [
+        ("recover2d", bench.run_recover2d, {"run_reconstruction", "registered_pcc"}),
         ("recover3d", bench.run_recover3d, {"run_reconstruction", "registered_pcc"}),
+        ("einstein_noise", bench.run_einstein_noise, {"run_reconstruction"}),
         ("einstein_noise_volume", bench.run_einstein_noise, {"run_reconstruction"}),
-    ], ids=["recover3d", "einstein_noise_volume"])
+    ], ids=["recover2d", "recover3d", "einstein_noise_polar", "einstein_noise_volume"])
     def test_em_runs_blas_on_one_thread(self, monkeypatch, name, run, recorded):
         cfg = bench.ExperimentConfig.from_dict(SMALL[name])
         with blas_at_two_threads() as counts:
@@ -679,6 +709,7 @@ class TestCli:
             {"experiment": "recover2d", "assignment_modes": ["hard_map", "hard_map"]},
             {"experiment": "recover2d", "assignment_modes": "hard_map"},
             {"experiment": "recover2d", "assignment_modes": []},
+            {"estimation_priors": []},
         ],
     )
     def test_invalid_config_exit_code(self, tmp_path, overrides, capsys):
