@@ -25,7 +25,8 @@ a shipped polar config, is one window.
 
 The observations are a :class:`Batch`, fixed across iterations and modes:
 only the templates change between steps, so the batch's terms are computed
-once.
+once.  :func:`run_reconstruction` scores each iterate once, and the step,
+soft, MMSE or hard, only turns those scores into the next iterate.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ class Batch:
             raise estimators.DimensionMismatchError(
                 f"observations of shape {self.ys.shape} are not rows of a {self.shape} structure"
             )
+        if not len(self.ys):
+            raise ValueError("a batch needs at least one observation")
         self.shaped = self.ys.reshape(-1, *self.shape)
         self.var = sigma**2
         self.y_sq = estimators.squared_norms(self.ys)
@@ -239,12 +242,8 @@ class Batch:
             self._start = (group, key, scores)
         return scores
 
-    def weights(self, v: np.ndarray, group) -> np.ndarray:
-        """Posterior weights of each observation over ``group`` against v, (M, L)."""
-        return np.exp(self.scores(v, group).log_weights(self.var))
 
-
-def em_step_soft(batch: Batch, v_t, group) -> np.ndarray:
+def em_step_soft(batch: Batch, scores: estimators.Scores, group) -> np.ndarray:
     """One soft-assignment (EM) update: weight-averaged back-aligned copies.
 
     The action is linear, so the weighted observation sum per element is
@@ -252,7 +251,7 @@ def em_step_soft(batch: Batch, v_t, group) -> np.ndarray:
     are formed and back-acted one window of elements at a time, in one
     buffer of a window's rows that every window reuses, and added in element
     order, so one window's sums and back-actions are held at once."""
-    w = batch.weights(v_t, group)
+    w = np.exp(scores.log_weights(batch.var))
     colsum = np.empty((min(CHUNK, group.size), batch.ys.shape[1]))
     out = 0.0
     for window in group.windows():
@@ -271,18 +270,18 @@ def em_step_soft(batch: Batch, v_t, group) -> np.ndarray:
     return out / len(batch)
 
 
-def em_step_mmse(batch: Batch, v_t, group) -> np.ndarray:
+def em_step_mmse(batch: Batch, scores: estimators.Scores, group) -> np.ndarray:
     """One MMSE-alignment update: back-align each observation by its rounded
-    posterior-mean group element against v_t, then average."""
-    return group.mmse_average(batch.shaped, batch.weights(v_t, group))
+    posterior-mean group element under ``scores``, then average."""
+    return group.mmse_average(batch.shaped, np.exp(scores.log_weights(batch.var)))
 
 
-def hard_step(batch: Batch, v_t, group) -> np.ndarray:
+def hard_step(batch: Batch, scores: estimators.Scores, group) -> np.ndarray:
     """One hard-assignment update: back-align each observation by its MAP
-    element against v_t, then average.  This is the soft update with
+    element under ``scores``, then average.  This is the soft update with
     one-hot weights, so only the assigned elements are back-acted; the MAP
     element is the least-squares one, so it needs no variance."""
-    return group.assigned_average(batch.shaped, batch.scores(v_t, group).map_indices())
+    return group.assigned_average(batch.shaped, scores.map_indices())
 
 
 _STEPS = {"soft_em": em_step_soft, "mmse_align": em_step_mmse, "hard_map": hard_step}
@@ -293,6 +292,7 @@ def run_reconstruction(
 ):
     """Iterate the configured step on ``batch`` over ``group`` until the
     relative change drops below cfg.rel_tol or cfg.max_iters is reached.
+    Each iterate is scored once, and the step turns its scores into the next.
 
     Returns the final estimate and a per-iteration trace (iter, rel_change,
     pcc_truth, pcc_template).
@@ -302,7 +302,7 @@ def run_reconstruction(
     template = v.copy()
     trace = []
     for it in range(cfg.max_iters):
-        v_next = step(batch, v, group)
+        v_next = step(batch, batch.scores(v, group), group)
         prev_norm = np.linalg.norm(v)
         rel = float(np.linalg.norm(v_next - v) / prev_norm) if prev_norm > 0 else float("inf")
         record = {

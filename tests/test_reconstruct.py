@@ -24,6 +24,11 @@ def batch(ys, v, sigma):
     return reconstruct.Batch(ys, np.shape(v), sigma)
 
 
+def one_step(step, b, v, group):
+    # the step from iterate v, handed v's scores as run_reconstruction hands them
+    return step(b, b.scores(v, group), group)
+
+
 def polar_templates(img):
     # row s is the template of shift s: s^-1 . img, flattened
     return np.stack([forward.rotate_polar(img, -s).ravel() for s in range(img.shape[1])])
@@ -62,7 +67,7 @@ class TestPolarSteps:
     def test_soft_single_obs_identity(self, polar_truth):
         # M = 1 with zero shift: the update returns the observation bit-exactly
         ys = noiseless_polar_obs(polar_truth, [0])
-        out = reconstruct.em_step_soft(batch(ys, polar_truth, 1e-6), polar_truth, SHIFTS)
+        out = one_step(reconstruct.em_step_soft, batch(ys, polar_truth, 1e-6), polar_truth, SHIFTS)
         assert np.allclose(out, polar_truth, atol=1e-12)
 
     def test_hand_computed_four_term_sum(self):
@@ -78,12 +83,12 @@ class TestPolarSteps:
         expected = sum(
             w[s] * forward.rotate_polar(y.reshape(img.shape), s) for s in range(4)
         )
-        out = reconstruct.em_step_soft(batch(y[None], img, sigma), img, reconstruct.Shifts(4))
+        out = one_step(reconstruct.em_step_soft, batch(y[None], img, sigma), img, reconstruct.Shifts(4))
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_two_shifted_copies_recover_truth(self, polar_truth):
         ys = noiseless_polar_obs(polar_truth, [2, 5])
-        out = reconstruct.hard_step(batch(ys, polar_truth, 1e-9), polar_truth, SHIFTS)
+        out = one_step(reconstruct.hard_step, batch(ys, polar_truth, 1e-9), polar_truth, SHIFTS)
         assert np.array_equal(out, polar_truth)
 
     def test_hard_step_brute_force_indices(self, polar_truth):
@@ -96,7 +101,7 @@ class TestPolarSteps:
         oracle = np.array(
             [np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys]
         )
-        out = reconstruct.hard_step(batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+        out = one_step(reconstruct.hard_step, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
         expected = polar_assigned_average(ys, oracle, polar_truth.shape)
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -105,9 +110,9 @@ class TestPolarSteps:
         # three update rules coincide
         ys = noiseless_polar_obs(polar_truth, [0, 2, 4, 7])
         sigma = 1e-8 * forward.signal_scale(polar_truth)
-        soft = reconstruct.em_step_soft(batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
-        mmse = reconstruct.em_step_mmse(batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
-        hard = reconstruct.hard_step(batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+        soft = one_step(reconstruct.em_step_soft, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+        mmse = one_step(reconstruct.em_step_mmse, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+        hard = one_step(reconstruct.hard_step, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
         assert np.allclose(soft, mmse, atol=1e-10)
         assert np.allclose(mmse, hard, atol=1e-10)
 
@@ -119,8 +124,8 @@ class TestPolarSteps:
         sigma = 0.2
         perm = rng.permutation(4)
         for step in (reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step):
-            a = step(batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
-            b = step(batch(ys[perm], polar_truth, sigma), polar_truth, SHIFTS)
+            a = one_step(step, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+            b = one_step(step, batch(ys[perm], polar_truth, sigma), polar_truth, SHIFTS)
             assert np.allclose(a, b, atol=1e-10)
 
     def test_fixed_alignment_linearity(self, polar_truth):
@@ -128,8 +133,8 @@ class TestPolarSteps:
         # scaling the data keeps every MAP shift, so ys and 3 ys share them
         ys = noiseless_polar_obs(polar_truth, [1, 4])
         sigma = 0.1
-        a = reconstruct.hard_step(batch(3.0 * ys, polar_truth, sigma), polar_truth, SHIFTS)
-        b = 3.0 * reconstruct.hard_step(batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+        a = one_step(reconstruct.hard_step, batch(3.0 * ys, polar_truth, sigma), polar_truth, SHIFTS)
+        b = 3.0 * one_step(reconstruct.hard_step, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
         assert np.allclose(a, b, atol=1e-12)
         expected = polar_assigned_average(3.0 * ys, [1, 4], polar_truth.shape)
         assert np.allclose(a, expected, atol=1e-12)
@@ -155,7 +160,7 @@ def test_polar_soft_em_never_lowers_likelihood(sigma):
         v = forward.make_polar_phantom(20, 12, seed=seed + 100)
         ll = [polar_log_likelihood(ys, v, sigma)]
         for _ in range(15):
-            v = reconstruct.em_step_soft(batch(ys, v, sigma), v, reconstruct.Shifts(12))
+            v = one_step(reconstruct.em_step_soft, batch(ys, v, sigma), v, reconstruct.Shifts(12))
             ll.append(polar_log_likelihood(ys, v, sigma))
         for before, after in zip(ll, ll[1:]):
             assert after >= before - 1e-12 * abs(before)
@@ -173,9 +178,9 @@ class TestVolumeSteps:
         vbar, cands, ys = volume_setup
         sigma = 1e-8 * forward.signal_scale(vbar)
         group = reconstruct.Rotations(cands.rotations)
-        soft = reconstruct.em_step_soft(batch(ys, vbar, sigma), vbar, group)
-        mmse = reconstruct.em_step_mmse(batch(ys, vbar, sigma), vbar, group)
-        hard = reconstruct.hard_step(batch(ys, vbar, sigma), vbar, group)
+        soft = one_step(reconstruct.em_step_soft, batch(ys, vbar, sigma), vbar, group)
+        mmse = one_step(reconstruct.em_step_mmse, batch(ys, vbar, sigma), vbar, group)
+        hard = one_step(reconstruct.hard_step, batch(ys, vbar, sigma), vbar, group)
         assert np.allclose(soft, mmse, atol=1e-10)
         assert np.allclose(mmse, hard, atol=1e-10)
 
@@ -184,7 +189,7 @@ class TestVolumeSteps:
         sigma = 0.1
         x = [forward.rotate_volume(vbar, g).ravel() for g in cands.rotations]
         oracle = np.array([np.argmin([np.sum((y - t) ** 2) for t in x]) for y in ys])
-        out = reconstruct.hard_step(batch(ys, vbar, sigma), vbar, reconstruct.Rotations(cands.rotations))
+        out = one_step(reconstruct.hard_step, batch(ys, vbar, sigma), vbar, reconstruct.Rotations(cands.rotations))
         expected = sum(
             forward.rotate_volume(y.reshape(vbar.shape), cands.rotations[i].T)
             for y, i in zip(ys, oracle)
@@ -194,7 +199,7 @@ class TestVolumeSteps:
     def test_hard_step_improves_template_correlation(self, volume_setup):
         vbar, cands, ys = volume_setup
         group = reconstruct.Rotations(cands.rotations)
-        out = reconstruct.hard_step(batch(ys, vbar, 0.05), vbar, group)
+        out = one_step(reconstruct.hard_step, batch(ys, vbar, 0.05), vbar, group)
         assert reconstruct.pcc(out, vbar) > 0.9
 
 
@@ -297,6 +302,12 @@ class TestBatch:
         with pytest.raises(ValueError):
             batch(noiseless_polar_obs(polar_truth, [0, 1]), polar_truth, sigma)
 
+    def test_rejects_an_empty_batch(self, polar_truth):
+        # with no rows the soft step averaged to all-NaN under a RuntimeWarning,
+        # the MMSE and hard steps divided by zero, and EM traced nan and inf
+        with pytest.raises(ValueError, match="at least one observation"):
+            reconstruct.Batch(np.zeros((0, polar_truth.size)), polar_truth.shape, 1.0)
+
     def test_holds_the_rows_and_their_squared_norms(self, polar_truth):
         ys = noiseless_polar_obs(polar_truth, [0, 3, 5])
         b = batch(ys, polar_truth, 1.0)
@@ -358,14 +369,50 @@ def test_a_shared_batch_gives_the_bytes_of_fresh_batches(em_problem):
     assert len(calls) == 1 + later_iters
 
 
+@pytest.mark.parametrize("mode", reconstruct.ASSIGNMENTS)
+def test_the_loop_scores_each_iterate_once(monkeypatch, em_problem, mode):
+    # run_reconstruction scores each iterate but the last once and hands the
+    # step those very scores; no step scores anything itself
+    ys, truth, template, make_group, sigma = em_problem
+    scored, handed, iterates = [], [], [template]
+    scores = reconstruct.Batch.scores
+
+    def scoring(b, v, group):
+        out = scores(b, v, group)
+        scored.append((np.array(v, copy=True), out))
+        return out
+
+    def handing(step):
+        def wrapped(b, s, group):
+            handed.append(s)
+            iterates.append(step(b, s, group))
+            return iterates[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(reconstruct.Batch, "scores", scoring)
+    for name, step in reconstruct._STEPS.items():
+        monkeypatch.setitem(reconstruct._STEPS, name, handing(step))
+    cfg = reconstruct.ReconstructionConfig(assignment=mode, max_iters=3, rel_tol=1e-30)
+    _, trace = reconstruct.run_reconstruction(batch(ys, template, sigma), template, make_group(), cfg, truth=truth)
+    assert len(scored) == len(handed) == len(trace)
+    for (v, out), s, iterate in zip(scored, handed, iterates):
+        assert s is out
+        assert np.array_equal(v, iterate)
+
+
 def test_hard_step_runs_at_zero_sigma(polar_truth):
     # the least-squares element needs no variance; the weighted steps do
     ys = noiseless_polar_obs(polar_truth, [2, 5])
     sigma = 0.0
-    assert np.array_equal(reconstruct.hard_step(batch(ys, polar_truth, sigma), polar_truth, SHIFTS), polar_truth)
+    out = one_step(reconstruct.hard_step, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+    assert np.array_equal(out, polar_truth)
     for step in (reconstruct.em_step_soft, reconstruct.em_step_mmse):
         with pytest.raises(ZeroVarianceError):
-            step(batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+            one_step(step, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
+    cfg = reconstruct.ReconstructionConfig(assignment="hard_map", max_iters=2)
+    v, _ = reconstruct.run_reconstruction(batch(ys, polar_truth, sigma), polar_truth, SHIFTS, cfg)
+    assert np.array_equal(v, polar_truth)
 
 
 class TestRegisteredPcc:
@@ -446,8 +493,8 @@ class TestWorkerMap:
     @pytest.mark.parametrize("step", [reconstruct.em_step_soft, reconstruct.em_step_mmse, reconstruct.hard_step])
     def test_steps(self, pooled_setup, step):
         vbar, rotations, ys, sigma = pooled_setup
-        serial = step(batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations))
-        pooled = step(batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations, map=two_threads))
+        serial = one_step(step, batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations))
+        pooled = one_step(step, batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations, map=two_threads))
         assert np.array_equal(pooled, serial)
 
     @pytest.mark.parametrize("threads", [2, 8])
@@ -464,19 +511,20 @@ class TestWorkerMap:
         serial = reconstruct.Shifts(angular)
         pooled = reconstruct.Shifts(angular, map=lambda fn, xs: bench.parallel_map(fn, xs, threads))
         cross = batch(ys, v, 0.5).scores(v, serial).cross
-        step = reconstruct.em_step_soft(batch(ys, v, 0.5), v, serial)
+        step = one_step(reconstruct.em_step_soft, batch(ys, v, 0.5), v, serial)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6 if threads > 2 else interval)
         try:
             pooled_cross = batch(ys, v, 0.5).scores(v, pooled).cross
-            pooled_step = reconstruct.em_step_soft(batch(ys, v, 0.5), v, pooled)
+            pooled_step = one_step(reconstruct.em_step_soft, batch(ys, v, 0.5), v, pooled)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled_cross, cross)
         assert np.array_equal(pooled_step, step)
         # one product each, up to rounding
         assert np.allclose(cross, ys @ polar_templates(v).T, rtol=1e-12, atol=1e-9)
-        colsum = batch(ys, v, 0.5).weights(v, serial).T @ ys
+        b = batch(ys, v, 0.5)
+        colsum = np.exp(b.scores(v, serial).log_weights(b.var)).T @ ys
         oracle = sum(forward.rotate_polar(u.reshape(v.shape), s) for s, u in enumerate(colsum)) / m
         assert np.allclose(step, oracle, rtol=1e-12, atol=1e-12)
 
@@ -495,7 +543,7 @@ class TestWorkerMap:
                     yield fn(x)
 
             group = reconstruct.Shifts(angular, map=recording)
-            reconstruct.em_step_soft(batch(ys, v, 0.5), v, group)
+            one_step(reconstruct.em_step_soft, batch(ys, v, 0.5), v, group)
             # two scoring blocks and two soft blocks, then the back-shifts,
             # copies that call no BLAS
             assert len(seen) == 4 + angular
@@ -523,12 +571,12 @@ class TestWorkerMap:
         # disjoint rows and sums are taken on the calling thread, so no
         # update can be lost
         vbar, rotations, ys, sigma = pooled_setup
-        serial = reconstruct.em_step_soft(batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations))
+        serial = one_step(reconstruct.em_step_soft, batch(ys, vbar, sigma), vbar, reconstruct.Rotations(rotations))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             eight = reconstruct.Rotations(rotations, map=lambda fn, xs: bench.parallel_map(fn, xs, 8))
-            pooled = reconstruct.em_step_soft(batch(ys, vbar, sigma), vbar, eight)
+            pooled = one_step(reconstruct.em_step_soft, batch(ys, vbar, sigma), vbar, eight)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(pooled, serial)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from helpers import geodesic_distance, rot_z
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from orient_bayes import so3
+from orient_bayes import estimators, so3
 
 
 def haar_angle_cdf(omega):
@@ -30,6 +33,39 @@ class TestGeodesic:
         rng = np.random.default_rng(12)
         g1, g2 = so3.sample_uniform(rng, 2)
         assert geodesic_distance(g1, g2) == pytest.approx(geodesic_distance(g2, g1), abs=1e-12)
+
+
+def horn_rotation(a):
+    """The R maximizing tr(R^T a) by Horn's quaternion method (1987): the
+    rotation of the top eigenvector q = (w, x, y, z) of the symmetric 4x4 K
+    with q^T K q = tr(R(q)^T a), and K's eigenvalues in ascending order."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    k = np.array([
+        [a00 + a11 + a22, a21 - a12, a02 - a20, a10 - a01],
+        [a21 - a12, a00 - a11 - a22, a01 + a10, a02 + a20],
+        [a02 - a20, a01 + a10, -a00 + a11 - a22, a12 + a21],
+        [a10 - a01, a02 + a20, a12 + a21, -a00 - a11 + a22],
+    ])
+    lam, vecs = np.linalg.eigh(k)
+    w, x, y, z = vecs[:, -1]
+    r = np.array([
+        [w * w + x * x - y * y - z * z, 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), w * w - x * x + y * y - z * z, 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), w * w - x * x - y * y + z * z],
+    ])
+    return r, lam
+
+
+def assert_horn_optimal(a, rot):
+    """rot maximizes tr(R^T a): within 1e-6 rad of Horn's rotation where K's top
+    eigenvalue is separated from the next by at least 1e-3 of the largest
+    |eigenvalue|, and always to 1e-12 of sum |a| in the objective, which is all
+    a repeated top eigenvalue (a non-unique maximizer) leaves to compare."""
+    oracle, lam = horn_rotation(a)
+    assert abs(np.trace(rot.T @ a) - np.trace(oracle.T @ a)) <= 1e-12 * np.sum(np.abs(a))
+    gap = lam[-1] - lam[-2]
+    if gap > 0 and gap >= 1e-3 * np.max(np.abs(lam)):
+        assert geodesic_distance(oracle, rot) <= 1e-6
 
 
 class TestProcrustes:
@@ -71,6 +107,26 @@ class TestProcrustes:
             gaps.append(geodesic_distance(best, proj))
         assert max(gaps) <= 0.25
         assert np.mean(gaps) <= 0.10
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        a=st.one_of(
+            hnp.arrays(np.float64, (3, 3), elements=st.floats(-1e3, 1e3, allow_subnormal=False)),
+            hnp.arrays(np.float64, (3, 3), elements=st.integers(-2, 2).map(float)),
+        )
+    )
+    def test_matches_the_quaternion_oracle(self, a):
+        # integer entries give the ties: reflection ties, rank <= 1 and zero
+        assert_horn_optimal(a, so3.procrustes_project(a))
+
+    def test_mmse_rotations_match_the_quaternion_oracle(self):
+        # each row's rounding against the oracle on that row's posterior mean
+        rng = np.random.default_rng(21)
+        grid = so3.sample_uniform(rng, 40)
+        w = rng.dirichlet(np.full(40, 0.3), size=200)
+        rounded = estimators.mmse_rotations(w, grid)
+        for row, rot in zip(w, rounded):
+            assert_horn_optimal(np.einsum("l,lij->ij", row, grid), rot)
 
     def test_rank_deficient_gives_a_rotation(self):
         # the minimizer is not unique; one of them is returned
