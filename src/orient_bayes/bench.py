@@ -315,26 +315,17 @@ def _rows(key: list[int], shape: tuple, draw, map, first: int = 0) -> np.ndarray
     """A new array of ``shape`` whose row t is filled in place by
     draw(t, rng, row) with its own generator, seeded by key + [first + t], so
     the rows can be drawn in any order and the result does not depend on
-    batching or on the order-preserving ``map`` that runs blocks of
-    ROW_BLOCK rows: the block of a batch that starts at row ``first`` gets
-    the batch's rows."""
+    batching or on the order-preserving ``map`` of the :func:`blas.fill
+    <orient_bayes.blas.fill>` in blocks of ROW_BLOCK rows: the block of a
+    batch that starts at row ``first`` gets the batch's rows."""
     out = np.empty(shape)
 
-    def fill(start):
-        for t in range(start, min(start + ROW_BLOCK, shape[0])):
+    def fill(rows):
+        for t in range(rows.start, rows.stop):
             draw(t, np.random.default_rng(key + [first + t]), out[t])
 
-    for _ in map(fill, range(0, shape[0], ROW_BLOCK)):
-        pass
+    blas.fill(map, fill, shape[0], ROW_BLOCK)
     return out
-
-
-def _noise(rng, row: np.ndarray, sigma: float) -> None:
-    """Fill ``row`` with white Gaussian noise of level sigma, in place: the
-    bytes of rng.normal(size=row.size) * sigma, without a temporary.  Adding a
-    clean row afterwards gives the bytes of clean + noise too."""
-    rng.standard_normal(out=row)
-    row *= sigma
 
 
 def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int) -> np.ndarray:
@@ -342,15 +333,21 @@ def _true_rotations(cfg: ExperimentConfig, prior: so3.RotationPrior, count: int)
     return _rows([cfg.seed, _K_TRUTH], (count, 3, 3), lambda t, rng, row: np.copyto(row, prior.sample(rng, 1)[0]), map)
 
 
-def _noisy(clean: np.ndarray, sigma: float, key: list[int], first: int = 0) -> np.ndarray:
-    """clean plus noise of scale sigma, drawn row by row; ``clean`` holds the
-    rows of a batch from row ``first`` on."""
+def _noisy(key: list[int], shape: tuple, sigma: float, map, clean=None, first: int = 0) -> np.ndarray:
+    """The observation rows of a batch from row ``first`` on, an array of
+    ``shape`` drawn by :func:`_rows` on ``map``: row t is clean(t, rng), drawn
+    first from the row's generator, plus white Gaussian noise of level sigma
+    drawn into the row in place (the bytes of rng.normal(size=d) * sigma), or
+    the noise alone without ``clean``."""
 
     def draw(t, rng, row):
-        _noise(rng, row, sigma)
-        row += clean[t]
+        clean_row = None if clean is None else clean(t, rng)
+        rng.standard_normal(out=row)
+        row *= sigma
+        if clean_row is not None:
+            row += clean_row
 
-    return _rows(key, clean.shape, draw, map, first)
+    return _rows(key, shape, draw, map, first)
 
 
 def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
@@ -391,7 +388,8 @@ def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> 
     def block(task):
         si, first = task
         rows = slice(first, first + SWEEP_BLOCK)
-        ys = _noisy(clean[rows], sigmas[si], [cfg.seed, _K_NOISE, si], first)
+        clean_rows = clean[rows]
+        ys = _noisy([cfg.seed, _K_NOISE, si], clean_rows.shape, sigmas[si], map, lambda t, rng: clean_rows[t], first)
         errors = []
         for (cands, labels), x_sq in zip(estimates, x_sqs):
             scores = estimators.Scores.of(ys, cands.templates, x_sq=x_sq)
@@ -499,15 +497,8 @@ def _em(cfg: ExperimentConfig, name: str, template, group, tag: int, clean=None,
     records, traces, volumes = [], {}, {}
     with blas.ONE_THREAD:
         for k, sigma in enumerate(sigmas or _sigma_list(cfg, truth)):
-
-            def draw(t, rng, row):
-                clean_row = None if clean is None else clean(t, rng)
-                _noise(rng, row, sigma)
-                if clean_row is not None:
-                    row += clean_row
-
             batch = None  # release the last batch before drawing the next
-            rows = _rows([cfg.seed, tag, k], (cfg.M, template.size), draw, group.map)
+            rows = _noisy([cfg.seed, tag, k], (cfg.M, template.size), sigma, group.map, clean)
             batch = reconstruct.Batch(rows, template.shape, sigma)
             del rows  # the batch holds the only reference
             snr = 0.0 if truth is None else forward.snr_of(truth, sigma)

@@ -1,9 +1,12 @@
-"""BLAS's thread count.
+"""BLAS's thread count, and the one way pooled work fills an array.
 
 OpenBLAS may split one product over threads of its own, and the split can
 change a product's rounding.  ``ONE_THREAD`` is a scope in which every
 loaded OpenBLAS runs on one thread, so what runs inside it gives the same
-bytes whatever OPENBLAS_NUM_THREADS says.
+bytes whatever OPENBLAS_NUM_THREADS says.  :func:`fill` runs fixed blocks
+through an order-preserving map inside that scope, each block writing its
+own slice, so what it fills depends neither on the map nor on BLAS's thread
+count.
 """
 
 from __future__ import annotations
@@ -65,3 +68,15 @@ class _OneThread:
 
 
 ONE_THREAD = _OneThread()
+
+
+def fill(map, fn, n: int, size: int = 1) -> None:
+    """Call fn(rows) for the slices of range(n) in order, each ``size`` long
+    but the last, through the order-preserving ``map``, with BLAS on one
+    thread.  The blocks are fixed whatever the map, and each call writes only
+    its own rows of a preallocated output, so the output's bytes depend
+    neither on the map nor on BLAS's thread count.  A lazy map is run to its
+    end."""
+    with ONE_THREAD:
+        for _ in map(fn, [slice(start, min(start + size, n)) for start in range(0, n, size)]):
+            pass

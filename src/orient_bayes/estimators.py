@@ -99,24 +99,16 @@ class Scores:
     ) -> "Scores":
         """``y_sq`` and ``x_sq`` are the :func:`squared_norms` of ``ys`` and ``x``
         when the caller already holds them (a batch holds its rows', a sweep
-        its fixed templates').  The product runs in blocks of SCORE_BLOCK rows
-        through the order-preserving ``map``, with BLAS on one thread, each
-        written into its rows of ``cross``, so any map gives the same bytes
-        whatever BLAS's thread count."""
+        its fixed templates').  The product is a :func:`blas.fill
+        <orient_bayes.blas.fill>` of ``cross`` in blocks of SCORE_BLOCK rows
+        through the order-preserving ``map``."""
         ys = _batch(ys, x)
         if y_sq is None:
             y_sq = squared_norms(ys)
         if x_sq is None:
             x_sq = squared_norms(x)
         cross = np.empty((len(ys), len(x)))
-
-        def block(first):
-            rows = slice(first, first + SCORE_BLOCK)
-            np.matmul(ys[rows], x.T, out=cross[rows])
-
-        with blas.ONE_THREAD:
-            for _ in map(block, range(0, len(ys), SCORE_BLOCK)):
-                pass
+        blas.fill(map, lambda rows: np.matmul(ys[rows], x.T, out=cross[rows]), len(ys), SCORE_BLOCK)
         return cls(y_sq=y_sq, x_sq=x_sq, cross=cross)
 
     def map_indices(self) -> np.ndarray:

@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import blas
+
 
 class FileFormatError(ValueError):
     """Malformed volume file."""
@@ -140,20 +142,20 @@ def rotate_volume(
 
 def rotated_stack(vol, rotations, method: str = "trilinear", projected: bool = False, map=map) -> np.ndarray:
     """Row i is g_i^-1 . vol, projected by :func:`project_z` if ``projected``,
-    flattened.  ``map`` is an order-preserving map over row indices; each call
-    fills its own preallocated row (an unprojected rotation writes into it
-    directly), so any map gives the same bytes."""
+    flattened: a :func:`blas.fill <orient_bayes.blas.fill>` of one row a call
+    through the order-preserving ``map`` (an unprojected rotation writes
+    straight into its row)."""
     vol = np.asarray(vol, dtype=float)
     out = np.empty((len(rotations), vol.shape[0] ** 2 if projected else vol.size))
 
-    def fill(i):
+    def fill(rows):  # one row a call
+        i = rows.start
         if projected:
             out[i] = project_z(rotate_volume(vol, rotations[i], method=method)).ravel()
         else:
             rotate_volume(vol, rotations[i], method=method, out=out[i])
 
-    for _ in map(fill, range(len(rotations))):
-        pass
+    blas.fill(map, fill, len(rotations))
     return out
 
 

@@ -7,14 +7,11 @@ picks the group: :class:`Shifts`, the exact cyclic shifts of a polar image
 interpolation over a rotation grid.
 
 A group runs its work through an order-preserving ``map``, for example on a
-worker pool: its elements' actions, a batch's scoring product
-in blocks of ``estimators.SCORE_BLOCK`` rows, and the soft step's weighted
-sum in blocks of SOFT_BLOCK columns.  Each block is written into its part of
-one preallocated output, and every other sum is accumulated on the calling
-thread in the original order, so the result does not depend on the map.
-The blocks are fixed and their products run with BLAS on one thread
-(``blas.ONE_THREAD``) whatever the map, so their bytes do not depend on
-BLAS's thread count either.
+worker pool: its elements' actions, and as a :func:`blas.fill
+<orient_bayes.blas.fill>` a batch's scoring product in blocks of
+``estimators.SCORE_BLOCK`` rows and the soft step's weighted sum in blocks
+of SOFT_BLOCK columns.  Every other sum is accumulated on the calling thread
+in the original order, so the result does not depend on the map.
 
 No step and no registration holds more than one window of CHUNK group
 elements as structures: the scoring, the soft step's weighted sum and its
@@ -99,6 +96,8 @@ class _Group:
     :meth:`windows` at a time, so no more than CHUNK templates are held."""
 
     def __init__(self, size: int, map):
+        if size < 1:
+            raise ValueError("a group needs at least one element")
         self.size = size
         self.map = map
 
@@ -257,14 +256,8 @@ def em_step_soft(batch: Batch, scores: estimators.Scores, group) -> np.ndarray:
     for window in group.windows():
         elements = range(group.size)[window]
         sums = colsum[: len(elements)]
-
-        def block(first):
-            cols = slice(first, first + SOFT_BLOCK)
-            np.matmul(w[:, window].T, batch.ys[:, cols], out=sums[:, cols])
-
-        with blas.ONE_THREAD:
-            for _ in group.map(block, range(0, sums.shape[1], SOFT_BLOCK)):
-                pass
+        weights, ys = w[:, window].T, batch.ys
+        blas.fill(group.map, lambda cols: np.matmul(weights, ys[:, cols], out=sums[:, cols]), ys.shape[1], SOFT_BLOCK)
         shaped = sums.reshape(-1, *batch.shape)
         out = group.summed(lambda ell: group.back(ell, shaped[ell - window.start]), elements, out)
     return out / len(batch)

@@ -17,7 +17,7 @@ import pytest
 from helpers import blas_at_two_threads
 from small_configs import BAD_INPUTS, SMALL, VOLUME_FILES, bad_input_config
 
-from orient_bayes import bench, cli, estimators, forward, reconstruct, so3
+from orient_bayes import bench, blas, cli, estimators, forward, reconstruct, so3
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -257,8 +257,8 @@ class TestSweeps:
             shape, key = clean.shape, [cfg.seed, bench._K_NOISE, 0]
             blocks, noisy = {}, bench._noisy
 
-            def recorded(block, sigma, key, first):
-                blocks[first] = noisy(block, sigma, key, first)
+            def recorded(key, shape, sigma, map, clean=None, first=0):
+                blocks[first] = noisy(key, shape, sigma, map, clean, first)
                 return blocks[first]
 
             monkeypatch.setattr(bench, "_noisy", recorded)
@@ -310,7 +310,8 @@ class TestSweeps:
         truth = forward.make_phantom("gaussian_blobs", 10, seed=1)
         rotations = bench._true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
         key = [cfg.seed, bench._K_NOISE, 1]
-        oracle = bench._noisy(forward.rotated_stack(truth, rotations, method), 0.3, key)
+        stack = forward.rotated_stack(truth, rotations, method)
+        oracle = bench._noisy(key, stack.shape, 0.3, map, lambda t, rng: stack[t])
         assert np.array_equal(batch_rows(monkeypatch, bench.run_recover3d, cfg)[1], oracle)
 
     def test_prior_mismatch_labels(self):
@@ -436,7 +437,8 @@ class TestMemory:
 
 
 class TestParallelMapBlas:
-    """While parallel_map runs, every loaded OpenBLAS runs on one thread."""
+    """While parallel_map or blas.fill runs, every loaded OpenBLAS runs on one
+    thread."""
 
     @pytest.fixture
     def counts(self):
@@ -464,6 +466,32 @@ class TestParallelMapBlas:
             return counts()
 
         assert bench.parallel_map(task, range(4), 2) == [[1] * len(counts())] * 4
+        assert counts() == [2] * len(counts())
+
+    @pytest.mark.parametrize("n, size", [(12, 4), (10, 4), (3, 1), (2, 5)])
+    def test_fill_covers_each_row_once_in_fixed_blocks(self, n, size):
+        calls = []
+        blas.fill(map, calls.append, n, size)
+        assert [t for rows in calls for t in range(n)[rows]] == list(range(n))
+        assert [len(range(n)[rows]) for rows in calls] == [size] * (n // size) + [n % size] * (n % size > 0)
+
+    def test_fill_of_no_rows_makes_no_call(self):
+        def fail(rows):
+            raise AssertionError(rows)
+
+        blas.fill(map, fail, 0, 4)
+
+    @pytest.mark.parametrize("kind", ["builtin", "lazy", "pool"])
+    def test_fill_runs_every_call_on_one_blas_thread(self, counts, kind):
+        def lazy(fn, xs):  # a generator: nothing runs unless the fill exhausts it
+            for x in xs:
+                yield fn(x)
+
+        maps = {"builtin": map, "lazy": lazy, "pool": partial(bench.parallel_map, threads=2)}
+        seen = []
+        blas.fill(maps[kind], lambda rows: seen.append((rows.start, counts())), 7, 2)
+        assert sorted(start for start, _ in seen) == [0, 2, 4, 6]
+        assert all(inside == [1] * len(counts()) for _, inside in seen)
         assert counts() == [2] * len(counts())
 
 

@@ -221,14 +221,17 @@ class TestSynthesizeObservation:
         assert np.array_equal(obs, blob_phantom.reshape(1, -1))
 
     def test_noise_variance(self):
-        obs = bench._noisy(np.zeros((1, 32**3)), 1.0, [1])
+        obs = bench._noisy([1], (1, 32**3), 1.0, map)
         assert 0.97 <= obs.var() <= 1.03
 
     def test_deterministic(self, blob_phantom):
         g = so3.sample_uniform(np.random.default_rng(2), 1)
-        a = bench._noisy(forward.rotated_stack(blob_phantom, g, projected=True), 0.5, [3])
-        b = bench._noisy(forward.rotated_stack(blob_phantom, g, projected=True), 0.5, [3])
-        assert np.array_equal(a, b)
+
+        def observe():
+            stack = forward.rotated_stack(blob_phantom, g, projected=True)
+            return bench._noisy([3], stack.shape, 0.5, map, lambda t, rng: stack[t])
+
+        assert np.array_equal(observe(), observe())
 
     def test_noiseless_projected_matches_pipeline(self, blob_phantom):
         g = so3.sample_uniform(np.random.default_rng(4), 1)

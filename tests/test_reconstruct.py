@@ -220,6 +220,16 @@ class TestGroups:
         with pytest.raises(estimators.DimensionMismatchError):
             reconstruct.Shifts(7).templates(polar_truth)
 
+    @pytest.mark.parametrize(
+        "make", [lambda: reconstruct.Shifts(0), lambda: reconstruct.Rotations(np.empty((0, 3, 3)))],
+        ids=["shifts", "rotations"],
+    )
+    def test_rejects_a_group_with_no_elements(self, make):
+        # an empty group used to construct, and its first scoring failed with
+        # numpy's "need at least one array to concatenate"
+        with pytest.raises(ValueError, match="at least one element"):
+            make()
+
 
 class TestRunReconstruction:
     def test_noiseless_fixed_point(self, polar_truth):
