@@ -4,8 +4,11 @@ Volumes are (n, n, n) float arrays indexed [x, y, z] with coordinates
 centered at the grid midpoint; polar images are (d_radial, l_angular)
 arrays whose angular axis wraps around.
 
-scipy.ndimage loads at the first volume rotation or ``asymmetric_L``
-phantom, not at import: polar runs, config errors and ``--help`` load
+A trilinear rotation runs a numpy kernel that writes the bytes of one
+``ndimage.map_coordinates`` call; that call itself serves only tricubic
+rotations and volumes that hold a NaN or an infinity.  So scipy.ndimage
+loads at the first such rotation or ``asymmetric_L`` phantom, not at import
+or at a trilinear rotation: polar runs, config errors and ``--help`` load
 numpy and the standard library only.
 """
 
@@ -73,32 +76,96 @@ def interpolation_order(method) -> int:
     return INTERPOLATION_ORDERS[method]
 
 
-def _trilinear_reads(vol: np.ndarray, coords: np.ndarray) -> np.ndarray | None:
-    """The indices of the sample points in ``coords`` (3, N) that can read a
-    nonzero voxel of ``vol`` under trilinear interpolation; None when the
-    nonzero box, grown by one voxel, covers the grid, so that nearly every
-    point can.
+def _read_bounds(vol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis, as (3, 1) columns, the least and the greatest sample
+    coordinate at which a trilinear rotation of ``vol`` can read a voxel
+    whose bits are not zero, inside the grid: max(0, lo - 1) and
+    min(n - 1, hi + 1), with lo, hi the first and last index of the box of
+    those voxels.
 
-    The box holds every voxel whose bits are not zero (so -0.0 and NaN count).
     A point reads the voxels floor(p) and floor(p) + 1 on each axis with
-    weights >= 0, and map_coordinates in constant mode writes +0.0 at a point
-    whose reads are all +0.0 or outside the grid.  So a point outside
-    lo - 1 <= p <= hi + 1 on some axis (lo, hi the box's first and last
-    index) takes +0.0.  The upper bound is closed because at p = n - 1 scipy
-    also reads voxel n - 2, with weight 0.  An all-zero volume keeps no point.
+    weights >= 0, so a point outside these bounds on some axis reads only
+    +0.0 and -0.0 and takes +0.0, as map_coordinates in constant mode gives
+    it.  A volume whose two outer layers on every face hold such a voxel
+    takes the whole grid without a search; an all-zero volume gets a lower
+    bound above its upper one, so no point is kept.
     """
+    n = len(vol)
     bits = vol.view(np.int64)
     faces = (bits[:2], bits[-2:], bits[:, :2], bits[:, -2:], bits[:, :, :2], bits[:, :, -2:])
     if all(map(np.count_nonzero, faces)):
-        return None
+        return np.zeros((3, 1)), np.full((3, 1), n - 1.0)
     yz = np.bitwise_or.reduce(bits, axis=0)  # the OR along x: fast over a leading axis, where any() is slow
-    occupied = (bits.reshape(len(bits), -1).any(axis=1), yz.any(axis=1), yz.any(axis=0))
-    keep = np.ones(coords.shape[1], dtype=bool)
-    for p, along in zip(coords, occupied):
-        box = np.flatnonzero(along)
-        keep &= p >= box.min(initial=len(along)) - 1
-        keep &= p <= box.max(initial=-1) + 1
-    return np.flatnonzero(keep)
+    boxes = [np.flatnonzero(along) for along in (bits.reshape(n, -1).any(axis=1), yz.any(axis=1), yz.any(axis=0))]
+    lo = [max(0, box.min(initial=n) - 1) for box in boxes]
+    hi = [min(n - 1, box.max(initial=-1) + 1) for box in boxes]
+    return np.array(lo, dtype=float)[:, None], np.array(hi, dtype=float)[:, None]
+
+
+def _sample_points(g: np.ndarray, n: int) -> np.ndarray:
+    """The (3, n^3) source coordinates vol(g x) reads, in voxel units."""
+    coords = g @ _centered_grid(n)
+    coords += (n - 1) / 2.0
+    return coords
+
+
+def _kept_points(vol: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The mask of the sample points of a trilinear rotation of ``vol`` by g
+    that lie inside :func:`_read_bounds` on every axis, and those points'
+    coordinates, one array per axis."""
+    coords = _sample_points(g, len(vol))
+    lo, hi = _read_bounds(vol)
+    keep = ((coords >= lo) & (coords <= hi)).all(axis=0)
+    return keep, [q[keep] for q in coords]
+
+
+def _trilinear(vol: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the bytes of ``map_coordinates(vol, _sample_points(g,
+    n), order=1, mode="constant")`` for a finite C-contiguous volume of edge
+    n >= 2, in a few dozen numpy passes over the whole grid.
+
+    The points of :func:`_kept_points` are interpolated; every other point
+    takes +0.0.  A kept point p with s = floor(p) reads the eight voxels
+    s + {0, 1} on each axis with weights w0 = 1 - w1 and w1 = p - s, and
+    takes t = 0.0 + sum ((v * w_x) * w_y) * w_z over the corners in C order
+    (last axis fastest): scipy's products, summed in scipy's order.  At
+    p = n - 1 the second voxel on that axis lies outside the grid and has
+    weight 0.  scipy reads a mirrored voxel there, and this kernel whatever
+    finite voxel its clipped flat index lands on.  Either term is +0.0 or
+    -0.0, and adding a zero changes no bit of t: t starts at +0.0 and so is
+    never -0.0 (+0 + -0 and x + -x are +0).  A NaN or an infinity would make
+    that term a NaN whose payload can differ from scipy's, so a volume that
+    holds one is not for this kernel.
+
+    Only the kept points' coordinates outlive :func:`_kept_points`, and the
+    sum is accumulated in the head of ``out``, so besides ``out`` a rotation
+    holds at most about eight vectors of the kept points.
+    """
+    n = len(vol)
+    keep, p = _kept_points(vol, g)
+    s = np.empty((3, len(p[0])))
+    for row, q in zip(s, p):
+        np.floor(q, out=row)
+        q -= row  # p less its floor is w1
+    # the flat index of s, exact in doubles, cast once
+    base = (np.array([n * n, n, 1.0]) @ s).astype(np.intp)
+    for row, q in zip(s, p):
+        np.subtract(1.0, q, out=row)  # w0, in the floor's buffer
+    weights = (s, p)
+    flat = vol.reshape(-1)
+    t = out[: len(base)]
+    t[:] = 0.0
+    term = np.empty(len(base))
+    for dx, dy, dz in np.ndindex(2, 2, 2):
+        np.take(flat[dx * n * n + dy * n + dz :], base, out=term, mode="clip")
+        term *= weights[dx][0]
+        term *= weights[dy][1]
+        term *= weights[dz][2]
+        t += term
+    del term, weights, s, p, base
+    t = t.copy()  # out's head is overwritten below
+    out[:] = 0.0
+    out[keep] = t
 
 
 def rotate_volume(
@@ -108,11 +175,13 @@ def rotate_volume(
 
     Samples outside the source grid read as zero.  The identity is returned
     bit-exactly; axis-aligned quarter turns land on grid points and are exact
-    under trilinear interpolation.  A trilinear rotation interpolates only
-    the sample points that can read the volume's nonzero box and writes +0.0
-    at the rest, the bytes one map_coordinates call over every point gives.
-    ``out``, a flat array of vol.size doubles, receives the result in place;
-    the return value is an (n, n, n) view of it.
+    under trilinear interpolation.  Every rotation writes the bytes of one
+    ``ndimage.map_coordinates`` call over every sample point in constant
+    mode: a trilinear rotation of a finite volume through the numpy kernel
+    :func:`_trilinear`, a tricubic rotation or a volume with a NaN or an
+    infinity through that call.  ``out``, a flat array of vol.size doubles,
+    receives the result in place; the return value is an (n, n, n) view of
+    it.
     """
     vol = np.asarray(vol, dtype=float)
     n = vol.shape[0]
@@ -124,19 +193,12 @@ def rotate_volume(
         out = np.empty(vol.size)
     if np.array_equal(g, np.eye(3)):
         out[:] = vol.ravel()
+    elif order == 1 and n > 1 and np.isfinite(vol).all():
+        _trilinear(np.ascontiguousarray(vol), g, out)
     else:
         from scipy import ndimage
 
-        coords = g @ _centered_grid(n)
-        coords += (n - 1) / 2.0
-        # tricubic's spline prefilter spreads any support over the whole grid
-        keep = _trilinear_reads(vol, coords) if order == 1 else None
-        if keep is None:
-            ndimage.map_coordinates(vol, coords, output=out, order=order, mode="constant", cval=0.0)
-        else:
-            out[:] = 0.0
-            kept = coords.take(keep, axis=1)
-            out[keep] = ndimage.map_coordinates(vol, kept, order=order, mode="constant", cval=0.0)
+        ndimage.map_coordinates(vol, _sample_points(g, n), output=out, order=order, mode="constant", cval=0.0)
     return out.reshape(n, n, n)
 
 

@@ -75,13 +75,22 @@ class ReconstructionConfig:
 
 def pcc(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson cross-correlation over all coordinates, in [-1, 1]."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
+    return _pcc_of(_centred(a), _centred(b))
+
+
+def _centred(x) -> tuple[np.ndarray, float]:
+    """x as a flat vector of doubles less its mean, and that vector's norm:
+    one side of a PCC, computed once for a side scored many times."""
+    x = np.asarray(x, dtype=float).ravel()
+    x = x - x.mean()
+    return x, np.linalg.norm(x)
+
+
+def _pcc_of(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """The PCC of two :func:`_centred` sides."""
+    (a, na), (b, nb) = a, b
     if a.shape != b.shape:
         raise estimators.DimensionMismatchError("shapes differ")
-    a = a - a.mean()
-    b = b - b.mean()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         raise ZeroVarianceError("pcc is undefined for a constant input")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
@@ -327,11 +336,14 @@ def registered_pcc(final: np.ndarray, truth: np.ndarray, group) -> float:
     rotation grid need not contain it.  The elements act one window at a
     time, each window in one ``templates`` fill through the group's map,
     and that window's rows are scored on the calling thread before the next
-    window acts, so one window of structures is held at a time.
+    window acts, so one window of structures is held at a time.  The truth
+    is centred and normalised once, with the operations :func:`pcc` runs,
+    so every score has the bytes of its own :func:`pcc`.
     """
-    scores = [pcc(final, truth)]
+    truth = _centred(truth)
+    scores = [_pcc_of(_centred(final), truth)]
     for window in group.windows():
-        scores += [pcc(u, truth) for u in group.templates(final, window)]
+        scores += [_pcc_of(_centred(u), truth) for u in group.templates(final, window)]
     return max(scores)
 
 

@@ -1,6 +1,7 @@
-"""Helpers shared by the tests: closed-form rotations and angles, a scoring
-oracle that does not go through the code under test, and the README's
-quick example, and a scope that sets BLAS's thread count."""
+"""Helpers shared by the tests: closed-form rotations and angles, Horn's
+exact Procrustes oracle, a scoring oracle that does not go through the code
+under test, the README's quick example, and a scope that sets BLAS's thread
+count."""
 
 import contextlib
 import re
@@ -42,6 +43,27 @@ def rot_z(theta: float) -> np.ndarray:
 def geodesic_distance(g1: np.ndarray, g2: np.ndarray) -> float:
     """Rotation angle of g2 g1^-1 for one pair: a one-pair call of so3.geodesic_distances."""
     return float(so3.geodesic_distances(np.asarray(g1)[None], np.asarray(g2)[None])[0])
+
+
+def horn_rotation(a):
+    """The R maximizing tr(R^T a) by Horn's quaternion method (1987): the
+    rotation of the top eigenvector q = (w, x, y, z) of the symmetric 4x4 K
+    with q^T K q = tr(R(q)^T a), and K's eigenvalues in ascending order."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    k = np.array([
+        [a00 + a11 + a22, a21 - a12, a02 - a20, a10 - a01],
+        [a21 - a12, a00 - a11 - a22, a01 + a10, a02 + a20],
+        [a02 - a20, a01 + a10, -a00 + a11 - a22, a12 + a21],
+        [a10 - a01, a02 + a20, a12 + a21, -a00 - a11 + a22],
+    ])
+    lam, vecs = np.linalg.eigh(k)
+    w, x, y, z = vecs[:, -1]
+    r = np.array([
+        [w * w + x * x - y * y - z * z, 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), w * w - x * x + y * y - z * z, 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), w * w - x * x - y * y + z * z],
+    ])
+    return r, lam
 
 
 def direct_log_weights(ys, x, var) -> np.ndarray:

@@ -957,8 +957,12 @@ try:
 except SystemExit as exc:
     codes.append(exc.code)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-forward.rotate_volume(np.zeros((8, 8, 8)), np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-print(json.dumps({"codes": codes, "loaded": loaded, "after_rotation": "scipy.ndimage" in sys.modules}))
+quarter_turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+forward.rotate_volume(np.ones((8, 8, 8)), quarter_turn)
+after_trilinear = "scipy.ndimage" in sys.modules
+forward.rotate_volume(np.ones((8, 8, 8)), quarter_turn, method="tricubic")
+print(json.dumps({"codes": codes, "loaded": loaded, "after_trilinear": after_trilinear,
+                  "after_tricubic": "scipy.ndimage" in sys.modules}))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True,
@@ -967,7 +971,9 @@ print(json.dumps({"codes": codes, "loaded": loaded, "after_rotation": "scipy.ndi
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["codes"] == [0, 0, 2, 0]
         assert result["loaded"] == []
-        assert result["after_rotation"]
+        # the trilinear kernel is numpy; map_coordinates serves tricubic
+        assert not result["after_trilinear"]
+        assert result["after_tricubic"]
 
     def test_einstein_noise_runs(self, tmp_path):
         cfg_path = self.write_config(

@@ -34,8 +34,17 @@ def trees(tmp_path_factory):
 def test_an_unchanged_tree_reads_identical(trees, tmp_path, capsys):
     configs, first = trees
     assert digests.main([str(tmp_path / "again"), *map(str, configs), "--against", str(first)]) == 0
-    assert capsys.readouterr().out == "identical: 2 config trees\n"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "identical: 2 config trees"
+    # then each config's wall seconds, earlier -> now, and the totals
     doc = json.loads((first / digests.DIGESTS).read_text())
+    again = json.loads((tmp_path / "again" / digests.DIGESTS).read_text())
+    assert list(doc["seconds"]) == list(again["seconds"]) == list(NAMES)
+    assert all(seconds > 0 for seconds in [*doc["seconds"].values(), *again["seconds"].values()])
+    assert lines[1:] == [
+        *(f"{name}: {doc['seconds'][name]:.1f} -> {again['seconds'][name]:.1f} s" for name in NAMES),
+        f"all 2 configs: {sum(doc['seconds'].values()):.1f} -> {sum(again['seconds'].values()):.1f} s",
+    ]
     assert set(doc["configs"]) == set(NAMES)
     assert {"results.csv", "results.json"} <= set(doc["configs"]["snr_sweep"])
     assert any(name.startswith("traces/") for name in doc["configs"]["recover2d"])
@@ -60,3 +69,22 @@ def test_an_edited_row_is_named_with_its_relative_change(trees, tmp_path):
     rel = float(lines[1].rsplit(" ", 1)[1])
     assert rel == pytest.approx(1e-6, rel=1e-2)
     assert lines[2] == f"largest relative change of a results.csv row: {rel:.3g}"
+
+
+def test_seconds_are_never_compared(trees, tmp_path):
+    # different wall times, or none recorded (an earlier run of an older
+    # tool), still read identical; a config with no earlier time shows "?"
+    _, first = trees
+    earlier = tmp_path / "earlier"
+    shutil.copytree(first, earlier)
+    doc = json.loads((earlier / digests.DIGESTS).read_text())
+    del doc["seconds"]
+    (earlier / digests.DIGESTS).write_text(json.dumps(doc))
+    assert digests.compare(earlier, first) == []
+    assert digests.wall_times(earlier, {"recover2d": 1.25, "snr_sweep": 2.0}) == [
+        "recover2d: ? -> 1.2 s",
+        "snr_sweep: ? -> 2.0 s",
+        "all 2 configs: ? -> 3.2 s",
+    ]
+    (earlier / digests.DIGESTS).write_text(json.dumps({**doc, "seconds": {"recover2d": 9.0}}))
+    assert digests.wall_times(earlier, {"recover2d": 1.0, "snr_sweep": 2.0})[0] == "recover2d: 9.0 -> 1.0 s"

@@ -129,8 +129,9 @@ def boxed_volumes(draw):
 
 
 class TestSupportRestrictedRotation:
-    """A trilinear rotation interpolates only where the nonzero box can be
-    read; its bytes are those of one unrestricted map_coordinates call."""
+    """A trilinear rotation runs a numpy kernel that interpolates only where
+    the nonzero box can be read; its bytes are those of one unrestricted
+    map_coordinates call."""
 
     @settings(max_examples=300, deadline=None)
     @given(vol=boxed_volumes(), g=rotations, method=st.sampled_from(list(forward.INTERPOLATION_ORDERS)))
@@ -157,6 +158,21 @@ class TestSupportRestrictedRotation:
             assert_same_bytes(row, forward.project_z(vol).ravel() if projected else vol.ravel())
 
     @pytest.mark.parametrize(
+        "vol",
+        [
+            forward.make_phantom("gaussian_blobs", 32, seed=0),
+            np.random.default_rng(9).normal(size=(32, 32, 32)),
+            np.random.default_rng(10).normal(size=(32, 64, 32))[:, ::2].transpose(2, 0, 1),
+        ],
+        ids=["gaussian_blobs", "noise", "non-contiguous"],
+    )
+    def test_full_size_volumes_are_one_unrestricted_call(self, vol):
+        # the sizes volume EM runs at; a noisy volume fills its grid, and a
+        # strided, transposed view reaches the kernel as a copy
+        for g in [*QUARTER_TURNS, *so3.sample_uniform(np.random.default_rng(11), 16)]:
+            assert_same_bytes(forward.rotate_volume(vol, g), one_call(vol, g, "trilinear"))
+
+    @pytest.mark.parametrize(
         "kind, shift, method, restricted",
         [
             ("asymmetric_L", 0, "trilinear", True),
@@ -168,18 +184,34 @@ class TestSupportRestrictedRotation:
     def test_only_a_sparse_trilinear_rotation_is_restricted(self, monkeypatch, kind, shift, method, restricted):
         # asymmetric_L's nonzero box is x 9..29, y 8..26, z 9..24 of the 32^3
         # grid, and a shift by -9 along x makes it touch one face;
-        # gaussian_blobs reaches the second layer of every face; a tricubic
-        # prefilter spreads any support
-        points, sample = [], ndimage.map_coordinates
+        # gaussian_blobs reaches the second layer of every face, so the
+        # kernel keeps every sample point inside the grid; a tricubic
+        # prefilter spreads any support, so it takes one map_coordinates
+        # call over every point
+        kept, points = [], []
+        kept_points, sample = forward._kept_points, ndimage.map_coordinates
+
+        def counted_kept(vol, g):
+            keep, p = kept_points(vol, g)
+            kept.append(np.count_nonzero(keep))
+            return keep, p
 
         def counted(vol, coords, **kwargs):
             points.append(coords.shape[1])
             return sample(vol, coords, **kwargs)
 
+        monkeypatch.setattr(forward, "_kept_points", counted_kept)
         monkeypatch.setattr(ndimage, "map_coordinates", counted)
         vol = np.roll(forward.make_phantom(kind, 32, seed=0), shift, axis=0)
-        forward.rotate_volume(vol, so3.sample_uniform(np.random.default_rng(1), 1)[0], method=method)
-        assert (points[0] < 0.5 * 32**3) if restricted else points == [32**3]
+        g = so3.sample_uniform(np.random.default_rng(1), 1)[0]
+        forward.rotate_volume(vol, g, method=method)
+        coords = forward._sample_points(g, 32)
+        in_grid = np.count_nonzero(((coords >= 0) & (coords <= 31)).all(axis=0))
+        if method == "tricubic":
+            assert (kept, points) == ([], [32**3])
+        else:
+            assert points == []
+            assert (kept[0] < 0.5 * 32**3) if restricted else kept == [in_grid]
 
 
 class TestProjectZ:

@@ -3,7 +3,8 @@
 The probe traces the CLI over a small config of every experiment and
 geometry, the variants a config can select (a projected sweep of an
 ``asymmetric_L`` phantom, whose sparse support takes the support-restricted
-trilinear rotation while the EM iterates take the full one, a recovery set
+trilinear rotation while the EM iterates take the full one, a tricubic sweep,
+the one shipped path to ``map_coordinates``, a recovery set
 by SNRs with all three EM modes, a loaded phantom, an isotropic-Gaussian prior
 with eta >= 1, a ``--seed`` override), every BAD_INPUTS case, four more
 config errors (not JSON, a boolean ``rel_tol``, an unknown ``method``, an
@@ -142,6 +143,7 @@ def shipped_runs(tmp_path) -> list[dict]:
     return [
         *SMALL.values(),
         {**SMALL["snr_sweep"], "projected": True, "phantom": {"kind": "asymmetric_L", "n": 12, "seed": 1}},
+        {**SMALL["snr_sweep"], "method": "tricubic"},
         {**recover2d, "snrs": [1.0], "assignment_modes": list(reconstruct.ASSIGNMENTS)},
         {**SMALL["snr_sweep"], "phantom": {"kind": "loaded", "path": str(loaded)}},
         {**SMALL["prior_mismatch"], "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1.5}]},

@@ -447,6 +447,18 @@ class TestRegisteredPcc:
         assert reconstruct.registered_pcc(final, vbar, group) == oracle
         assert oracle > reconstruct.pcc(final, vbar)
 
+    def test_is_the_max_of_each_pcc_bit_for_bit(self):
+        # the truth is centred once per registration; each score keeps the
+        # bytes of its own pcc, over more than one window of noisy volumes
+        rng = np.random.default_rng(12)
+        truth = forward.make_phantom("gaussian_blobs", 12, seed=2) + 0.1 * rng.normal(size=(12, 12, 12))
+        final = truth + 0.5 * rng.normal(size=truth.shape)
+        rotations = so3.sample_uniform(rng, reconstruct.CHUNK + 5)
+        scores = [reconstruct.pcc(final, truth)]
+        scores += [reconstruct.pcc(forward.rotate_volume(final, g), truth) for g in rotations]
+        registered = reconstruct.registered_pcc(final, truth, reconstruct.Rotations(rotations))
+        assert np.float64(registered).tobytes() == np.float64(max(scores)).tobytes()
+
 
 class TestWindowedScores:
     """A candidate's scores do not depend on the other candidates: a batch

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import geodesic_distance, rot_z
+from helpers import geodesic_distance, horn_rotation, rot_z
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -33,27 +33,6 @@ class TestGeodesic:
         rng = np.random.default_rng(12)
         g1, g2 = so3.sample_uniform(rng, 2)
         assert geodesic_distance(g1, g2) == pytest.approx(geodesic_distance(g2, g1), abs=1e-12)
-
-
-def horn_rotation(a):
-    """The R maximizing tr(R^T a) by Horn's quaternion method (1987): the
-    rotation of the top eigenvector q = (w, x, y, z) of the symmetric 4x4 K
-    with q^T K q = tr(R(q)^T a), and K's eigenvalues in ascending order."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    k = np.array([
-        [a00 + a11 + a22, a21 - a12, a02 - a20, a10 - a01],
-        [a21 - a12, a00 - a11 - a22, a01 + a10, a02 + a20],
-        [a02 - a20, a01 + a10, -a00 + a11 - a22, a12 + a21],
-        [a10 - a01, a02 + a20, a12 + a21, -a00 - a11 + a22],
-    ])
-    lam, vecs = np.linalg.eigh(k)
-    w, x, y, z = vecs[:, -1]
-    r = np.array([
-        [w * w + x * x - y * y - z * z, 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), w * w - x * x + y * y - z * z, 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), w * w - x * x - y * y + z * z],
-    ])
-    return r, lam
 
 
 def assert_horn_optimal(a, rot):

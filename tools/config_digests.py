@@ -6,16 +6,19 @@ Runs each CONFIG (by default every ``configs/*.json``) through the CLI, with
 ``orient_bayes`` imported from SRC (by default this checkout's ``src``), into
 ``OUT/<config stem>/``, and writes ``OUT/digests.json``: the sha256 of every
 output file, ``{config: {file: sha256}}``, with the numpy, scipy and BLAS
-versions.  The bytes are specific to the BLAS build: block sizes such as
-``estimators.SCORE_BLOCK`` are chosen for OpenBLAS 0.3.31.
+versions, and under ``seconds`` each config's wall time.  The bytes are
+specific to the BLAS build: block sizes such as ``estimators.SCORE_BLOCK``
+are chosen for OpenBLAS 0.3.31.
 
 With ``--against EARLIER``, an OUT of an earlier run (for example of the
 parent commit, with ``--src`` at its ``src``), it prints the files that
 moved, appeared or vanished, and for a moved ``results.csv`` each moved row
-with its largest relative change, then the largest over every row.  It exits
-0 when every tree is identical, 1 when something moved, 2 when a run fails.
+with its largest relative change, then the largest over every row.  Then it
+prints each config's wall seconds in the earlier run and in this one, and
+their totals; the seconds are never compared.  It exits 0 when every tree
+is identical, 1 when something moved, 2 when a run fails.
 
-All eight shipped configs take about 2.5 minutes on a 2-vCPU x86-64 host.
+All eight shipped configs take about 2 to 2.5 minutes on a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,14 +50,17 @@ def versions() -> dict:
     }
 
 
-def run_config(config: Path, out: Path, src: Path) -> None:
-    """Run one config through the CLI in a fresh process, into ``out``."""
+def run_config(config: Path, out: Path, src: Path) -> float:
+    """Run one config through the CLI in a fresh process, into ``out``;
+    returns the process's wall seconds."""
     experiment = json.loads(config.read_text())["experiment"]
     env = {**os.environ, "PYTHONPATH": str(src)}
     cmd = [sys.executable, "-m", "orient_bayes.cli", experiment, "--config", str(config), "--out", str(out)]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{config.name} exited {proc.returncode}: {proc.stderr.strip()}")
+    return time.perf_counter() - start
 
 
 def tree_digests(tree: Path) -> dict:
@@ -130,6 +137,22 @@ def compare(earlier: Path, tree: Path) -> list[str]:
     return lines
 
 
+def wall_times(earlier: Path, seconds: dict) -> list[str]:
+    """One line per config of ``seconds`` with its wall seconds in the
+    earlier OUT's digests.json ("?" where it records none) and in
+    ``seconds``, then a line with the totals over those configs."""
+    path = earlier / DIGESTS
+    before = json.loads(path.read_text()).get("seconds", {}) if path.exists() else {}
+
+    def shown(value):
+        return "?" if value is None else f"{value:.1f}"
+
+    lines = [f"{name}: {shown(before.get(name))} -> {shown(after)} s" for name, after in seconds.items()]
+    total = sum(before[name] for name in seconds) if all(name in before for name in seconds) else None
+    lines.append(f"all {len(seconds)} configs: {shown(total)} -> {shown(sum(seconds.values()))} s")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory for the output trees and digests.json")
@@ -139,18 +162,20 @@ def main(argv=None) -> int:
     args = parser.parse_intermixed_args(argv)
     configs = args.configs or sorted((ROOT / "configs").glob("*.json"))
     args.out.mkdir(parents=True, exist_ok=True)
+    seconds = {}
     try:
         for config in configs:
-            run_config(config.resolve(), args.out / config.stem, args.src.resolve())
+            seconds[config.stem] = round(run_config(config.resolve(), args.out / config.stem, args.src.resolve()), 3)
     except RuntimeError as exc:
         print(f"config_digests: {exc}", file=sys.stderr)
         return 2
-    digests = {**versions(), "configs": tree_digests(args.out)}
+    digests = {**versions(), "configs": tree_digests(args.out), "seconds": seconds}
     (args.out / DIGESTS).write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     if args.against is None:
         return 0
     lines = compare(args.against, args.out)
     print("\n".join(lines) if lines else f"identical: {len(configs)} config trees")
+    print("\n".join(wall_times(args.against, seconds)))
     return 1 if lines else 0
 
 
