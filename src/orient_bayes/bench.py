@@ -11,6 +11,7 @@ through numpy seed sequences, so results do not depend on worker count.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import sys
@@ -29,6 +30,12 @@ from . import blas, estimators, forward, reconstruct, so3
 DEFAULT_MODES = ("mmse_align", "hard_map")
 # The edge length of a generated phantom that gives no n.
 DEFAULT_PHANTOM_N = 32
+# The polar grid of a config that gives no polar size.
+DEFAULT_POLAR = {"d_radial": 300, "l_angular": 30}
+# The largest count a config gives (L, trials, M, noise_seeds, an L_values
+# entry, d_radial, l_angular, d_radial * l_angular): every array then has
+# fewer than 2**60 elements, so a run too large to allocate is a MemoryError.
+MAX_COUNT = 2**30 - 1
 # Rows of a sweep task, one scoring block: two workers hold two blocks of
 # noisy rows, not a level's batch.
 SWEEP_BLOCK = estimators.SCORE_BLOCK
@@ -93,7 +100,6 @@ class ExperimentConfig:
     assignment_modes: tuple | None = None
     max_iters: int = 100
     rel_tol: float = 1e-4
-    method: str = "trilinear"
     geometry: str = "polar"  # einstein_noise only
     noise_seeds: int = 10
 
@@ -128,8 +134,10 @@ class ExperimentConfig:
         if unread:
             raise ConfigError(f"{self.experiment} does not read {unread}: leave them out or at their defaults")
         # JSON integers: reconstruct also takes a numpy max_iters, which results.json could not hold
-        for name in ("seed", "L", "trials", "M", "max_iters", "noise_seeds"):
-            _check_int(name, getattr(self, name), 0 if name == "seed" else 1)
+        _check_int("seed", self.seed, 0)
+        _check_int("max_iters", self.max_iters, 1)
+        for name in ("L", "trials", "M", "noise_seeds"):
+            _check_int(name, getattr(self, name), 1, MAX_COUNT)
         for name in ("sigmas", "snrs"):
             _check_levels(name, getattr(self, name))
         for sigma in self.sigmas or []:
@@ -139,7 +147,6 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} takes the noise level once, in sigmas or snrs; got {levels}")
         if self.experiment == "einstein_noise" and len(self.sigmas or []) > 1:
             raise ConfigError("einstein_noise takes at most one entry in sigmas")
-        _apply_rule("", forward.interpolation_order, self.method)
         if not isinstance(self.projected, bool):
             raise ConfigError(f"projected must be true or false, got {self.projected!r}")
         for name in ("phantom", "template_phantom"):
@@ -150,10 +157,12 @@ class ExperimentConfig:
             if len(set(sizes)) > 1:
                 raise ConfigError(f"phantom and template_phantom must have the same n, got {sizes}")
         if self.polar is not None:
-            _check_keys("polar", self.polar, ("d_radial", "l_angular"))
-            for name in ("d_radial", "l_angular"):
-                if name in self.polar:
-                    _check_int(f"polar {name}", self.polar[name], 1)
+            _check_keys("polar", self.polar, DEFAULT_POLAR)
+            polar = {**DEFAULT_POLAR, **self.polar}
+            for name, value in polar.items():
+                _check_int(f"polar {name}", value, 1, MAX_COUNT)
+            if polar["d_radial"] * polar["l_angular"] > MAX_COUNT:
+                raise ConfigError(f"polar d_radial * l_angular must be <= {MAX_COUNT}, got {polar}")
         if self.truth_prior is not None:
             _check_prior("truth_prior", self.truth_prior)
         if self.estimation_priors is not None:
@@ -167,9 +176,11 @@ class ExperimentConfig:
             raise ConfigError("snr_sweep takes at most one entry in estimation_priors")
         if self.experiment == "grid_sweep":
             ls = self.L_values
-            ints = isinstance(ls, (list, tuple)) and all(_is_int(v) and v >= 1 for v in ls)
+            ints = isinstance(ls, (list, tuple)) and all(_is_int(v) and 1 <= v <= MAX_COUNT for v in ls)
             if not (ints and len(set(ls)) == len(ls) > 1):
-                raise ConfigError(f"L_values must be a list of >= 2 distinct integers >= 1, got {ls!r}")
+                raise ConfigError(
+                    f"L_values must be a list of >= 2 distinct integers from 1 to {MAX_COUNT}, got {ls!r}"
+                )
         modes = self.assignment_modes
         if modes is not None and not (isinstance(modes, (list, tuple)) and modes):
             raise ConfigError(f"assignment_modes must be a non-empty list, got {modes!r}")
@@ -198,9 +209,10 @@ def _check_choice(name: str, value, choices) -> None:
         raise ConfigError(f"{name} must be one of {list(choices)}, got {value!r}")
 
 
-def _check_int(name: str, value, low: int) -> None:
-    if not (_is_int(value) and value >= low):
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_int(name: str, value, low: int, high: int | None = None) -> None:
+    if not (_is_int(value) and value >= low and (high is None or value <= high)):
+        bound = "" if high is None else f" and <= {high}"
+        raise ConfigError(f"{name} must be an integer >= {low}{bound}, got {value!r}")
 
 
 def _check_levels(name: str, values) -> None:
@@ -358,16 +370,14 @@ def _error_records(cfg, sigma, snr, L, label, errors) -> ResultRecord:
 
 
 def _candidates(cfg: ExperimentConfig, vbar, prior, L: int, seed: int):
-    return estimators.CandidateSet.build(
-        vbar, prior, L, seed=seed, projected=cfg.projected, method=cfg.method, map=parallel_map
-    )
+    return estimators.CandidateSet.build(vbar, prior, L, seed=seed, projected=cfg.projected, map=parallel_map)
 
 
 def _sweep_inputs(cfg: ExperimentConfig):
     """The sweep phantom, the true rotations, and their clean observations."""
     vbar = _phantom_from_spec(cfg.phantom)
     rotations = _true_rotations(cfg, _prior_from_spec(cfg.truth_prior), cfg.trials)
-    return vbar, rotations, forward.rotated_stack(vbar, rotations, cfg.method, cfg.projected, parallel_map)
+    return vbar, rotations, forward.rotated_stack(vbar, rotations, cfg.projected, parallel_map)
 
 
 def _sweep(cfg: ExperimentConfig, vbar, rotations, clean, L: int, estimates) -> list[ResultRecord]:
@@ -454,10 +464,9 @@ def run_grid_sweep(cfg: ExperimentConfig):
 
 
 def _polar_phantom(cfg: ExperimentConfig, spec: dict | None, default_seed: int) -> np.ndarray:
-    polar = cfg.polar or {}
-    return forward.make_polar_phantom(
-        polar.get("d_radial", 300), polar.get("l_angular", 30), seed=(spec or {}).get("seed", default_seed)
-    )
+    polar = {**DEFAULT_POLAR, **(cfg.polar or {})}
+    seed = (spec or {}).get("seed", default_seed)
+    return forward.make_polar_phantom(polar["d_radial"], polar["l_angular"], seed=seed)
 
 
 def _check_not_constant(name: str, phantom: np.ndarray) -> None:
@@ -475,13 +484,13 @@ def _template_and_group(cfg: ExperimentConfig, geometry: str):
         template = _polar_phantom(cfg, cfg.template_phantom, 2)
         return template, reconstruct.Shifts(template.shape[1], parallel_map)
     cands = estimators.candidate_rotations(so3.RotationPrior.uniform(), cfg.L, cfg.seed + _K_CANDS)
-    return _phantom_from_spec(cfg.template_phantom), reconstruct.Rotations(cands, cfg.method, parallel_map)
+    return _phantom_from_spec(cfg.template_phantom), reconstruct.Rotations(cands, parallel_map)
 
 
 def _em(cfg: ExperimentConfig, name: str, template, group, tag: int, clean=None, truth=None, sigmas=None) -> Outputs:
     """Every mode's EM from ``template`` over ``group`` on batch k of M rows
-    at noise level sigmas[k] (by default the config's levels of ``truth``),
-    one batch after another.  Row t of batch k is clean(t, rng) plus noise,
+    at the k-th noise level of ``sigmas`` (by default the config's levels of
+    ``truth``), one batch after another.  Row t of batch k is clean(t, rng) plus noise,
     or noise alone without ``clean``, from a generator keyed [seed, tag, k, t]
     that the clean row draws from first; the group's map draws the rows.  The
     last batch is released before the next is drawn, and BLAS runs on one
@@ -539,7 +548,7 @@ def run_recover3d(cfg: ExperimentConfig):
     rotations = _true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
 
     def rotated(t, rng):
-        return forward.rotate_volume(truth, rotations[t], cfg.method).ravel()
+        return forward.rotate_volume(truth, rotations[t]).ravel()
 
     return _em(cfg, cfg.experiment, template, group, _K_NOISE, rotated, truth)
 
@@ -549,7 +558,7 @@ def run_einstein_noise(cfg: ExperimentConfig):
     seeds: one batch per seed."""
     sigma = float((cfg.sigmas or [1.0])[0])
     template, group = _template_and_group(cfg, cfg.geometry)
-    runs = _em(cfg, "einstein", template, group, _K_NOISE, sigmas=[sigma] * cfg.noise_seeds)
+    runs = _em(cfg, "einstein", template, group, _K_NOISE, sigmas=itertools.repeat(sigma, cfg.noise_seeds))
     labels = [f"{mode}/template" for mode in cfg.assignment_modes or DEFAULT_MODES]
     # each run's record holds its one PCC
     pccs = {label: [r.metric_mean for r in runs.records if r.estimator == label] for label in labels}
@@ -585,8 +594,8 @@ def emit_json(cfg: ExperimentConfig, records, path, extra: dict | None = None) -
 # besides experiment and seed.
 Experiment = namedtuple("Experiment", "run reads")
 # The fields an EM geometry adds: the polar grid, or the rotation grid of a volume.
-_GEOMETRY_READS = {"polar": ("polar",), "volume": ("L", "method")}
-_SWEEP_READS = ("trials", "sigmas", "snrs", "truth_prior", "phantom", "projected", "method")
+_GEOMETRY_READS = {"polar": ("polar",), "volume": ("L",)}
+_SWEEP_READS = ("trials", "sigmas", "snrs", "truth_prior", "phantom", "projected")
 _EM_READS = ("sigmas", "template_phantom", "M", "assignment_modes", "max_iters", "rel_tol")
 
 EXPERIMENTS = {

@@ -25,17 +25,22 @@ _THREAD_CALLS = tuple(
 )
 
 
-@functools.cache
 def thread_calls() -> list:
     """(get, set) of the thread count of every OpenBLAS this process has
-    loaded; none where no OpenBLAS is loaded or /proc/self/maps is absent."""
+    loaded by now; none where no OpenBLAS is loaded or /proc/self/maps is
+    absent.  Each call reads the maps again, so a library loaded later (as
+    scipy's, on its first import) is found."""
     maps = Path("/proc/self/maps")
     lines = maps.read_text().splitlines() if maps.exists() else []
     paths = sorted({line.split(None, 5)[-1] for line in lines if "openblas" in line})
-    libs = [ctypes.CDLL(path) for path in paths if Path(path).is_file()]
-    calls = [
-        (getattr(lib, get), getattr(lib, set_)) for lib in libs for get, set_ in _THREAD_CALLS if hasattr(lib, set_)
-    ]
+    return [call for path in paths if Path(path).is_file() for call in _library_calls(path)]
+
+
+@functools.cache
+def _library_calls(path: str) -> list:
+    """(get, set) of the thread count of the OpenBLAS at ``path``, opened once."""
+    lib = ctypes.CDLL(path)
+    calls = [(getattr(lib, get), getattr(lib, set_)) for get, set_ in _THREAD_CALLS if hasattr(lib, set_)]
     for get, set_ in calls:
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
@@ -44,8 +49,9 @@ def thread_calls() -> list:
 
 class _OneThread:
     """A scope in which every loaded OpenBLAS runs on one thread.  The count is
-    process-wide, so open scopes are counted: the first to open saves the
-    counts and sets them to 1, and the last to close restores them."""
+    process-wide, so open scopes are counted: the first to open finds the
+    loaded libraries, saves their counts and sets them to 1, and the last to
+    close restores them."""
 
     _lock = threading.Lock()
     _open = 0

@@ -16,7 +16,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import bench, forward
+from . import bench, estimators, forward
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,8 +44,9 @@ def main(argv=None) -> int:
         return 2
     try:
         bench.run_experiment(cfg, args.out)
-    except (bench.ConfigError, forward.FileFormatError) as exc:
+    except (bench.ConfigError, forward.FileFormatError, estimators.WeightRangeError) as exc:
         # what only the run can check: a phantom file's contents and size, a noise level set by an SNR
+        # or too far from the data's scale to score it
         print(f"orient-bayes: config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

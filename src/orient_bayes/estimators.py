@@ -21,6 +21,10 @@ class ZeroVarianceError(ValueError):
     pass
 
 
+class WeightRangeError(ValueError):
+    """An observation's log-weights have no finite maximum under the variance."""
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """L candidate rotations with precomputed templates x_l = Pi(g_l^-1 . vbar).
@@ -45,13 +49,12 @@ class CandidateSet:
         count: int,
         seed: int,
         projected: bool = False,
-        method: str = "trilinear",
         map=map,
     ) -> "CandidateSet":
         """``map`` is an order-preserving map over candidate indices (see
         :func:`forward.rotated_stack`); any map gives the same bytes."""
         rotations = candidate_rotations(prior, count, seed)
-        templates = forward.rotated_stack(vbar, rotations, method, projected, map)
+        templates = forward.rotated_stack(vbar, rotations, projected, map)
         return cls(rotations=rotations, templates=templates, prior=prior)
 
 
@@ -71,13 +74,6 @@ def _batch(ys, x: np.ndarray) -> np.ndarray:
 def squared_norms(a: np.ndarray) -> np.ndarray:
     """||a_i||^2 of every row of a 2-D array."""
     return np.einsum("id,id->i", a, a)
-
-
-def _normalized(log_w: np.ndarray) -> np.ndarray:
-    # max-subtracted before exponentiation so the weights stay finite for any sigma
-    log_w -= log_w.max(axis=1, keepdims=True)
-    log_w -= np.log(np.sum(np.exp(log_w), axis=1, keepdims=True))
-    return log_w
 
 
 @dataclass(frozen=True)
@@ -118,10 +114,20 @@ class Scores:
 
     def log_weights(self, var) -> np.ndarray:
         """Normalized log posterior weights under the variance ``var``, (M, L):
-        log w_l = -||y - x_l||^2 / (2 var), normalized per row."""
+        log w_l = -||y - x_l||^2 / (2 var), normalized per row; a log-weight
+        past the double range is a weight of 0.  A row with no finite maximum
+        (a tiny sigma overflows every log-weight, or a huge one a squared
+        norm) raises WeightRangeError."""
         if var == 0:
             raise ZeroVarianceError("the variance is zero: posterior weights need sigma > 0")
-        return _normalized(-(self.y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or a nan fails the maximum's check
+            log_w = -(self.y_sq[:, None] - 2.0 * self.cross + self.x_sq[None, :]) / (2.0 * var)
+        top = log_w.max(axis=1, keepdims=True)  # subtracted before exponentiation, so the weights stay finite
+        if not np.isfinite(top).all():
+            raise WeightRangeError(f"under the variance {var!r} an observation's log-weights have no finite maximum")
+        log_w -= top
+        log_w -= np.log(np.sum(np.exp(log_w), axis=1, keepdims=True))
+        return log_w
 
 
 def normalized_log_weights(ys: np.ndarray, x: np.ndarray, var) -> np.ndarray:

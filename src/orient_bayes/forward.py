@@ -4,12 +4,11 @@ Volumes are (n, n, n) float arrays indexed [x, y, z] with coordinates
 centered at the grid midpoint; polar images are (d_radial, l_angular)
 arrays whose angular axis wraps around.
 
-A trilinear rotation runs a numpy kernel that writes the bytes of one
-``ndimage.map_coordinates`` call; that call itself serves only tricubic
-rotations and volumes that hold a NaN or an infinity.  So scipy.ndimage
-loads at the first such rotation or ``asymmetric_L`` phantom, not at import
-or at a trilinear rotation: polar runs, config errors and ``--help`` load
-numpy and the standard library only.
+A volume rotation is trilinear, by a numpy kernel that writes the bytes of
+one ``ndimage.map_coordinates(order=1, mode="constant")`` call.  So
+scipy.ndimage loads only for an ``asymmetric_L`` phantom, not at import or
+at a rotation: polar runs, config errors and ``--help`` load numpy and the
+standard library only.
 """
 
 from __future__ import annotations
@@ -60,20 +59,10 @@ def _centered_grid(n: int) -> np.ndarray:
     return grid
 
 
-# Interpolation method -> spline order of ndimage.map_coordinates.
-INTERPOLATION_ORDERS = {"trilinear": 1, "tricubic": 3}
 PHANTOM_KINDS = ("gaussian_blobs", "asymmetric_L", "loaded")
 MIN_PHANTOM_N = 8
 # A generated phantom's largest edge: one 512^3 volume is 1 GiB of doubles.
 MAX_PHANTOM_N = 512
-
-
-def interpolation_order(method) -> int:
-    """The spline order of ``method``; ValueError unless it is the string name
-    of an INTERPOLATION_ORDERS entry."""
-    if not (isinstance(method, str) and method in INTERPOLATION_ORDERS):
-        raise ValueError(f"method must be one of {list(INTERPOLATION_ORDERS)}, got {method!r}")
-    return INTERPOLATION_ORDERS[method]
 
 
 def _read_bounds(vol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +123,8 @@ def _trilinear(vol: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
     finite voxel its clipped flat index lands on.  Either term is +0.0 or
     -0.0, and adding a zero changes no bit of t: t starts at +0.0 and so is
     never -0.0 (+0 + -0 and x + -x are +0).  A NaN or an infinity would make
-    that term a NaN whose payload can differ from scipy's, so a volume that
-    holds one is not for this kernel.
+    that term a NaN whose payload can differ from scipy's, so
+    :func:`rotate_volume` admits finite volumes only.
 
     Only the kept points' coordinates outlive :func:`_kept_points`, and the
     sum is accumulated in the head of ``out``, so besides ``out`` a rotation
@@ -168,41 +157,29 @@ def _trilinear(vol: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
     out[keep] = t
 
 
-def rotate_volume(
-    vol: np.ndarray, g: np.ndarray, method: str = "trilinear", out: np.ndarray | None = None
-) -> np.ndarray:
-    """Apply the inverse-rotation action: output(x) = vol(g x).
+def rotate_volume(vol: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the inverse-rotation action by trilinear interpolation:
+    output(x) = vol(g x).
 
-    Samples outside the source grid read as zero.  The identity is returned
-    bit-exactly; axis-aligned quarter turns land on grid points and are exact
-    under trilinear interpolation.  Every rotation writes the bytes of one
-    ``ndimage.map_coordinates`` call over every sample point in constant
-    mode: a trilinear rotation of a finite volume through the numpy kernel
-    :func:`_trilinear`, a tricubic rotation or a volume with a NaN or an
-    infinity through that call.  ``out``, a flat array of vol.size doubles,
+    ``vol`` must be a finite cube of edge >= 2.  Samples outside the source
+    grid read as zero; axis-aligned quarter turns, the identity among them,
+    land on grid points and are exact.  The kernel :func:`_trilinear` writes
+    the bytes of one ``ndimage.map_coordinates`` call over every sample
+    point in constant mode.  ``out``, a flat array of vol.size doubles,
     receives the result in place; the return value is an (n, n, n) view of
     it.
     """
     vol = np.asarray(vol, dtype=float)
-    n = vol.shape[0]
-    if vol.shape != (n, n, n):
-        raise ValueError("volume must be cubic")
-    g = np.asarray(g, dtype=float)
-    order = interpolation_order(method)
+    n = vol.shape[0] if vol.ndim == 3 else 0
+    if n < 2 or vol.shape != (n, n, n) or not np.isfinite(vol).all():
+        raise ValueError(f"a rotated volume must be a finite cube of edge >= 2, got shape {vol.shape}")
     if out is None:
         out = np.empty(vol.size)
-    if np.array_equal(g, np.eye(3)):
-        out[:] = vol.ravel()
-    elif order == 1 and n > 1 and np.isfinite(vol).all():
-        _trilinear(np.ascontiguousarray(vol), g, out)
-    else:
-        from scipy import ndimage
-
-        ndimage.map_coordinates(vol, _sample_points(g, n), output=out, order=order, mode="constant", cval=0.0)
+    _trilinear(np.ascontiguousarray(vol), np.asarray(g, dtype=float), out)
     return out.reshape(n, n, n)
 
 
-def rotated_stack(vol, rotations, method: str = "trilinear", projected: bool = False, map=map) -> np.ndarray:
+def rotated_stack(vol, rotations, projected: bool = False, map=map) -> np.ndarray:
     """Row i is g_i^-1 . vol, projected by :func:`project_z` if ``projected``,
     flattened: a :func:`blas.fill <orient_bayes.blas.fill>` of one row a call
     through the order-preserving ``map`` (an unprojected rotation writes
@@ -213,9 +190,9 @@ def rotated_stack(vol, rotations, method: str = "trilinear", projected: bool = F
     def fill(rows):  # one row a call
         i = rows.start
         if projected:
-            out[i] = project_z(rotate_volume(vol, rotations[i], method=method)).ravel()
+            out[i] = project_z(rotate_volume(vol, rotations[i])).ravel()
         else:
-            rotate_volume(vol, rotations[i], method=method, out=out[i])
+            rotate_volume(vol, rotations[i], out=out[i])
 
     blas.fill(map, fill, len(rotations))
     return out

@@ -3,8 +3,8 @@
 The reconstruction model has no projection: each observation is a copy of
 the structure acted on by one element of a group, plus noise.  The caller
 picks the group: :class:`Shifts`, the exact cyclic shifts of a polar image
-(interpolation-free), or :class:`Rotations`, volume rotation by grid
-interpolation over a rotation grid.
+(interpolation-free), or :class:`Rotations`, trilinear volume rotation
+over a rotation grid.
 
 A group runs its work through an order-preserving ``map``, for example on a
 worker pool: its elements' actions, and as a :func:`blas.fill
@@ -170,30 +170,29 @@ class Shifts(_Group):
 
 
 class Rotations(_Group):
-    """Volume rotation by grid interpolation over an (L, 3, 3) array of
+    """Volume rotation by trilinear interpolation over an (L, 3, 3) array of
     rotations.  ``map`` is an order-preserving map (the builtin by default)
     that runs the rotations and the batch products' blocks, for example on a
     worker pool."""
 
-    def __init__(self, rotations: np.ndarray, method: str = "trilinear", map=map):
+    def __init__(self, rotations: np.ndarray, map=map):
         rotations = np.asarray(rotations, dtype=float)
         if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
             raise ValueError(f"rotations must be an (L, 3, 3) array, got shape {rotations.shape}")
         super().__init__(rotations.shape[0], map)
         self.rotations = rotations
-        self.method = method
 
     def templates(self, v: np.ndarray, window: slice = slice(None)) -> np.ndarray:
-        return forward.rotated_stack(v, self.rotations[window], self.method, map=self.map)
+        return forward.rotated_stack(v, self.rotations[window], map=self.map)
 
     def back(self, ell: int, u: np.ndarray) -> np.ndarray:
-        return forward.rotate_volume(u, self.rotations[ell].T, method=self.method)
+        return forward.rotate_volume(u, self.rotations[ell].T)
 
     def mmse_average(self, ys: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Back-rotate each observation by its Procrustes-rounded posterior-mean
         rotation, then average."""
         aligned = estimators.mmse_rotations(w, self.rotations)
-        out = self.summed(lambda i: forward.rotate_volume(ys[i], aligned[i].T, self.method), range(len(ys)))
+        out = self.summed(lambda i: forward.rotate_volume(ys[i], aligned[i].T), range(len(ys)))
         return out / len(ys)
 
 

@@ -91,6 +91,13 @@ BAD_INPUTS = {
     "sigma-variance-underflows": {"sigmas": [1e-300]},
     "sigma-too-large-for-a-double": {"sigmas": [10**400]},
     "snr-sigma-variance-overflows": {"sigmas": None, "snrs": [5e-324]},
+    # sigma^2 is a normal double, but a row's log-weights have no finite
+    # maximum: a squared norm overflows, or every log-weight does
+    "snr-sweep-squared-norm-overflows": {"sigmas": [9e153]},
+    "recover2d-log-weights-overflow": {"experiment": "recover2d", "sigmas": [2e-154]},
+    "recover2d-soft-em-squared-norm-overflows": {
+        "experiment": "recover2d", "sigmas": [9e153], "assignment_modes": ["soft_em"]
+    },
     # a zero signal gives sigma 0 for every SNR, where the SNR is undefined
     "snr-of-a-zero-signal": {"sigmas": None, "snrs": [1.0], "phantom": {"kind": "loaded", "path": "<zero.obv>"}},
     # an EM run scores its estimates by PCC against the truth and the template,
@@ -107,10 +114,24 @@ BAD_INPUTS = {
     },
     # (n - 1) / 2.0 overflows a double before any voxel is allocated
     "phantom-n-too-large-for-a-double": {"phantom": {"kind": "asymmetric_L", "n": 10**400}},
-    # runs too large to allocate: numpy refuses petabytes at once, more than
-    # any address space holds, so nothing is allocated
+    # counts past bench.MAX_COUNT, one at a time, and a polar grid whose
+    # size is: numpy cannot address the arrays some of them ask for
     "snr-sweep-trials-too-many-to-allocate": {"trials": 10**15},
-    "recover2d-M-too-many-to-allocate": {"experiment": "recover2d", "M": 10**12},
+    "snr-sweep-L-past-the-count-cap": {"L": 10**20},
+    "snr-sweep-trials-past-the-count-cap": {"trials": 2**63 - 1},
+    "recover2d-M-past-the-count-cap": {"experiment": "recover2d", "M": 10**20},
+    "grid-sweep-L-values-entry-past-the-count-cap": {"experiment": "grid_sweep", "L_values": [10, 2**63 - 1]},
+    "recover2d-d-radial-past-the-count-cap": {"experiment": "recover2d", "polar": {"d_radial": 2**63 - 1}},
+    "recover2d-polar-size-past-the-count-cap": {
+        "experiment": "recover2d", "polar": {"d_radial": 2**20, "l_angular": 2**20}
+    },
+    "einstein-noise-seeds-past-the-count-cap": {"experiment": "einstein_noise", "noise_seeds": 10**20},
+    # a run within the caps too large to allocate: numpy refuses 600 TiB of
+    # observation rows at once, more than an x86-64 address space holds, so
+    # nothing is allocated
+    "recover2d-M-too-many-to-allocate": {
+        "experiment": "recover2d", "M": 2**30 - 1, "polar": {"d_radial": 300, "l_angular": 256}
+    },
 }
 VOLUME_FILES = {
     "bad.obv": lambda path: path.write_bytes(b"OBV2" + bytes(12)),

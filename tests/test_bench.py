@@ -39,7 +39,6 @@ NON_DEFAULT = {
     "assignment_modes": ["soft_em"],
     "max_iters": 3,
     "rel_tol": 0.01,
-    "method": "tricubic",
     "geometry": "volume",
     "noise_seeds": 3,
 }
@@ -296,21 +295,20 @@ class TestSweeps:
         assert np.array_equal(pooled, serial)
 
     @pytest.mark.parametrize("threads", ["1", None], ids=["OB_THREADS=1", "default"])
-    @pytest.mark.parametrize("method", sorted(forward.INTERPOLATION_ORDERS))
-    def test_recover3d_rows_are_the_clean_stack_plus_noise(self, monkeypatch, method, threads):
+    def test_recover3d_rows_are_the_clean_stack_plus_noise(self, monkeypatch, threads):
         # recover3d rotates and draws each row in one task: its bytes are those
         # of the clean stack's row plus the sweeps' noise row of the same key
         if threads is None:
             monkeypatch.delenv("OB_THREADS", raising=False)
         else:
             monkeypatch.setenv("OB_THREADS", threads)
-        raw = {**SMALL["recover3d"], "M": 9, "method": method, "sigmas": [0.05, 0.3], "max_iters": 1,
+        raw = {**SMALL["recover3d"], "M": 9, "sigmas": [0.05, 0.3], "max_iters": 1,
                "assignment_modes": ["hard_map"]}
         cfg = bench.ExperimentConfig.from_dict(raw)
         truth = forward.make_phantom("gaussian_blobs", 10, seed=1)
         rotations = bench._true_rotations(cfg, so3.RotationPrior.uniform(), cfg.M)
         key = [cfg.seed, bench._K_NOISE, 1]
-        stack = forward.rotated_stack(truth, rotations, method)
+        stack = forward.rotated_stack(truth, rotations)
         oracle = bench._noisy(key, stack.shape, 0.3, map, lambda t, rng: stack[t])
         assert np.array_equal(batch_rows(monkeypatch, bench.run_recover3d, cfg)[1], oracle)
 
@@ -493,6 +491,38 @@ class TestParallelMapBlas:
         assert sorted(start for start, _ in seen) == [0, 2, 4, 6]
         assert all(inside == [1] * len(counts()) for _, inside in seen)
         assert counts() == [2] * len(counts())
+
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps to find libraries in")
+    def test_a_library_loaded_after_a_scope_is_pinned_by_the_next(self):
+        # a fresh interpreter holds numpy's OpenBLAS only; scipy.ndimage loads
+        # scipy's own, which the next outermost scope must find and pin
+        script = """
+import ctypes, json
+from orient_bayes import blas
+
+def counts():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split(None, 5)[-1].strip() for line in fh if "openblas" in line})
+    libs = [ctypes.CDLL(path) for path in paths]
+    return [next(getattr(lib, get)() for get, _ in blas._THREAD_CALLS if hasattr(lib, get)) for lib in libs]
+
+with blas.ONE_THREAD:
+    first = counts()
+import scipy.ndimage
+with blas.ONE_THREAD:
+    second = counts()
+print(json.dumps({"first": first, "second": second, "after": counts()}))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="2")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        if len(result["second"]) != len(result["first"]) + 1:
+            pytest.skip(f"scipy.ndimage loaded no OpenBLAS of its own: {result}")
+        assert result["first"] == [1] and result["second"] == [1, 1]
+        assert result["after"] == [2, 2]
 
 
 class TestEmBlas:
@@ -690,7 +720,7 @@ class TestCli:
             {"experiment": "recover2d", "projected": True},
             {"experiment": "recover3d", "projected": True},
             {"experiment": "einstein_noise", "projected": True},
-            {"method": "bicubic"},
+            {"method": "trilinear"},
             {"experiment": "recover2d", "rel_tol": 0},
             {"phantom": {"kind": "cube"}},
             {"phantom": {"n": 4}},
@@ -723,8 +753,8 @@ class TestCli:
             {"phantom": {"kind": "gaussian_blobs", "n": 12, "seed": 1, "sed": 5}},
             {"projected": "false"},
             {"projected": 0},
-            {"method": ["trilinear"]},
-            {"method": {"a": 1}},
+            {"L": 2**30},
+            {"experiment": "recover2d", "polar": {"l_angular": 2**62}},
             {"geometry": ["polar"]},
             {"phantom": {"kind": "loaded", "path": ["volume.obv"]}},
             {"phantom": {"kind": "loaded", "path": {"a": 1}}},
@@ -763,6 +793,15 @@ class TestCli:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, done.stderr
         assert "config error" in done.stderr and "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr  # no warning either
+
+    @pytest.mark.parametrize("name", ["snr_sweep", "recover3d", "einstein_noise_volume"])
+    def test_a_method_field_is_unknown(self, tmp_path, capsys, name):
+        # every rotation is trilinear, so a config naming the old default is an error
+        raw = dict(SMALL[name], method="trilinear")
+        cfg_path = self.write_config(tmp_path, raw)
+        assert cli.main([raw["experiment"], "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown config fields: ['method']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, field", UNREAD, ids=[f"{name}-{field}" for name, field in UNREAD])
     def test_unread_field_exit_code(self, tmp_path, capsys, name, field):
@@ -941,7 +980,7 @@ class TestCli:
         # a fresh interpreter: the test modules themselves import scipy
         runs = []
         for name, raw in [("recover2d", SMALL["recover2d"]), ("einstein_noise", SMALL["einstein_noise"]),
-                          ("bad", {**SMALL["recover2d"], "method": "bicubic"})]:
+                          ("bad", {**SMALL["recover2d"], "method": "trilinear"})]:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(raw))
             runs.append([raw["experiment"], "--config", str(path), "--out", str(tmp_path / name)])
@@ -949,7 +988,7 @@ class TestCli:
 import contextlib, io, json, sys
 import numpy as np
 import orient_bayes
-from orient_bayes import cli, forward
+from orient_bayes import cli, forward, so3
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 try:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -959,10 +998,9 @@ except SystemExit as exc:
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 quarter_turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 forward.rotate_volume(np.ones((8, 8, 8)), quarter_turn)
-after_trilinear = "scipy.ndimage" in sys.modules
-forward.rotate_volume(np.ones((8, 8, 8)), quarter_turn, method="tricubic")
-print(json.dumps({"codes": codes, "loaded": loaded, "after_trilinear": after_trilinear,
-                  "after_tricubic": "scipy.ndimage" in sys.modules}))
+forward.rotate_volume(np.ones((8, 8, 8)), so3.sample_uniform(np.random.default_rng(0), 1)[0])
+forward.rotated_stack(np.ones((8, 8, 8)), np.stack([quarter_turn, np.eye(3)]), projected=True)
+print(json.dumps({"codes": codes, "loaded": loaded, "after_rotations": "scipy.ndimage" in sys.modules}))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True,
@@ -971,9 +1009,8 @@ print(json.dumps({"codes": codes, "loaded": loaded, "after_trilinear": after_tri
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["codes"] == [0, 0, 2, 0]
         assert result["loaded"] == []
-        # the trilinear kernel is numpy; map_coordinates serves tricubic
-        assert not result["after_trilinear"]
-        assert result["after_tricubic"]
+        # every rotation is the numpy trilinear kernel
+        assert not result["after_rotations"]
 
     def test_einstein_noise_runs(self, tmp_path):
         cfg_path = self.write_config(

@@ -88,3 +88,16 @@ def test_seconds_are_never_compared(trees, tmp_path):
     ]
     (earlier / digests.DIGESTS).write_text(json.dumps({**doc, "seconds": {"recover2d": 9.0}}))
     assert digests.wall_times(earlier, {"recover2d": 1.0, "snr_sweep": 2.0})[0] == "recover2d: 9.0 -> 1.0 s"
+
+
+def test_an_out_that_holds_a_config_tree_is_refused(trees, capsys):
+    # a file the new run no longer writes would stay in the old tree and
+    # read identical; the tool exits 2 before any run and deletes nothing
+    configs, first = trees
+    before = digests.tree_digests(first)
+    digest_file = (first / digests.DIGESTS).read_bytes()
+    assert digests.main([str(first), *map(str, configs), "--against", str(first)]) == 2
+    err = capsys.readouterr().err
+    assert str(first / "snr_sweep") in err and str(first / "recover2d") in err
+    assert digests.tree_digests(first) == before
+    assert (first / digests.DIGESTS).read_bytes() == digest_file

@@ -85,6 +85,21 @@ class TestPosteriorWeights:
         with pytest.raises(estimators.ZeroVarianceError):
             weights([0.0, 0.0], cands, 0.0)
 
+    def test_a_log_weight_past_the_double_range_is_a_weight_of_zero(self):
+        # at sigma = 2e-154, 2 sigma^2 = 8e-308: every squared distance but
+        # the exact match's 0 overflows to -inf, without a warning
+        cands = make_cands([np.eye(3), rot_z(1.0)], [[0.0, 0.0], [4.0, 0.0]])
+        assert weights([0.0, 0.0], cands, 2e-154).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("sigma, y", [(2e-154, [1.0, 5.0]), (9e153, [1.5e154, -1.5e154])],
+                             ids=["every-log-weight-overflows", "squared-norm-overflows"])
+    def test_a_row_without_a_finite_log_weight_is_an_error(self, sigma, y):
+        # sigma^2 is a normal double at both ends, but the row has no finite
+        # maximum to normalize by; without the check its weights were nan
+        cands = make_cands([np.eye(3), rot_z(1.0)], [[0.0, 0.0], [4.0, 0.0]])
+        with pytest.raises(estimators.WeightRangeError, match="no finite maximum"):
+            weights(y, cands, sigma)
+
 
 class TestMapEstimate:
     def test_exact_template_match(self, volume_setup):

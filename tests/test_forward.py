@@ -22,15 +22,14 @@ def chiral_phantom():
 
 
 class TestRotateVolume:
-    @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
-    def test_identity_bit_exact(self, blob_phantom, method):
-        out = forward.rotate_volume(blob_phantom, np.eye(3), method=method)
-        assert np.array_equal(out, blob_phantom)
+    def test_identity_bit_exact(self, blob_phantom):
+        out = forward.rotate_volume(blob_phantom, np.eye(3))
+        assert_same_bytes(out, blob_phantom)
 
     def test_quarter_turn_is_permutation(self, blob_phantom):
         g = rot_z(np.pi / 2)
         g = np.round(g)  # exact 0/+-1 entries so coordinates land on grid points
-        out = forward.rotate_volume(blob_phantom, g, method="trilinear")
+        out = forward.rotate_volume(blob_phantom, g)
         # oracle: the same quarter turn as an index permutation
         expected = np.rot90(blob_phantom, k=-1, axes=(0, 1))
         interior = forward._inscribed_sphere_mask(32)
@@ -47,9 +46,8 @@ class TestRotateVolume:
 
     def test_zero_volume_preserved(self):
         g = so3.sample_uniform(np.random.default_rng(5), 1)[0]
-        for method in ("trilinear", "tricubic"):
-            out = forward.rotate_volume(np.zeros((16, 16, 16)), g, method=method)
-            assert np.array_equal(out, np.zeros((16, 16, 16)))
+        out = forward.rotate_volume(np.zeros((16, 16, 16)), g)
+        assert np.array_equal(out, np.zeros((16, 16, 16)))
 
     def test_norm_roughly_preserved(self, blob_phantom):
         g = so3.sample_uniform(np.random.default_rng(6), 1)[0]
@@ -63,18 +61,14 @@ class TestRotateVolume:
             grid[0, 0] = 1.0
         assert grid[0, 0] == -4.0
 
-    def test_unknown_method(self, blob_phantom):
-        with pytest.raises(ValueError, match="method must be one of"):
-            forward.rotate_volume(blob_phantom, np.eye(3), method="nearest")
-
-    @pytest.mark.parametrize("method", [["trilinear"], {"a": 1}, None, 1])
-    def test_non_string_method(self, blob_phantom, method):
-        # one rule for the config and the library: a ValueError naming method, not a TypeError
-        with pytest.raises(ValueError, match="method must be one of"):
-            forward.rotate_volume(blob_phantom, np.eye(3), method=method)
-
-    def test_interpolation_orders(self):
-        assert [forward.interpolation_order(m) for m in ("trilinear", "tricubic")] == [1, 3]
+    @pytest.mark.parametrize(
+        "vol",
+        [np.ones((1, 1, 1)), np.ones((8, 8, 9)), np.ones((8, 8)), np.float64(1.0)],
+        ids=["edge-1", "not-cubic", "2-d", "0-d"],
+    )
+    def test_rejects_a_volume_that_is_not_a_cube_of_edge_two_or_more(self, vol):
+        with pytest.raises(ValueError, match="finite cube of edge >= 2"):
+            forward.rotate_volume(vol, np.eye(3))
 
 
 SIGNED_PERMUTATIONS = [
@@ -88,20 +82,26 @@ rotations = st.sampled_from(QUARTER_TURNS) | st.integers(0, 2**32 - 1).map(
     lambda seed: so3.sample_uniform(np.random.default_rng(seed), 1)[0]
 )
 # finite values of both signs, signed zeros, and the non-finite values a
-# nonzero-bits box counts too
+# rotation rejects
 voxels = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
-def one_call(vol, g, method):
-    """The oracle: one map_coordinates call over every sample point, or for
-    the identity a copy."""
+def one_call(vol, g):
+    """The oracle: one trilinear map_coordinates call over every sample point."""
     n = vol.shape[0]
-    if np.array_equal(g, np.eye(3)):
-        return vol.copy()
     coords = g @ forward._centered_grid(n)
     coords += (n - 1) / 2.0
-    order = forward.interpolation_order(method)
-    return ndimage.map_coordinates(vol, coords, order=order, mode="constant", cval=0.0).reshape(n, n, n)
+    return ndimage.map_coordinates(vol, coords, order=1, mode="constant", cval=0.0).reshape(n, n, n)
+
+
+def assert_rotation_is_one_call(vol, g):
+    """The rotation's bytes are the oracle's for a finite volume; a volume
+    with a NaN or an infinity is a ValueError."""
+    if np.isfinite(vol).all():
+        assert_same_bytes(forward.rotate_volume(vol, g), one_call(vol, g))
+    else:
+        with pytest.raises(ValueError, match="finite cube"):
+            forward.rotate_volume(vol, g)
 
 
 def assert_same_bytes(a, b):
@@ -129,23 +129,24 @@ def boxed_volumes(draw):
 
 
 class TestSupportRestrictedRotation:
-    """A trilinear rotation runs a numpy kernel that interpolates only where
-    the nonzero box can be read; its bytes are those of one unrestricted
-    map_coordinates call."""
+    """A rotation runs a numpy kernel that interpolates only where the
+    nonzero box can be read; its bytes are those of one unrestricted
+    trilinear map_coordinates call, the identity and the quarter turns
+    included.  A volume with a NaN or an infinity is rejected."""
 
     @settings(max_examples=300, deadline=None)
-    @given(vol=boxed_volumes(), g=rotations, method=st.sampled_from(list(forward.INTERPOLATION_ORDERS)))
-    def test_bytes_are_one_unrestricted_call(self, vol, g, method):
-        assert_same_bytes(forward.rotate_volume(vol, g, method=method), one_call(vol, g, method))
+    @given(vol=boxed_volumes(), g=rotations)
+    def test_bytes_are_one_unrestricted_call(self, vol, g):
+        assert_rotation_is_one_call(vol, g)
 
     # corners, and voxels one layer in from a face: at p = n - 1 scipy also
-    # reads voxel n - 2, with weight 0, which a NaN or an infinity turns into NaN
+    # reads voxel n - 2, with weight 0, where the kernel reads another voxel
     @pytest.mark.parametrize("voxel", [(0, 0, 0), (7, 7, 7), (0, 7, 0), (6, 3, 3), (1, 6, 6)])
     @pytest.mark.parametrize("value", [1.5, -2.0, -0.0, np.nan, np.inf])
     def test_one_voxel_at_a_corner_or_a_face(self, voxel, value):
         vol = boxed(8, voxel, voxel, value)
         for g in [*QUARTER_TURNS, *so3.sample_uniform(np.random.default_rng(3), 8)]:
-            assert_same_bytes(forward.rotate_volume(vol, g), one_call(vol, g, "trilinear"))
+            assert_rotation_is_one_call(vol, g)
 
     @pytest.mark.parametrize("projected", [False, True], ids=["volume", "projected"])
     @pytest.mark.parametrize("pooled", [False, True], ids=["builtin-map", "parallel_map"])
@@ -154,7 +155,7 @@ class TestSupportRestrictedRotation:
         gs = np.concatenate([QUARTER_TURNS[:6], so3.sample_uniform(np.random.default_rng(8), 10)])
         rows = forward.rotated_stack(chiral_phantom, gs, projected=projected, map=bench.parallel_map if pooled else map)
         for row, g in zip(rows, gs):
-            vol = one_call(chiral_phantom, g, "trilinear")
+            vol = one_call(chiral_phantom, g)
             assert_same_bytes(row, forward.project_z(vol).ravel() if projected else vol.ravel())
 
     @pytest.mark.parametrize(
@@ -170,48 +171,32 @@ class TestSupportRestrictedRotation:
         # the sizes volume EM runs at; a noisy volume fills its grid, and a
         # strided, transposed view reaches the kernel as a copy
         for g in [*QUARTER_TURNS, *so3.sample_uniform(np.random.default_rng(11), 16)]:
-            assert_same_bytes(forward.rotate_volume(vol, g), one_call(vol, g, "trilinear"))
+            assert_same_bytes(forward.rotate_volume(vol, g), one_call(vol, g))
 
     @pytest.mark.parametrize(
-        "kind, shift, method, restricted",
-        [
-            ("asymmetric_L", 0, "trilinear", True),
-            ("asymmetric_L", -9, "trilinear", True),
-            ("gaussian_blobs", 0, "trilinear", False),
-            ("asymmetric_L", 0, "tricubic", False),
-        ],
+        "kind, shift, restricted",
+        [("asymmetric_L", 0, True), ("asymmetric_L", -9, True), ("gaussian_blobs", 0, False)],
     )
-    def test_only_a_sparse_trilinear_rotation_is_restricted(self, monkeypatch, kind, shift, method, restricted):
+    def test_only_a_sparse_trilinear_rotation_is_restricted(self, monkeypatch, kind, shift, restricted):
         # asymmetric_L's nonzero box is x 9..29, y 8..26, z 9..24 of the 32^3
         # grid, and a shift by -9 along x makes it touch one face;
         # gaussian_blobs reaches the second layer of every face, so the
-        # kernel keeps every sample point inside the grid; a tricubic
-        # prefilter spreads any support, so it takes one map_coordinates
-        # call over every point
-        kept, points = [], []
-        kept_points, sample = forward._kept_points, ndimage.map_coordinates
+        # kernel keeps every sample point inside the grid
+        kept = []
+        kept_points = forward._kept_points
 
         def counted_kept(vol, g):
             keep, p = kept_points(vol, g)
             kept.append(np.count_nonzero(keep))
             return keep, p
 
-        def counted(vol, coords, **kwargs):
-            points.append(coords.shape[1])
-            return sample(vol, coords, **kwargs)
-
         monkeypatch.setattr(forward, "_kept_points", counted_kept)
-        monkeypatch.setattr(ndimage, "map_coordinates", counted)
         vol = np.roll(forward.make_phantom(kind, 32, seed=0), shift, axis=0)
         g = so3.sample_uniform(np.random.default_rng(1), 1)[0]
-        forward.rotate_volume(vol, g, method=method)
+        forward.rotate_volume(vol, g)
         coords = forward._sample_points(g, 32)
         in_grid = np.count_nonzero(((coords >= 0) & (coords <= 31)).all(axis=0))
-        if method == "tricubic":
-            assert (kept, points) == ([], [32**3])
-        else:
-            assert points == []
-            assert (kept[0] < 0.5 * 32**3) if restricted else kept == [in_grid]
+        assert (kept[0] < 0.5 * 32**3) if restricted else kept == [in_grid]
 
 
 class TestProjectZ:

@@ -271,7 +271,7 @@ def test_csv_round_trip(rows):
 # names the config checks look for, so generated values often reach past the
 # first type check
 NAMES = st.sampled_from(
-    [*bench.EXPERIMENTS, *reconstruct.ASSIGNMENTS, *forward.INTERPOLATION_ORDERS, *forward.PHANTOM_KINDS,
+    [*bench.EXPERIMENTS, *reconstruct.ASSIGNMENTS, *forward.PHANTOM_KINDS,
      *so3.PRIOR_KINDS, "polar", "volume", "kind", "n", "seed", "path", "eta", "d_radial", "l_angular"]
 )
 json_values = st.recursive(

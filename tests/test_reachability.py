@@ -3,12 +3,11 @@
 The probe traces the CLI over a small config of every experiment and
 geometry, the variants a config can select (a projected sweep of an
 ``asymmetric_L`` phantom, whose sparse support takes the support-restricted
-trilinear rotation while the EM iterates take the full one, a tricubic sweep,
-the one shipped path to ``map_coordinates``, a recovery set
+trilinear rotation while the EM iterates take the full one, a recovery set
 by SNRs with all three EM modes, a loaded phantom, an isotropic-Gaussian prior
 with eta >= 1, a ``--seed`` override), every BAD_INPUTS case, four more
-config errors (not JSON, a boolean ``rel_tol``, an unknown ``method``, an
-experiment mismatch), an I/O error, and the README's quick example.  A
+config errors (not JSON, a boolean ``rel_tol``, the unknown field ``method``,
+an experiment mismatch), an I/O error, and the README's quick example.  A
 function that none of them reaches fails the test, named, unless ALLOWED
 lists it with its reason; so does a line of a reached function, or of a
 lambda or comprehension in one, unless ALLOWED_LINES lists it.  ``raise`` lines are exempt as a class: most
@@ -63,8 +62,6 @@ ALLOWED_LINES = {
         "a constant estimate, which no shipped config gives (a constant truth or template exits 2 first)",
     ("reconstruct._safe_pcc", "return None"):
         "a constant estimate, which no shipped config gives (a constant truth or template exits 2 first)",
-    ("forward.rotate_volume", "out[:] = vol.ravel()"):
-        "the documented bit-exact identity, which tricubic interpolation misses; no run rotates by exactly it",
 }
 
 
@@ -143,7 +140,6 @@ def shipped_runs(tmp_path) -> list[dict]:
     return [
         *SMALL.values(),
         {**SMALL["snr_sweep"], "projected": True, "phantom": {"kind": "asymmetric_L", "n": 12, "seed": 1}},
-        {**SMALL["snr_sweep"], "method": "tricubic"},
         {**recover2d, "snrs": [1.0], "assignment_modes": list(reconstruct.ASSIGNMENTS)},
         {**SMALL["snr_sweep"], "phantom": {"kind": "loaded", "path": str(loaded)}},
         {**SMALL["prior_mismatch"], "estimation_priors": [{"kind": "isotropic_gaussian", "eta": 1.5}]},
@@ -173,7 +169,7 @@ def probe(tmp_path_factory):
     runs += [
         (2, "{", "snr_sweep", []),  # not JSON
         (2, json.dumps({**SMALL["recover2d"], "rel_tol": True}), "recover2d", []),
-        (2, json.dumps({**SMALL["snr_sweep"], "method": "bicubic"}), "snr_sweep", []),
+        (2, json.dumps({**SMALL["snr_sweep"], "method": "trilinear"}), "snr_sweep", []),
         (2, json.dumps(SMALL["recover2d"]), "snr_sweep", []),  # the config names another experiment
         (3, json.dumps(SMALL["snr_sweep"]), "snr_sweep", ["--out", str(blocker / "out")]),
     ]

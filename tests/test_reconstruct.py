@@ -443,7 +443,7 @@ class TestRegisteredPcc:
             [reconstruct.pcc(final, vbar)]
             + [reconstruct.pcc(forward.rotate_volume(final, g), vbar) for g in cands.rotations]
         )
-        group = reconstruct.Rotations(cands.rotations, "trilinear")
+        group = reconstruct.Rotations(cands.rotations)
         assert reconstruct.registered_pcc(final, vbar, group) == oracle
         assert oracle > reconstruct.pcc(final, vbar)
 

@@ -16,7 +16,9 @@ moved, appeared or vanished, and for a moved ``results.csv`` each moved row
 with its largest relative change, then the largest over every row.  Then it
 prints each config's wall seconds in the earlier run and in this one, and
 their totals; the seconds are never compared.  It exits 0 when every tree
-is identical, 1 when something moved, 2 when a run fails.
+is identical, 1 when something moved, 2 when a run fails or when OUT
+already holds the tree of a config to run (a file the new run no longer
+writes would stay and hide that it vanished); it deletes nothing.
 
 All eight shipped configs take about 2 to 2.5 minutes on a 2-vCPU x86-64 host.
 """
@@ -161,6 +163,11 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, help="an earlier OUT to compare with")
     args = parser.parse_intermixed_args(argv)
     configs = args.configs or sorted((ROOT / "configs").glob("*.json"))
+    # a tree left by an earlier run keeps files this run may no longer write
+    used = [str(args.out / config.stem) for config in configs if (args.out / config.stem).exists()]
+    if used:
+        print(f"config_digests: {args.out} already holds {used}: give a new OUT", file=sys.stderr)
+        return 2
     args.out.mkdir(parents=True, exist_ok=True)
     seconds = {}
     try:
