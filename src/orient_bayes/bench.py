@@ -575,12 +575,6 @@ def emit_csv(records, path) -> None:
             writer.writerow([f"{v:.17g}" if kind is float else v for v, kind in typed])
 
 
-def parse_csv(path) -> list[ResultRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [ResultRecord(**{name: kind(row[name]) for name, kind in _COLUMNS.items()}) for row in rows]
-
-
 def emit_json(cfg: ExperimentConfig, records, path, extra: dict | None = None) -> None:
     doc = {"config": asdict(cfg), "records": [asdict(r) for r in records]}
     if extra:

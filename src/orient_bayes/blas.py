@@ -28,8 +28,8 @@ _THREAD_CALLS = tuple(
 def thread_calls() -> list:
     """(get, set) of the thread count of every OpenBLAS this process has
     loaded by now; none where no OpenBLAS is loaded or /proc/self/maps is
-    absent.  Each call reads the maps again, so a library loaded later (as
-    scipy's, on its first import) is found."""
+    absent.  Each call reads the maps again: the package loads numpy's only,
+    but a library caller may import scipy, and its own, after the first."""
     maps = Path("/proc/self/maps")
     lines = maps.read_text().splitlines() if maps.exists() else []
     paths = sorted({line.split(None, 5)[-1] for line in lines if "openblas" in line})

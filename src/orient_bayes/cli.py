@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         bench.run_experiment(cfg, args.out)
     except (bench.ConfigError, forward.FileFormatError, estimators.WeightRangeError) as exc:
         # what only the run can check: a phantom file's contents and size, a noise level set by an SNR
-        # or too far from the data's scale to score it
+        # or too far from the data's scale to score it or to iterate on
         print(f"orient-bayes: config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

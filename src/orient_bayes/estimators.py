@@ -22,7 +22,8 @@ class ZeroVarianceError(ValueError):
 
 
 class WeightRangeError(ValueError):
-    """An observation's log-weights have no finite maximum under the variance."""
+    """Data too far in scale from the variance to score or iterate on: log-weights
+    with no finite maximum, or an EM iterate whose norm is not finite."""
 
 
 @dataclass(frozen=True)

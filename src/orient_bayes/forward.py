@@ -3,12 +3,6 @@
 Volumes are (n, n, n) float arrays indexed [x, y, z] with coordinates
 centered at the grid midpoint; polar images are (d_radial, l_angular)
 arrays whose angular axis wraps around.
-
-A volume rotation is trilinear, by a numpy kernel that writes the bytes of
-one ``ndimage.map_coordinates(order=1, mode="constant")`` call.  So
-scipy.ndimage loads only for an ``asymmetric_L`` phantom, not at import or
-at a rotation: polar runs, config errors and ``--help`` load numpy and the
-standard library only.
 """
 
 from __future__ import annotations
@@ -231,11 +225,6 @@ def sigma_for_snr(signal: np.ndarray, snr: float, projected: bool = False) -> fl
     return float(np.sqrt(power / snr))
 
 
-def signal_scale(signal: np.ndarray, projected: bool = False) -> float:
-    """Root-mean-square of the clean signal; the natural unit for sigma."""
-    return float(np.sqrt(_power(signal, projected)))
-
-
 def _inscribed_sphere_mask(n: int) -> np.ndarray:
     c = (n - 1) / 2.0
     r = _centered_grid(n)
@@ -252,6 +241,32 @@ def check_phantom(kind, n, path=None) -> None:
         raise ValueError(f"path must be a non-empty string for kind 'loaded', got {path!r}")
     if kind != "loaded" and (isinstance(n, bool) or not (isinstance(n, int) and MIN_PHANTOM_N <= n <= MAX_PHANTOM_N)):
         raise ValueError(f"n must be an integer >= {MIN_PHANTOM_N} and <= {MAX_PHANTOM_N}, got {n!r}")
+
+
+def _gaussian_filter(vol: np.ndarray, sigma: float) -> None:
+    """Smooth the C-contiguous cube ``vol`` in place into the bytes of
+    ``ndimage.gaussian_filter(vol, sigma)``: radius r = int(4 sigma + 0.5),
+    edges reflected (numpy's "symmetric" pad), axes 0, 1, 2 in turn, and each
+    output v[i] w[0] plus (v[i - j] + v[i + j]) w[j] from j = r down to 1, the
+    order of scipy's loop for a symmetric kernel.  It pads and sums one plane
+    at a time, so it holds about four planes besides ``vol``."""
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w /= w.sum()  # w[r - j] weighs the pair at offset j
+    n = len(vol)
+    pair = np.empty((n, n))
+    # axes 0, 1, 2 as (planes in memory order, the axis within a plane)
+    for planes, ax in ((vol.swapaxes(0, 1), 0), (vol, 0), (vol, 1)):
+        widths = [(r, r) if a == ax else (0, 0) for a in (0, 1)]
+        acc = np.moveaxis(pair, ax, 0)
+        for plane in planes:
+            p = np.moveaxis(np.pad(plane, widths, mode="symmetric"), ax, 0)
+            out = np.moveaxis(plane, ax, 0)
+            np.multiply(p[r : r + n], w[r], out=out)
+            for j in range(r):  # the pair at offset r - j, the farthest first
+                np.add(p[j : j + n], p[2 * r - j : 2 * r - j + n], out=acc)
+                acc *= w[j]
+                out += acc
 
 
 def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> np.ndarray:
@@ -292,9 +307,7 @@ def make_phantom(kind: str, n: int, seed: int = 0, path: str | None = None) -> n
         vol[arm_x] += 1.0
         vol[arm_y] += 0.8
         vol[arm_z] += 0.6
-        from scipy import ndimage
-
-        vol = ndimage.gaussian_filter(vol, sigma=n / 32.0)
+        _gaussian_filter(vol, n / 32.0)
     vol *= _inscribed_sphere_mask(n)
     return vol
 

@@ -296,7 +296,8 @@ def run_reconstruction(
     Each iterate is scored once, and the step turns its scores into the next.
 
     Returns the final estimate and a per-iteration trace (iter, rel_change,
-    pcc_truth, pcc_template).
+    pcc_truth, pcc_template); an iterate whose norm or change is not a finite
+    double (data far too large in scale) raises estimators.WeightRangeError.
     """
     step = _STEPS[cfg.assignment]
     v = np.asarray(v0, dtype=float).copy()
@@ -304,8 +305,11 @@ def run_reconstruction(
     trace = []
     for it in range(cfg.max_iters):
         v_next = step(batch, batch.scores(v, group), group)
-        prev_norm = np.linalg.norm(v)
-        rel = float(np.linalg.norm(v_next - v) / prev_norm) if prev_norm > 0 else float("inf")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, with no warning first
+            prev_norm, change = np.linalg.norm(v), np.linalg.norm(v_next - v)
+            rel = float(change / prev_norm) if prev_norm > 0 else float("inf")
+        if not (math.isfinite(prev_norm) and math.isfinite(change)):
+            raise estimators.WeightRangeError(f"{cfg.assignment} iteration {it}: an iterate's norm is not finite")
         record = {
             "iter": it,
             "rel_change": rel,

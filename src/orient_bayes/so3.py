@@ -13,9 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# Orthonormality / determinant tolerance for anything claiming to be a rotation.
-ROTATION_TOL = 1e-10
-
 # Adaptive truncation of the angle-density series: stop once the newest term is
 # below this fraction of the partial sum, with a hard cap on the series length.
 _SERIES_RTOL = 1e-10
@@ -44,14 +41,6 @@ def check_prior(kind, eta=None) -> None:
         raise ValueError(f"kind must be one of {list(PRIOR_KINDS)}, got {kind!r}")
     if kind == "isotropic_gaussian":
         check_eta(eta)
-
-
-def is_rotation(m: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        return False
-    ortho = np.linalg.norm(m.T @ m - np.eye(3))
-    return ortho <= tol and abs(np.linalg.det(m) - 1.0) <= tol
 
 
 def geodesic_distances(gs1: np.ndarray, gs2: np.ndarray) -> np.ndarray:
@@ -109,11 +98,6 @@ def sample_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
     q = rng.normal(size=(count, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     return _quats_to_matrices(q)
-
-
-def uniform_angle_density(omega: np.ndarray) -> np.ndarray:
-    """Density of the rotation angle under the Haar measure: (1 - cos w) / pi."""
-    return (1.0 - np.cos(np.asarray(omega, dtype=float))) / np.pi
 
 
 def _ig_series(omega: np.ndarray, eta: float) -> np.ndarray:

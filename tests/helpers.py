@@ -1,17 +1,20 @@
-"""Helpers shared by the tests: closed-form rotations and angles, Horn's
-exact Procrustes oracle, a scoring oracle that does not go through the code
-under test, the README's quick example, and a scope that sets BLAS's thread
-count."""
+"""Helpers shared by the tests: closed-form rotations and angles, a rotation
+check, the Haar angle density, Horn's exact Procrustes oracle, a scoring
+oracle that does not go through the code under test, a signal's scale,
+results.csv read back, the README's quick example, and a scope that sets
+BLAS's thread count."""
 
 import contextlib
+import csv
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from orient_bayes import blas, so3
+from orient_bayes import bench, blas, forward, so3
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,6 +41,21 @@ def rot_z(theta: float) -> np.ndarray:
     """Rotation by theta about the z axis."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def is_rotation(m, tol: float = 1e-10) -> bool:
+    """Whether m is a finite 3x3 matrix within tol of orthonormal (Frobenius
+    norm of m^T m - I) with determinant within tol of +1."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
+        return False
+    ortho = np.linalg.norm(m.T @ m - np.eye(3))
+    return ortho <= tol and abs(np.linalg.det(m) - 1.0) <= tol
+
+
+def uniform_angle_density(omega) -> np.ndarray:
+    """Density of the rotation angle under the Haar measure: (1 - cos w) / pi."""
+    return (1.0 - np.cos(np.asarray(omega, dtype=float))) / np.pi
 
 
 def geodesic_distance(g1: np.ndarray, g2: np.ndarray) -> float:
@@ -71,6 +89,21 @@ def direct_log_weights(ys, x, var) -> np.ndarray:
     one residual at a time, normalized per row; (M, L)."""
     log_w = -0.5 * np.sum((ys[:, None, :] - x[None, :, :]) ** 2 / var, axis=2)
     return log_w - logsumexp(log_w, axis=1, keepdims=True)
+
+
+def signal_scale(signal, projected: bool = False) -> float:
+    """Root-mean-square of the clean signal, z-projected if ``projected``: the
+    natural unit for sigma."""
+    arr = np.asarray(signal, dtype=float)
+    return float(np.sqrt(np.mean((forward.project_z(arr) if projected else arr).ravel() ** 2)))
+
+
+def parse_csv(path) -> list:
+    """The bench.ResultRecord rows of a results.csv, each field of its type."""
+    columns = typing.get_type_hints(bench.ResultRecord)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [bench.ResultRecord(**{name: kind(row[name]) for name, kind in columns.items()}) for row in rows]
 
 
 def readme_quick_example() -> str:

@@ -98,6 +98,12 @@ BAD_INPUTS = {
     "recover2d-soft-em-squared-norm-overflows": {
         "experiment": "recover2d", "sigmas": [9e153], "assignment_modes": ["soft_em"]
     },
+    # the hard step reads no log-weights, but its first iterate, an average of
+    # rows near 1e154, has a squared norm that overflows
+    "recover2d-hard-map-iterate-overflows": {
+        "experiment": "recover2d", "M": 4, "sigmas": [9e153], "assignment_modes": ["hard_map"],
+        "polar": {"d_radial": 20, "l_angular": 6}, "max_iters": 5,
+    },
     # a zero signal gives sigma 0 for every SNR, where the SNR is undefined
     "snr-of-a-zero-signal": {"sigmas": None, "snrs": [1.0], "phantom": {"kind": "loaded", "path": "<zero.obv>"}},
     # an EM run scores its estimates by PCC against the truth and the template,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import blas_at_two_threads
+from helpers import blas_at_two_threads, parse_csv
 from small_configs import BAD_INPUTS, SMALL, VOLUME_FILES, bad_input_config
 
 from orient_bayes import bench, blas, cli, estimators, forward, reconstruct, so3
@@ -179,7 +179,7 @@ class TestCsv:
         records = self.records()
         bench.emit_csv(records, path)
         assert len(path.read_text().splitlines()) == 2
-        assert bench.parse_csv(path) == records
+        assert parse_csv(path) == records
 
 
 class TestSweeps:
@@ -613,7 +613,7 @@ class TestCli:
         assert (out / "results.csv").exists()
         doc = json.loads((out / "results.json").read_text())
         assert doc["config"]["experiment"] == "snr_sweep"
-        assert len(doc["records"]) == len(bench.parse_csv(out / "results.csv"))
+        assert len(doc["records"]) == len(parse_csv(out / "results.csv"))
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = self.write_config(tmp_path, self.small_raw())
@@ -632,7 +632,7 @@ class TestCli:
             doc = json.loads((out / "results.json").read_text())
             reloaded = bench.ExperimentConfig.from_dict(doc["config"])
             records = bench.EXPERIMENTS[raw["experiment"]].run(reloaded).records
-            assert records == bench.parse_csv(out / "results.csv"), name
+            assert records == parse_csv(out / "results.csv"), name
 
     def test_seed_override(self, tmp_path):
         cfg_path = self.write_config(tmp_path, self.small_raw())
@@ -696,7 +696,7 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert cli.main(["recover2d", "--config", str(cfg_path), "--out", str(out)]) == 0
-        records = bench.parse_csv(out / "results.csv")
+        records = parse_csv(out / "results.csv")
         for mode in ("mmse_align", "hard_map"):
             for target in raw["snrs"]:
                 rows = [r for r in records if r.estimator.startswith(mode) and r.snr == pytest.approx(target)]
@@ -976,41 +976,37 @@ class TestCli:
         vol = forward.read_obv(out / "volumes" / vols[0])
         assert vol.shape == (10, 10, 10)
 
-    def test_polar_runs_and_config_errors_never_load_scipy(self, tmp_path):
-        # a fresh interpreter: the test modules themselves import scipy
+    def test_no_cli_run_loads_scipy(self, tmp_path):
+        # a fresh interpreter, since the test modules themselves import scipy:
+        # every experiment and geometry runs (asymmetric_L, smoothed in numpy,
+        # is a projected sweep's phantom and the template of recover3d and of
+        # volume einstein_noise), then a config error and --help
+        sweep = {**SMALL["snr_sweep"], "phantom": {"kind": "asymmetric_L", "n": 12}, "projected": True}
+        configs = [("sweep", sweep), *((name, SMALL[name]) for name in SMALL if name != "snr_sweep"),
+                   ("bad", {**SMALL["recover2d"], "method": "trilinear"})]
         runs = []
-        for name, raw in [("recover2d", SMALL["recover2d"]), ("einstein_noise", SMALL["einstein_noise"]),
-                          ("bad", {**SMALL["recover2d"], "method": "trilinear"})]:
+        for name, raw in configs:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(raw))
             runs.append([raw["experiment"], "--config", str(path), "--out", str(tmp_path / name)])
         script = """
 import contextlib, io, json, sys
-import numpy as np
-import orient_bayes
-from orient_bayes import cli, forward, so3
+from orient_bayes import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 try:
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["--help"])
 except SystemExit as exc:
     codes.append(exc.code)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-quarter_turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-forward.rotate_volume(np.ones((8, 8, 8)), quarter_turn)
-forward.rotate_volume(np.ones((8, 8, 8)), so3.sample_uniform(np.random.default_rng(0), 1)[0])
-forward.rotated_stack(np.ones((8, 8, 8)), np.stack([quarter_turn, np.eye(3)]), projected=True)
-print(json.dumps({"codes": codes, "loaded": loaded, "after_rotations": "scipy.ndimage" in sys.modules}))
+print(json.dumps({"codes": codes, "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True,
-                              text=True, timeout=120)
+                              text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
-        assert result["codes"] == [0, 0, 2, 0]
+        assert result["codes"] == [0] * (len(configs) - 1) + [2, 0]
         assert result["loaded"] == []
-        # every rotation is the numpy trilinear kernel
-        assert not result["after_rotations"]
 
     def test_einstein_noise_runs(self, tmp_path):
         cfg_path = self.write_config(
@@ -1027,6 +1023,6 @@ print(json.dumps({"codes": codes, "loaded": loaded, "after_rotations": "scipy.nd
         )
         out = tmp_path / "out"
         assert cli.main(["einstein_noise", "--config", str(cfg_path), "--out", str(out)]) == 0
-        records = bench.parse_csv(out / "results.csv")
+        records = parse_csv(out / "results.csv")
         assert {r.estimator for r in records} == {"mmse_align/template", "hard_map/template"}
         assert all(r.trials == 2 for r in records)

@@ -2,7 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from helpers import geodesic_distance, rot_z
+from helpers import geodesic_distance, is_rotation, rot_z, signal_scale
 
 from orient_bayes import bench, estimators, forward, so3
 
@@ -146,7 +146,7 @@ class TestMmseEstimate:
     def test_collapses_to_map_at_low_noise(self, volume_setup):
         vbar, cands = volume_setup
         y = cands.templates[5]
-        sigma = 1e-6 * forward.signal_scale(vbar)
+        sigma = 1e-6 * signal_scale(vbar)
         rotation = mmse(y, cands, sigma)
         assert geodesic_distance(rotation, cands.rotations[map_index(y, cands)]) <= 1e-6
 
@@ -154,7 +154,7 @@ class TestMmseEstimate:
         # the MMSE/MAP gap shrinks through sigma decades and ends below 1e-6
         vbar, cands = volume_setup
         rng = np.random.default_rng(30)
-        scale = forward.signal_scale(vbar)
+        scale = signal_scale(vbar)
         y = cands.templates[11] + 1e-3 * scale * rng.normal(size=vbar.size)
         g_map = cands.rotations[map_index(y, cands)]
         gaps = [
@@ -173,7 +173,7 @@ class TestMmseEstimate:
             np.diag([-1.0, -1.0, 1.0]),
         ]
         cands = make_cands(half_turns, np.zeros((4, 2)))
-        assert so3.is_rotation(mmse([0.0, 0.0], cands, 1.0))
+        assert is_rotation(mmse([0.0, 0.0], cands, 1.0))
 
     def test_batch_matches_scalar(self, volume_setup):
         vbar, cands = volume_setup

@@ -379,6 +379,37 @@ class TestPhantoms:
             forward.make_phantom("gaussian_blobs", n)
 
 
+class TestGaussianFilter:
+    """forward._gaussian_filter smooths in place into the bytes of scipy's
+    ndimage.gaussian_filter, the oracle."""
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize("n", [8, 13, 32, 50])
+    def test_normal_volumes_take_scipy_bytes(self, n, sigma):
+        # at n = 8 and sigma = 2.7 the radius, 11, reflects past the far edge
+        vol = np.random.default_rng([n, int(10 * sigma)]).normal(size=(n, n, n))
+        expect = ndimage.gaussian_filter(vol, sigma)
+        forward._gaussian_filter(vol, sigma)
+        assert_same_bytes(vol, expect)
+
+    def test_asymmetric_L_is_smoothed_with_scipy_bytes(self, monkeypatch):
+        # the arm volume make_phantom smooths, at sigma = n / 32, for every
+        # edge from 8 to 64 and at 96 and 128
+        smooth, sigmas = forward._gaussian_filter, []
+
+        def checked(vol, sigma):
+            expect = ndimage.gaussian_filter(vol, sigma)
+            smooth(vol, sigma)
+            assert_same_bytes(vol, expect)
+            sigmas.append(sigma)
+
+        monkeypatch.setattr(forward, "_gaussian_filter", checked)
+        sizes = [*range(8, 65), 96, 128]
+        for n in sizes:
+            forward.make_phantom("asymmetric_L", n)
+        assert sigmas == [n / 32.0 for n in sizes]
+
+
 class TestObvFormat:
     def test_round_trip(self, tmp_path, blob_phantom):
         path = tmp_path / "vol.obv"

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from helpers import direct_log_weights
+from helpers import direct_log_weights, parse_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -265,7 +265,7 @@ def test_csv_round_trip(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "results.csv"
         bench.emit_csv(rows, path)
-        assert bench.parse_csv(path) == rows
+        assert parse_csv(path) == rows
 
 
 # names the config checks look for, so generated values often reach past the

@@ -34,14 +34,9 @@ from orient_bayes import bench, blas, cli, estimators, forward, reconstruct, so3
 
 PACKAGE = Path(orient_bayes.__file__).resolve().parent
 
-# Functions no shipped path runs, kept because the tests check results or the
-# maths through them.
-ALLOWED = {
-    "bench.parse_csv": "the tests read results.csv back through it",
-    "forward.signal_scale": "the tests set noise levels in units of the signal with it",
-    "so3.is_rotation": "the tests check that estimates and samples are rotations with it",
-    "so3.uniform_angle_density": "the Haar angle density, the tests' oracle for the isotropic Gaussian at large eta",
-}
+# Functions no shipped path runs, by name, with the reason each is kept.  It
+# is empty: a function only the tests use lives in tests/helpers.py.
+ALLOWED = {}
 
 # Lines of reached functions that no shipped path runs, by function and
 # source text (stripped), so an edit elsewhere in the file keeps the key.

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from helpers import blas_at_two_threads
+from helpers import blas_at_two_threads, signal_scale
 from scipy.special import logsumexp
 
 from orient_bayes import bench, estimators, forward, reconstruct, so3
@@ -109,7 +109,7 @@ class TestPolarSteps:
         # at tiny sigma on exact-grid data every posterior is one-hot, so the
         # three update rules coincide
         ys = noiseless_polar_obs(polar_truth, [0, 2, 4, 7])
-        sigma = 1e-8 * forward.signal_scale(polar_truth)
+        sigma = 1e-8 * signal_scale(polar_truth)
         soft = one_step(reconstruct.em_step_soft, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
         mmse = one_step(reconstruct.em_step_mmse, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
         hard = one_step(reconstruct.hard_step, batch(ys, polar_truth, sigma), polar_truth, SHIFTS)
@@ -176,7 +176,7 @@ def volume_setup():
 class TestVolumeSteps:
     def test_one_hot_collapse(self, volume_setup):
         vbar, cands, ys = volume_setup
-        sigma = 1e-8 * forward.signal_scale(vbar)
+        sigma = 1e-8 * signal_scale(vbar)
         group = reconstruct.Rotations(cands.rotations)
         soft = one_step(reconstruct.em_step_soft, batch(ys, vbar, sigma), vbar, group)
         mmse = one_step(reconstruct.em_step_mmse, batch(ys, vbar, sigma), vbar, group)
@@ -235,7 +235,7 @@ class TestRunReconstruction:
     def test_noiseless_fixed_point(self, polar_truth):
         ys = noiseless_polar_obs(polar_truth, [0, 1, 2, 5, 6])
         cfg = reconstruct.ReconstructionConfig(assignment="soft_em")
-        sigma = 1e-8 * forward.signal_scale(polar_truth)
+        sigma = 1e-8 * signal_scale(polar_truth)
         v, trace = reconstruct.run_reconstruction(
             batch(ys, polar_truth, sigma), polar_truth, SHIFTS, cfg, truth=polar_truth
         )
@@ -352,7 +352,7 @@ def em_problem(request, polar_truth, volume_setup):
         truth, cands, clean = volume_setup
         template = forward.make_phantom("asymmetric_L", 12, seed=2)
         make_group = partial(reconstruct.Rotations, cands.rotations)
-    sigma = 0.5 * forward.signal_scale(truth)
+    sigma = 0.5 * signal_scale(truth)
     ys = clean + sigma * rng.normal(size=clean.shape)
     return ys, truth, template, make_group, sigma
 
@@ -504,7 +504,7 @@ def pooled_setup():
     rotations = estimators.candidate_rotations(so3.RotationPrior.uniform(), count, seed=5)
     true = so3.RotationPrior.uniform().sample(np.random.default_rng(9), count)
     rng = np.random.default_rng(6)
-    sigma = 0.5 * forward.signal_scale(vbar)
+    sigma = 0.5 * signal_scale(vbar)
     ys = forward.rotated_stack(vbar, true) + sigma * rng.normal(size=(count, vbar.size))
     return vbar, rotations, ys, sigma
 

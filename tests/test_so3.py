@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import geodesic_distance, horn_rotation, rot_z
+from helpers import geodesic_distance, horn_rotation, is_rotation, rot_z, uniform_angle_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -67,7 +67,7 @@ class TestProcrustes:
     def test_outputs_are_rotations(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            assert so3.is_rotation(so3.procrustes_project(rng.normal(size=(3, 3))))
+            assert is_rotation(so3.procrustes_project(rng.normal(size=(3, 3))))
 
     def test_brute_force_oracle(self):
         # Exhaustive trace maximization over a dense Haar sample.  The
@@ -111,11 +111,11 @@ class TestProcrustes:
         # the minimizer is not unique; one of them is returned
         a = np.zeros((3, 3))
         a[0, 0] = 1.0
-        assert so3.is_rotation(so3.procrustes_project(a))
+        assert is_rotation(so3.procrustes_project(a))
 
     def test_reflection_tie_gives_a_rotation(self):
         # equal smallest singular values with negative determinant correction
-        assert so3.is_rotation(so3.procrustes_project(np.diag([2.0, 1.0, -1.0])))
+        assert is_rotation(so3.procrustes_project(np.diag([2.0, 1.0, -1.0])))
 
     def test_batch_matches_scalar(self):
         # a stack gives each matrix's own rotation bit for bit
@@ -128,7 +128,7 @@ class TestProcrustes:
         assert batch.shape == mats.shape
         for a, rot in zip(mats, batch):
             assert np.array_equal(so3.procrustes_project(a), rot)
-            assert so3.is_rotation(rot)
+            assert is_rotation(rot)
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((2, 2, 3, 3)), np.full((3, 3), np.nan)])
     def test_rejects_non_3x3_or_non_finite(self, bad):
@@ -139,11 +139,11 @@ class TestProcrustes:
 class TestUniformSampling:
     def test_single_sample_valid(self):
         g = so3.sample_uniform(np.random.default_rng(0), 1)[0]
-        assert so3.is_rotation(g)
+        assert is_rotation(g)
 
     def test_all_valid_rotations(self):
         for g in so3.sample_uniform(np.random.default_rng(1), 200):
-            assert so3.is_rotation(g)
+            assert is_rotation(g)
 
     def test_entrywise_mean_near_zero(self):
         gs = so3.sample_uniform(np.random.default_rng(2), 100_000)
@@ -168,7 +168,7 @@ class TestIgDensity:
 
     def test_large_eta_matches_uniform(self):
         omega = np.linspace(0.0, np.pi, 2001)
-        gap = np.abs(so3.ig_density(omega, 10.0) - so3.uniform_angle_density(omega))
+        gap = np.abs(so3.ig_density(omega, 10.0) - uniform_angle_density(omega))
         assert np.max(gap) <= 1e-3
 
     @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0])
@@ -180,7 +180,7 @@ class TestIgDensity:
     def test_uniform_gap_nonincreasing_in_eta(self):
         omega = np.linspace(0.0, np.pi, 2001)
         gaps = [
-            np.max(np.abs(so3.ig_density(omega, eta) - so3.uniform_angle_density(omega)))
+            np.max(np.abs(so3.ig_density(omega, eta) - uniform_angle_density(omega)))
             for eta in [1.0, 2.0, 5.0, 10.0]
         ]
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -223,7 +223,7 @@ class TestInverseCdf:
 class TestIgSampling:
     def test_single_sample_valid(self):
         g = so3.ig_sample(np.random.default_rng(0), 0.5, 1)[0]
-        assert so3.is_rotation(g)
+        assert is_rotation(g)
 
     def test_concentrated_mean_angle(self):
         gs = so3.ig_sample(np.random.default_rng(1), 0.1, 10_000)

@@ -5,10 +5,10 @@
 Runs each CONFIG (by default every ``configs/*.json``) through the CLI, with
 ``orient_bayes`` imported from SRC (by default this checkout's ``src``), into
 ``OUT/<config stem>/``, and writes ``OUT/digests.json``: the sha256 of every
-output file, ``{config: {file: sha256}}``, with the numpy, scipy and BLAS
-versions, and under ``seconds`` each config's wall time.  The bytes are
-specific to the BLAS build: block sizes such as ``estimators.SCORE_BLOCK``
-are chosen for OpenBLAS 0.3.31.
+output file, ``{config: {file: sha256}}``, with the versions of numpy (the
+package's only runtime dependency) and its BLAS, and under ``seconds`` each
+config's wall time.  The bytes are specific to the BLAS build: block sizes
+such as ``estimators.SCORE_BLOCK`` are chosen for OpenBLAS 0.3.31.
 
 With ``--against EARLIER``, an OUT of an earlier run (for example of the
 parent commit, with ``--src`` at its ``src``), it prints the files that
@@ -40,14 +40,12 @@ DIGESTS = "digests.json"
 
 
 def versions() -> dict:
-    """The versions the output bytes depend on."""
+    """The versions the output bytes depend on: numpy's and its BLAS's."""
     import numpy
-    import scipy
 
     blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
     }
 
